@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,61 +28,49 @@ from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
                         optimize, reference_pattern, synthesize_modulated)
 from .phase import (DriftScenario, resonance_offset_for_phase_shift,
                     simulate_drift_control, solve_multitone)
-from .scanner import ScannerConfig
 
 
-@dataclass
-class RunConfig:
-    """Common per-invocation plumbing shared by the subcommands."""
-
-    scanner: ScannerConfig | None
-    seed: int
-    out: Path | None
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    scanner = lio.load_scanner(args.scanner) if getattr(args, "scanner", None) else None
-    return RunConfig(scanner=scanner,
-                     seed=getattr(args, "seed", 0),
-                     out=Path(args.out) if getattr(args, "out", None) else None)
-
-
-def _emit_json(payload: dict, out: Path | None) -> None:
+def _emit_json(payload: dict, out: str | None) -> None:
+    """Write payload to the --out file, or to stdout when --out is absent or empty."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
+    if not out:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        Path(out).write_text(text)
 
 
 def _rational(text: str) -> Fraction:
     return as_fraction(text)
 
 
+def _required_path(text: str) -> str:
+    """argparse type for a required file flag: an empty path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_design(args: argparse.Namespace) -> int:
-    run = _run_config(args)
     make = baseline_repeating_design if args.baseline else design_unmodulated
     design = make(_rational(args.r), args.m)
     periods = repeat_period(design.fx, design.fy, design.phix, design.phiy)
     payload = design.to_dict()
     payload["signal_period"] = str(periods.signal_period)
     payload["coverage_period"] = str(periods.coverage_period)
-    _emit_json(payload, run.out)
+    _emit_json(payload, args.out)
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    run = _run_config(args)
+    scanner = lio.load_scanner(args.scanner)
     design = lio.load_design(args.design)
-    if run.scanner is None:
-        raise DomainError("metrics requires --scanner")
-    pattern = sample_unmodulated(design, run.scanner, args.frame, args.n_samples)
+    pattern = sample_unmodulated(design, scanner, args.frame, args.n_samples)
     report = fill_factor(pattern, args.grid)
     payload = {"fill_factor": report.fill_factor, "r_max": report.r_max,
-               "scanning_range": scanning_range(design, run.scanner)}
-    _emit_json(payload, run.out)
+               "scanning_range": scanning_range(design, scanner)}
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -98,7 +85,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    run = _run_config(args)
+    scanner = lio.load_scanner(args.scanner) if args.scanner else None
     r_min, r_max, r_step = (_rational(args.r_min), _rational(args.r_max),
                             _rational(args.r_step))
     if r_step <= 0 or r_max < r_min:
@@ -108,12 +95,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     while r <= r_max:
         r_grid.append(r)
         r += r_step
-    rows = sweep_designs(r_grid, _parse_m_list(args.m), config=run.scanner,
+    rows = sweep_designs(r_grid, _parse_m_list(args.m), config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
-    if run.out is None:
-        raise DomainError("sweep requires --out")
-    with open(run.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "m", "rule", "fill_factor", "scanning_range", "status"])
         for row in rows:
@@ -133,24 +118,22 @@ def _positive_region_count(pattern, wmap) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    if run.scanner is None:
-        raise DomainError("optimize requires --scanner")
+    scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
-    r = Fraction(run.scanner.fx_res) / Fraction(run.scanner.fy_res)
+    r = Fraction(scanner.fx_res) / Fraction(scanner.fy_res)
     cold = initial_params(r, m=args.m, n_tones=args.tones,
-                          qx=run.scanner.qx, qy=run.scanner.qy,
+                          qx=scanner.qx, qy=scanner.qy,
                           y_single_tone=args.y_single_tone)
     if args.init:
         init = ModulatedParams.from_dict(json.loads(Path(args.init).read_text()))
     else:
         init = cold
     opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
-                           threshold=args.threshold, seed=run.seed,
+                           threshold=args.threshold, seed=args.seed,
                            n_samples=args.n_samples, constraint=args.constraint)
     result = optimize(init, wmap, opts)
     optimized = synthesize_modulated(result.params, args.n_samples)
-    reference = reference_pattern(r, m=args.m, config=run.scanner,
+    reference = reference_pattern(r, m=args.m, config=scanner,
                                   n_samples=args.n_samples)
     payload = result.params.to_dict()
     payload.update({
@@ -161,11 +144,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "converged": result.converged,
         "roi_density": _positive_region_count(optimized, wmap),
         "roi_density_reference": _positive_region_count(reference, wmap),
-        "seed": run.seed,
+        "seed": args.seed,
     })
-    if run.out is None:
-        raise DomainError("optimize requires --out")
-    _emit_json(payload, run.out)
+    _emit_json(payload, args.out)
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -195,15 +176,13 @@ def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: floa
 
 
 def cmd_phase_sim(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    if run.scanner is None:
-        raise DomainError("phase-sim requires --scanner")
+    scanner = lio.load_scanner(args.scanner)
     try:
         spec = json.loads(Path(args.scenario).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"could not read scenario {args.scenario}: {exc}") from exc
     axis = spec.get("axis", "x")
-    f_res, q = run.scanner.axis(axis)
+    f_res, q = scanner.axis(axis)
     f_drive = float(spec.get("f_drive", f_res))
     if "frame_time" not in spec:
         raise DomainError(f"scenario {args.scenario} missing required field 'frame_time'")
@@ -212,11 +191,9 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
         frame_time=float(spec["frame_time"]),
         control_enabled=bool(spec.get("control_enabled", True)),
         measurement_noise_deg=float(spec.get("measurement_noise_deg", 0.0)))
-    trace = simulate_drift_control(scenario, run.scanner, axis, f_drive,
-                                   args.duration, seed=run.seed)
-    if run.out is None:
-        raise DomainError("phase-sim requires --out")
-    with open(run.out, "w", newline="") as fh:
+    trace = simulate_drift_control(scenario, scanner, axis, f_drive,
+                                   args.duration, seed=args.seed)
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phase_error_deg", "corrected"])
         for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg):
@@ -225,7 +202,6 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_solve(args: argparse.Namespace) -> int:
-    run = _run_config(args)
     try:
         data = json.loads(Path(args.samples).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -236,7 +212,7 @@ def cmd_phase_solve(args: argparse.Namespace) -> int:
         raise DomainError(f"samples file missing field {exc}") from exc
     payload = {"omegas": list(state.omegas), "amplitudes": list(state.amps),
                "phases_rad": list(state.phases)}
-    _emit_json(payload, run.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -257,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="fill-factor and scanning range of a design")
     p.add_argument("--design", required=True, help="design JSON (from the design command)")
-    p.add_argument("--scanner", required=True, help="scanner config JSON")
+    p.add_argument("--scanner", required=True, type=_required_path, help="scanner config JSON")
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--n-samples", type=int, default=N_SAMPLES_DEFAULT)
     p.add_argument("--grid", type=int, default=N_GRID_DEFAULT)
@@ -272,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scanner", help="scanner config JSON (quality factors)")
     p.add_argument("--n-samples", type=int, default=N_SAMPLES_DEFAULT)
     p.add_argument("--grid", type=int, default=N_GRID_DEFAULT)
-    p.add_argument("--out", required=True, help="output CSV")
+    p.add_argument("--out", required=True, type=_required_path, help="output CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="focus a multi-tone pattern on a weighted region")
-    p.add_argument("--scanner", required=True)
+    p.add_argument("--scanner", required=True, type=_required_path)
     p.add_argument("--roi", required=True, help="weight map (PGM or CSV)")
     p.add_argument("--tones", type=int, default=5, choices=(3, 5))
     p.add_argument("--m", type=int, default=7)
@@ -288,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-single-tone", action="store_true")
     p.add_argument("--init", help="warm-start params JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output params JSON")
+    p.add_argument("--out", required=True, type=_required_path, help="output params JSON")
     p.add_argument("--trace", help="optional loss trace CSV")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("phase-sim", help="simulate drift of the oscillator phase")
     p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--scanner", required=True)
+    p.add_argument("--scanner", required=True, type=_required_path)
     p.add_argument("--duration", required=True, type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output trace CSV")
+    p.add_argument("--out", required=True, type=_required_path, help="output trace CSV")
     p.set_defaults(func=cmd_phase_sim)
 
     p = sub.add_parser("phase-solve", help="recover 3-tone amplitudes and phases")

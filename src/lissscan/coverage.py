@@ -15,10 +15,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .design import (UnmodulatedDesign, as_fraction, baseline_repeating_design,
                      design_unmodulated)
@@ -94,6 +94,7 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
     minimum sample distance is taken at every patch center of an
     n_grid x n_grid grid; r_max is the worst of those minima.
     """
+    from scipy.spatial import cKDTree   # deferred: most commands never need it
     if n_grid < 2:
         raise DomainError(f"grid must have at least 2 patches per axis, got {n_grid}")
     sx = float(np.max(np.abs(pattern.x)))
@@ -124,20 +125,14 @@ class SweepRow:
     status: str                # "ok" | "error:<Kind>"
 
 
-def _sweep_cell(args: tuple) -> list[SweepRow]:
-    r, m, qx, qy, n_samples, n_grid = args
-    rows = []
-    for rule, make in (("proposed", design_unmodulated), ("baseline", baseline_repeating_design)):
-        try:
-            design = make(r, m)
-            config = ScannerConfig(fx_res=float(r), fy_res=1.0, qx=qx, qy=qy)
-            pattern = sample_unmodulated(design, config, 0, n_samples)
-            report = fill_factor(pattern, n_grid)
-            rows.append(SweepRow(r, m, rule, report.fill_factor,
-                                 scanning_range(design, config), "ok"))
-        except LissscanError as exc:
-            rows.append(SweepRow(r, m, rule, None, None, f"error:{type(exc).__name__}"))
-    return rows
+def _score_geometry(args: tuple) -> float | str:
+    """Fill factor of one pattern geometry at unit amplitude, or its error status."""
+    design, config, n_samples, n_grid = args
+    try:
+        pattern = sample_unmodulated(design, config, 0, n_samples, amp_x=1.0, amp_y=1.0)
+        return fill_factor(pattern, n_grid).fill_factor
+    except LissscanError as exc:
+        return f"error:{type(exc).__name__}"
 
 
 def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
@@ -148,21 +143,43 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
 
     Returns one row per (r, m, rule) in deterministic order. Cells where a
     rule errors come back flagged in the status column instead of being
-    dropped. workers > 1 evaluates cells in a process pool; the row order
-    does not depend on it.
+    dropped. Each distinct geometry (fx, fy, phix, phiy, m) is scored once,
+    at unit amplitude, which fill factor does not depend on. workers > 1
+    scores the geometries in a process pool; the rows do not depend on it.
     """
     r_grid = [as_fraction(r) for r in r_grid]
     m_set = [int(m) for m in m_set]
     if not r_grid or not m_set:
         raise DomainError("sweep grids must be non-empty")
     qx, qy = (config.qx, config.qy) if config is not None else (20.0, 20.0)
-    cells = [(r, m, qx, qy, n_samples, n_grid) for r in r_grid for m in m_set]
+    rules = (("proposed", design_unmodulated), ("baseline", baseline_repeating_design))
+    cells = []    # (r, m, rule, geometry or None, scanning range or error status)
+    jobs = {}     # geometry -> _score_geometry arguments, in first-seen order
+    for r, m, (rule, make) in product(r_grid, m_set, rules):
+        try:
+            design = make(r, m)
+            cell_config = ScannerConfig(fx_res=float(r), fy_res=1.0, qx=qx, qy=qy)
+            reach = scanning_range(design, cell_config)
+        except LissscanError as exc:
+            cells.append((r, m, rule, None, f"error:{type(exc).__name__}"))
+            continue
+        geometry = (design.fx, design.fy, design.phix, design.phiy, design.m)
+        jobs.setdefault(geometry, (design, cell_config, n_samples, n_grid))
+        cells.append((r, m, rule, geometry, reach))
     if workers is not None and workers > 1:
+        import scipy.spatial  # noqa: F401  (imported once here, not in each forked worker)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_sweep_cell, cells, chunksize=8))
+            fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=8)))
     else:
-        per_cell = [_sweep_cell(cell) for cell in cells]
-    return [row for rows in per_cell for row in rows]
+        fills = {geometry: _score_geometry(args) for geometry, args in jobs.items()}
+    rows = []
+    for r, m, rule, geometry, outcome in cells:
+        fill = outcome if geometry is None else fills[geometry]
+        if isinstance(fill, str):
+            rows.append(SweepRow(r, m, rule, None, None, fill))
+        else:
+            rows.append(SweepRow(r, m, rule, fill, outcome, "ok"))
+    return rows
 
 
 def sweep_workers_from_env() -> int | None:

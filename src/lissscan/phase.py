@@ -139,21 +139,22 @@ def resonance_offset_for_phase_shift(f_drive: float, f_res: float, q: float,
                                      delta_deg: float) -> float:
     """Resonance offset that moves the steady-state phase by delta_deg.
 
-    The lag is monotone decreasing in the resonant frequency, so the offset
-    is found by bisection.
+    The lag is psi where q*sin(psi)*g**2 - f*cos(psi)*g - q*sin(psi)*f**2 = 0
+    for the resonance g. Its roots multiply to -f**2, so exactly one is
+    positive; it is taken in the form that does not cancel.
     """
     base = plant_phase_lag(f_drive, f_res, q)
     target = base + math.radians(delta_deg)
     if not 0.0 < target < math.pi:
         raise DomainError(f"target phase {math.degrees(target):.1f} deg leaves (0, 180)")
-    lo, hi = f_res * 1e-3, f_res * 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if plant_phase_lag(f_drive, mid, q) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) - f_res
+    a, b = q * math.sin(target), f_drive * math.cos(target)
+    root = math.hypot(b, 2.0 * a * f_drive)
+    g = (b + root) / (2.0 * a) if b >= 0.0 else 2.0 * a * f_drive * f_drive / (root - b)
+    offset = g - f_res
+    if not (math.isfinite(offset) and f_res + offset > 0.0):
+        raise DomainError(f"resonance {g!r} for this target is not representable "
+                          "as f_res + offset")
+    return offset
 
 
 @dataclass

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lissscan import coverage
 from lissscan import (ScannerConfig, SampledPattern, UnmodulatedDesign,
                       baseline_repeating_design, design_unmodulated, fill_factor,
                       phase_tolerance_sweep, sample_unmodulated, scanning_range,
@@ -127,10 +129,56 @@ def test_sweep_flags_failing_cells_instead_of_dropping_them():
     assert rows[1].rule == "baseline" and rows[1].status == "ok"
 
 
+# at m = 7 five of these eight cells reach the geometry fx = 8/7, phix = pi/28;
+# scored at each cell's own amplitudes, 6/5 came out 1 ulp away from the rest
+REPEAT_GRID = [F(21, 20), F(11, 10), F(23, 20), F(6, 5)]
+
+
 def test_sweep_parallel_equals_serial():
     serial = sweep_designs([F(3, 2), F(2)], [6, 7], n_samples=300, n_grid=32)
     parallel = sweep_designs([F(3, 2), F(2)], [6, 7], n_samples=300, n_grid=32, workers=2)
     assert serial == parallel
+    assert sweep_designs(REPEAT_GRID, [7], workers=2) == sweep_designs(REPEAT_GRID, [7])
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.sampled_from([F(1), F(23, 20), F(3, 2), F(2), F(59, 20), F(3)]),
+       m=st.integers(6, 9), baseline=st.booleans(),
+       amp_x=st.floats(1e-6, 1e6), amp_y=st.floats(1e-6, 1e6))
+def test_fill_factor_does_not_depend_on_amplitude(r, m, baseline, amp_x, amp_y):
+    design = (baseline_repeating_design if baseline else design_unmodulated)(r, m)
+    unit = fill_factor(sample_unmodulated(design, CFG, 0, 300, amp_x=1.0, amp_y=1.0), 32)
+    scaled = fill_factor(sample_unmodulated(design, CFG, 0, 300, amp_x=amp_x, amp_y=amp_y), 32)
+    assert abs(scaled.fill_factor - unit.fill_factor) <= 1e-15
+
+
+def test_sweep_cells_sharing_a_geometry_share_a_fill_factor():
+    rows = sweep_designs(REPEAT_GRID, [7])
+    fills = {}
+    for row in rows:
+        assert row.status == "ok"
+        d = (design_unmodulated if row.rule == "proposed" else baseline_repeating_design)(row.r, 7)
+        fills.setdefault((d.fx, d.fy, d.phix, d.phiy, d.m), set()).add(row.fill_factor)
+    assert len(fills) < len(rows)                    # the grid does repeat geometries
+    assert all(len(values) == 1 for values in fills.values())
+
+
+def test_sweep_scores_each_distinct_geometry_once(monkeypatch):
+    calls = []
+    real = coverage.fill_factor
+    monkeypatch.setattr(coverage, "fill_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    grid = REPEAT_GRID + [F(39, 20), F(2)]
+    rows = sweep_designs(grid, [6, 7])
+    distinct = {(d.fx, d.fy, d.phix, d.phiy, d.m) for r in grid for m in (6, 7)
+                for d in (design_unmodulated(r, m), baseline_repeating_design(r, m))}
+    assert len(rows) == 2 * len(grid) * 2
+    assert len(calls) == len(distinct) < len(rows)
+
+
+def test_sweep_scoring_errors_reach_every_cell_of_the_geometry():
+    rows = sweep_designs(REPEAT_GRID, [7], n_grid=1)
+    assert [row.status for row in rows] == ["error:DomainError"] * 8
+    assert all(row.fill_factor is None and row.scanning_range is None for row in rows)
 
 
 def test_sweep_validation():

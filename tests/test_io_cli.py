@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,38 @@ def test_cli_error_paths(capsys):
     capsys.readouterr()
     assert cli_dispatch(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# (command argv, index of a required --scanner / --out flag in it)
+_REQUIRED_PATH_FLAGS = [
+    (["metrics", "--design", "d.json", "--scanner", "s.json"], 3),
+    (["sweep", "--r-min", "1", "--r-max", "2", "--r-step", "1", "--m", "7", "--out", "o.csv"], 9),
+    (["optimize", "--scanner", "s.json", "--roi", "roi.csv", "--out", "o.json"], 1),
+    (["optimize", "--scanner", "s.json", "--roi", "roi.csv", "--out", "o.json"], 5),
+    (["phase-sim", "--scenario", "c.json", "--scanner", "s.json", "--duration", "9",
+      "--out", "o.csv"], 3),
+    (["phase-sim", "--scenario", "c.json", "--scanner", "s.json", "--duration", "9",
+      "--out", "o.csv"], 7),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _REQUIRED_PATH_FLAGS)
+def test_cli_required_path_flags_are_usage_errors(argv, flag, capsys):
+    dropped = argv[:flag] + argv[flag + 2:]
+    assert cli_dispatch(dropped) == 2
+    assert f"{argv[flag]}" in capsys.readouterr().err
+    emptied = argv[:flag + 1] + [""] + argv[flag + 2:]
+    assert cli_dispatch(emptied) == 2
+    assert "must not be empty" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    src = str(Path(__import__("lissscan").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lissscan, lissscan.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_metrics(tmp_path, capsys):

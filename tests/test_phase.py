@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lissscan import (DriftScenario, MultitoneState, QuadraturePair,
                       ScannerConfig, plant_phase_lag, quadrature_phase,
@@ -114,6 +115,26 @@ def test_resonance_offset_round_trip():
     assert math.degrees(moved) == pytest.approx(-20.0, abs=1e-9)
     with pytest.raises(DomainError):
         resonance_offset_for_phase_shift(2.0, 2.0, 20.0, 95.0)   # target leaves (0, 180)
+    for near_end in (-89.9999, 89.999):    # outside the old fixed search bracket
+        off = resonance_offset_for_phase_shift(1.0, 1.0, 20.0, near_end)
+        moved = plant_phase_lag(1.0, 1.0 + off, 20.0) - plant_phase_lag(1.0, 1.0, 20.0)
+        assert math.degrees(moved) == pytest.approx(near_end, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target_deg=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+       f_drive=st.floats(0.1, 10.0), f_res=st.floats(0.1, 10.0), q=st.floats(1.0, 1e4))
+def test_resonance_offset_round_trips_over_the_open_interval(target_deg, f_drive, f_res, q):
+    base = plant_phase_lag(f_drive, f_res, q)
+    delta_deg = target_deg - math.degrees(base)
+    try:
+        off = resonance_offset_for_phase_shift(f_drive, f_res, q, delta_deg)
+    except DomainError:
+        # only a target within rounding of 0 or 180 degrees may be refused
+        assert min(target_deg, 180.0 - target_deg) < 1e-9
+        return
+    moved = plant_phase_lag(f_drive, f_res + off, q) - base
+    assert abs(moved - math.radians(delta_deg)) <= 1e-9
 
 
 def test_drift_scenario_validation():
