@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -30,13 +31,31 @@ from .phase import (DriftScenario, resonance_offset_for_phase_shift,
                     simulate_drift_control, solve_multitone)
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path as is (no newline translation); a failed write is a DomainError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"could not write {path}: {exc}") from exc
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header and rows as CSV (the csv module's \\r\\n line ends)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_file(path, buf.getvalue())
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     """Write payload to the --out file, or to stdout when --out is absent or empty."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if not out:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _rational(text: str) -> Fraction:
@@ -90,6 +109,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             _rational(args.r_step))
     if r_step <= 0 or r_max < r_min:
         raise DomainError("need r_step > 0 and r_max >= r_min")
+    if not Path(args.out).parent.is_dir():     # fail before computing the grid
+        raise DomainError(f"could not write {args.out}: no such directory")
     r_grid = []
     r = r_min
     while r <= r_max:
@@ -98,14 +119,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_designs(r_grid, _parse_m_list(args.m), config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "m", "rule", "fill_factor", "scanning_range", "status"])
-        for row in rows:
-            writer.writerow([repr(float(row.r)), row.m, row.rule,
-                             "" if row.fill_factor is None else repr(row.fill_factor),
-                             "" if row.scanning_range is None else repr(row.scanning_range),
-                             row.status])
+    _write_csv(args.out, ["r", "m", "rule", "fill_factor", "scanning_range", "status"],
+               ([repr(float(row.r)), row.m, row.rule,
+                 "" if row.fill_factor is None else repr(row.fill_factor),
+                 "" if row.scanning_range is None else repr(row.scanning_range),
+                 row.status] for row in rows))
     return 0
 
 
@@ -148,11 +166,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     })
     _emit_json(payload, args.out)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "loss"])
-            for i, loss in enumerate(result.loss_trace):
-                writer.writerow([i, repr(float(loss))])
+        _write_csv(args.trace, ["iteration", "loss"],
+                   ([i, repr(float(loss))] for i, loss in enumerate(result.loss_trace)))
     return 0
 
 
@@ -193,11 +208,9 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
         measurement_noise_deg=float(spec.get("measurement_noise_deg", 0.0)))
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phase_error_deg", "corrected"])
-        for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg):
-            writer.writerow([repr(float(t)), repr(float(err)), repr(float(corr))])
+    _write_csv(args.out, ["t", "phase_error_deg", "corrected"],
+               ([repr(float(t)), repr(float(err)), repr(float(corr))]
+                for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg)))
     return 0
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lissscan import coverage
 from lissscan import (ScannerConfig, SampledPattern, UnmodulatedDesign,
@@ -99,6 +99,54 @@ def test_fill_factor_rejects_flat_patterns_and_tiny_grids():
         fill_factor(sample_unmodulated(P2, CFG, 0, 100, amp_y=0.0))
     with pytest.raises(DomainError):
         fill_factor(sample_unmodulated(P2, CFG, 0, 100), n_grid=1)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fill_factor_rejects_non_finite_samples(axis, bad):
+    pattern = sample_unmodulated(P2, CFG, 0, 100)
+    getattr(pattern, axis)[17] = bad
+    with pytest.raises(DomainError, match="finite"):
+        fill_factor(pattern)
+
+
+def _r_max_over_every_center(pattern, n_grid):
+    """Reference: query the nearest sample at every patch center."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(np.column_stack([pattern.x / np.max(np.abs(pattern.x)),
+                                    pattern.y / np.max(np.abs(pattern.y))]))
+    centers = -1.0 + (2.0 * np.arange(n_grid) + 1.0) / n_grid
+    cx, cy = np.meshgrid(centers, centers, indexing="ij")
+    return float(tree.query(np.column_stack([cx.ravel(), cy.ravel()]))[0].max())
+
+
+@st.composite
+def _point_sets(draw):
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "lissajous"]))
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        x, y = rng.uniform(-1.0, 1.0, (2, n))
+    elif kind == "clustered":
+        centers = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 6)), 2))
+        picked = centers[rng.integers(0, len(centers), n)]
+        x, y = (picked + rng.uniform(0.001, 0.3) * rng.standard_normal((n, 2))).T
+    elif kind == "lattice":                          # many samples repeat a point
+        ticks = np.linspace(-1.0, 1.0, int(rng.integers(2, 12)))
+        x, y = ticks[rng.integers(0, len(ticks), (2, n))]
+    else:
+        t = np.arange(n) * (float(rng.integers(1, 10)) / n)
+        x = np.cos(2.0 * np.pi * rng.uniform(0.5, 3.0) * t + rng.uniform(0.0, 2.0 * np.pi))
+        y = np.cos(2.0 * np.pi * t)
+    assume(np.max(np.abs(x)) > 0.0 and np.max(np.abs(y)) > 0.0)
+    return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y, frame_len=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern=_point_sets(),
+       n_grid=st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.integers(2, 160)))
+def test_fill_factor_r_max_is_exactly_the_every_center_maximum(pattern, n_grid):
+    assert fill_factor(pattern, n_grid).r_max == _r_max_over_every_center(pattern, n_grid)
 
 
 def test_scanning_range_pinned():

@@ -302,3 +302,65 @@ def test_cli_phase_solve(tmp_path, capsys):
                                    "omegas": list(omegas)}))
     assert cli_dispatch(["phase-solve", "--samples", str(samples)]) == 1
     assert capsys.readouterr().err.startswith("error:DomainError:")
+
+
+def _assert_one_write_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:DomainError: could not write {path}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_design_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli_dispatch(["design", "--r", "1.5", "--m", "7", "--out", str(out)]) == 1
+    _assert_one_write_error(capsys, out)
+
+
+def test_cli_metrics_write_error(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    assert cli_dispatch(["design", "--r", "1.5", "--m", "7", "--out", str(design)]) == 0
+    out = tmp_path / "missing" / "m.json"
+    assert cli_dispatch(["metrics", "--design", str(design), "--scanner",
+                         str(_scanner_file(tmp_path)), "--grid", "8", "--out", str(out)]) == 1
+    _assert_one_write_error(capsys, out)
+
+
+def test_cli_sweep_rejects_a_missing_output_directory_before_computing(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr("lissscan.cli.sweep_designs",
+                        lambda *a, **k: pytest.fail("sweep computed before checking --out"))
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_dispatch(["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05",
+                         "--m", "7", "--out", str(out)]) == 1
+    _assert_one_write_error(capsys, out)
+
+
+def test_cli_optimize_trace_write_error(tmp_path, capsys):
+    roi = tmp_path / "roi.csv"
+    np.savetxt(roi, np.ones((8, 8)), delimiter=",")
+    trace = tmp_path / "missing" / "trace.csv"
+    assert cli_dispatch(["optimize", "--scanner", str(_scanner_file(tmp_path, r=2.0)),
+                         "--roi", str(roi), "--tones", "3", "--max-iters", "2",
+                         "--n-samples", "100", "--out", str(tmp_path / "p.json"),
+                         "--trace", str(trace)]) == 1
+    _assert_one_write_error(capsys, trace)
+
+
+def test_cli_phase_sim_write_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"frame_time": 6.4}))
+    out = tmp_path / "missing" / "trace.csv"
+    assert cli_dispatch(["phase-sim", "--scenario", str(scenario), "--scanner",
+                         str(_scanner_file(tmp_path, r=2.0)), "--duration", "64",
+                         "--out", str(out)]) == 1
+    _assert_one_write_error(capsys, out)
+
+
+def test_cli_phase_solve_write_error(tmp_path, capsys):
+    omegas = [2.0 * math.pi * f for f in (13 / 14, 1.0, 15 / 14)]
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"x": [0.1, 0.2, 0.3], "xq": [0.0, 0.1, 0.2],
+                                   "omegas": omegas, "frame_time": 7.0}))
+    out = tmp_path / "missing" / "p.json"
+    assert cli_dispatch(["phase-solve", "--samples", str(samples), "--out", str(out)]) == 1
+    _assert_one_write_error(capsys, out)
