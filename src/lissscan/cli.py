@@ -24,7 +24,7 @@ from .coverage import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, fill_factor,
                        sweep_workers_from_env)
 from .design import (as_fraction, baseline_repeating_design, design_unmodulated,
                      repeat_period)
-from .errors import DomainError, LissscanError
+from .errors import DomainError, InvalidParams, LissscanError, field_message
 from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
                         optimize, reference_pattern, synthesize_modulated)
 from .phase import (DriftScenario, resonance_offset_for_phase_shift,
@@ -49,6 +49,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     _write_file(path, buf.getvalue())
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """Fail before any computing when an output path cannot be a file."""
+    for path in paths:
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise DomainError(f"could not write {path}: not a file in an existing directory")
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     """Write payload to the --out file, or to stdout when --out is absent or empty."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -56,10 +63,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         _write_file(out, text)
-
-
-def _rational(text: str) -> Fraction:
-    return as_fraction(text)
 
 
 def _required_path(text: str) -> str:
@@ -73,7 +76,7 @@ def _required_path(text: str) -> str:
 
 def cmd_design(args: argparse.Namespace) -> int:
     make = baseline_repeating_design if args.baseline else design_unmodulated
-    design = make(_rational(args.r), args.m)
+    design = make(as_fraction(args.r), args.m)
     periods = repeat_period(design.fx, design.fy, design.phix, design.phiy)
     payload = design.to_dict()
     payload["signal_period"] = str(periods.signal_period)
@@ -104,18 +107,12 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     scanner = lio.load_scanner(args.scanner) if args.scanner else None
-    r_min, r_max, r_step = (_rational(args.r_min), _rational(args.r_max),
-                            _rational(args.r_step))
+    r_min, r_max, r_step = map(as_fraction, (args.r_min, args.r_max, args.r_step))
     if r_step <= 0 or r_max < r_min:
         raise DomainError("need r_step > 0 and r_max >= r_min")
-    if not Path(args.out).parent.is_dir():     # fail before computing the grid
-        raise DomainError(f"could not write {args.out}: no such directory")
-    r_grid = []
-    r = r_min
-    while r <= r_max:
-        r_grid.append(r)
-        r += r_step
+    r_grid = [r_min + i * r_step for i in range(int((r_max - r_min) / r_step) + 1)]
     rows = sweep_designs(r_grid, _parse_m_list(args.m), config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
@@ -136,16 +133,14 @@ def _positive_region_count(pattern, wmap) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out, args.trace)
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
     r = Fraction(scanner.fx_res) / Fraction(scanner.fy_res)
     cold = initial_params(r, m=args.m, n_tones=args.tones,
                           qx=scanner.qx, qy=scanner.qy,
                           y_single_tone=args.y_single_tone)
-    if args.init:
-        init = ModulatedParams.from_dict(json.loads(Path(args.init).read_text()))
-    else:
-        init = cold
+    init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams)) if args.init else cold
     opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
                            threshold=args.threshold, seed=args.seed,
                            n_samples=args.n_samples, constraint=args.constraint)
@@ -172,40 +167,38 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: float):
+    if not isinstance(spec, dict):
+        raise DomainError(f"drift must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("type", "none")
-    try:
-        if kind == "none":
-            return lambda t: t * 0.0
-        if kind == "linear":
-            rate = float(spec["rate_per_s"])
-            return lambda t: rate * t
-        if kind == "linear_total":
-            total = float(spec["total_offset"])
-            return lambda t: total * t / duration
-        if kind == "phase_target":
-            total = resonance_offset_for_phase_shift(f_drive, f_res, q, float(spec["target_deg"]))
-            return lambda t: total * t / duration
-    except KeyError as exc:
-        raise DomainError(f"drift spec {kind!r} missing field {exc}") from exc
+    if kind == "none":
+        return lambda t: t * 0.0
+    if kind == "linear":
+        rate = float(spec["rate_per_s"])
+        return lambda t: rate * t
+    if kind == "linear_total":
+        total = float(spec["total_offset"])
+        return lambda t: total * t / duration
+    if kind == "phase_target":
+        total = resonance_offset_for_phase_shift(f_drive, f_res, q, float(spec["target_deg"]))
+        return lambda t: total * t / duration
     raise DomainError(f"unknown drift type {kind!r}")
 
 
 def cmd_phase_sim(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     scanner = lio.load_scanner(args.scanner)
-    try:
-        spec = json.loads(Path(args.scenario).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"could not read scenario {args.scenario}: {exc}") from exc
+    spec = lio.read_json(args.scenario, DomainError)
     axis = spec.get("axis", "x")
-    f_res, q = scanner.axis(axis)
-    f_drive = float(spec.get("f_drive", f_res))
-    if "frame_time" not in spec:
-        raise DomainError(f"scenario {args.scenario} missing required field 'frame_time'")
-    scenario = DriftScenario(
-        drift_fn=_drift_fn(spec.get("drift", {}), f_drive, f_res, q, args.duration),
-        frame_time=float(spec["frame_time"]),
-        control_enabled=bool(spec.get("control_enabled", True)),
-        measurement_noise_deg=float(spec.get("measurement_noise_deg", 0.0)))
+    try:
+        f_res, q = scanner.axis(axis)
+        f_drive = float(spec.get("f_drive", f_res))
+        scenario = DriftScenario(
+            drift_fn=_drift_fn(spec.get("drift", {}), f_drive, f_res, q, args.duration),
+            frame_time=float(spec["frame_time"]),
+            control_enabled=spec.get("control_enabled", True),
+            measurement_noise_deg=float(spec.get("measurement_noise_deg", 0.0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(field_message(f"scenario {args.scenario}", exc)) from exc
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
     _write_csv(args.out, ["t", "phase_error_deg", "corrected"],
@@ -215,14 +208,13 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_solve(args: argparse.Namespace) -> int:
+    data = lio.read_json(args.samples, DomainError)
     try:
-        data = json.loads(Path(args.samples).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"could not read samples {args.samples}: {exc}") from exc
-    try:
-        state = solve_multitone(data["x"], data["xq"], data["omegas"], data["frame_time"])
-    except KeyError as exc:
-        raise DomainError(f"samples file missing field {exc}") from exc
+        x, xq, omegas = (np.asarray(data[key], dtype=np.float64) for key in ("x", "xq", "omegas"))
+        frame_time = float(data["frame_time"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(field_message(f"samples {args.samples}", exc)) from exc
+    state = solve_multitone(x, xq, omegas, frame_time)
     payload = {"omegas": list(state.omegas), "amplitudes": list(state.amps),
                "phases_rad": list(state.phases)}
     _emit_json(payload, args.out)

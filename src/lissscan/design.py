@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, NoFeasibleDesign
+from .errors import DomainError, NoFeasibleDesign, field_message
 
 # Beyond half a unit of resonance ratio the off-resonance attenuation makes
 # any design useless, so the search gives up there.
@@ -36,9 +36,11 @@ class DesignCase(str, Enum):
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '41/28' or '1.5', floats and Fractions."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"expected a rational number, got {value!r}") from exc
+        frac = Fraction(value)
+        float(frac)                 # patterns are sampled in floats
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DomainError(f"expected a rational number in float range, got {value!r}") from exc
+    return frac
 
 
 def format_rational(value: Fraction) -> str:
@@ -71,8 +73,8 @@ class UnmodulatedDesign:
         object.__setattr__(self, "fx", as_fraction(self.fx))
         object.__setattr__(self, "fy", as_fraction(self.fy))
         _validate_m(self.m)
-        if self.fx <= 0 or self.fy <= 0:
-            raise DomainError("tone frequencies must be positive")
+        if self.fx <= 0 or self.fy <= 0 or not all(map(math.isfinite, (self.phix, self.phiy))):
+            raise DomainError("tone frequencies must be positive and phases finite")
         if (self.case is None) != (self.k is None):
             raise DomainError("case and k must be set together")
         if self.case is not None:
@@ -120,8 +122,8 @@ class UnmodulatedDesign:
                 k=None if data.get("k") is None else int(data["k"]),
                 note=data.get("note"),
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DomainError(f"malformed design record: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(field_message("design record", exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -148,23 +150,23 @@ def case1_criterion(k: int, m: int) -> bool:
     return all((k * n) % q not in (1, q - 1) for n in range(half, 3 * half + 1))
 
 
-def _nearest_k(center: Fraction, max_dist: Fraction) -> Iterator[int]:
-    """Positive integers ordered by ascending |k - center|, ties to smaller k."""
-    lo = math.floor(center)
-    hi = lo + 1
+def _tie_groups(center: Fraction) -> Iterator[list[int]]:
+    """Integers grouped by ascending |k - center|; ties come out together,
+    smaller first."""
+    p, q = center.numerator, center.denominator   # distances in units of 1/q
+    lo, hi = p // q, p // q + 1
     while True:
-        d_lo = center - lo
-        d_hi = Fraction(hi) - center
-        if d_lo <= d_hi:
-            k, dist = lo, d_lo
+        d_lo, d_hi = p - lo * q, hi * q - p
+        if d_lo == d_hi:
+            yield [lo, hi]
+            lo -= 1
+            hi += 1
+        elif d_lo < d_hi:
+            yield [lo]
             lo -= 1
         else:
-            k, dist = hi, d_hi
+            yield [hi]
             hi += 1
-        if dist > max_dist:
-            return
-        if k >= 1:
-            yield k
 
 
 _INTEGER_R_NOTE = (
@@ -189,43 +191,26 @@ def design_unmodulated(r, m: int, *, search_cap: Fraction = SEARCH_CAP) -> Unmod
         raise DomainError(f"resonance ratio must lie in [{R_MIN}, {R_MAX}], got {float(r)}")
     denom = 4 * m
     note = _INTEGER_R_NOTE if r.denominator == 1 else None
-    for k in _nearest_k(r * denom, search_cap * denom):
-        g = math.gcd(k, denom)
-        if g == 1:
-            if case1_criterion(k, m):
+    center, cap = r * denom, search_cap * denom
+    k_min, k_max = math.ceil(center - cap), math.floor(center + cap)
+    for group in _tie_groups(center):
+        if not k_min <= group[0] <= k_max:
+            break
+        for k in group:     # k = 2 always qualifies (gcd 2), so no k < 1 is reached
+            g = math.gcd(k, denom)
+            if g == 1:
+                if case1_criterion(k, m):
+                    return UnmodulatedDesign(fx=Fraction(k, denom), phix=0.0, m=m,
+                                             case=DesignCase.CASE1, k=k, note=note)
+            elif g == 2:
                 return UnmodulatedDesign(fx=Fraction(k, denom), phix=0.0, m=m,
-                                         case=DesignCase.CASE1, k=k, note=note)
-        elif g == 2:
-            return UnmodulatedDesign(fx=Fraction(k, denom), phix=0.0, m=m,
-                                     case=DesignCase.CASE2, k=k, note=note)
-        elif g == 4:
-            return UnmodulatedDesign(fx=Fraction(k, denom), phix=math.pi / (2 * m), m=m,
-                                     case=DesignCase.CASE3, k=k, note=note)
+                                         case=DesignCase.CASE2, k=k, note=note)
+            elif g == 4:
+                return UnmodulatedDesign(fx=Fraction(k, denom), phix=math.pi / (2 * m), m=m,
+                                         case=DesignCase.CASE3, k=k, note=note)
     raise NoFeasibleDesign(
         f"no acceptable tone with |k/(4m) - r| <= {search_cap} for r = {float(r)}, m = {m}"
     )
-
-
-def _tie_groups(center: Fraction) -> Iterator[list[int]]:
-    """Integers grouped by ascending |k - center|; ties come out together."""
-    lo = math.floor(center)
-    hi = lo + 1
-    if Fraction(lo) == center:
-        yield [lo]
-        lo -= 1
-    while True:
-        d_lo = center - lo
-        d_hi = Fraction(hi) - center
-        if d_lo == d_hi:
-            yield [lo, hi]
-            lo -= 1
-            hi += 1
-        elif d_lo < d_hi:
-            yield [lo]
-            lo -= 1
-        else:
-            yield [hi]
-            hi += 1
 
 
 def baseline_repeating_design(r, m: int) -> UnmodulatedDesign:

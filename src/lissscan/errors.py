@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the record-field message, shared across the toolkit."""
 
 
 class LissscanError(Exception):
@@ -43,3 +43,10 @@ class IllConditioned(LissscanError):
 
 class WeightMapError(LissscanError):
     """Weight-map file could not be ingested."""
+
+
+def field_message(record: str, exc: Exception) -> str:
+    """Message for a record whose field is missing (KeyError) or malformed."""
+    if isinstance(exc, KeyError):
+        return f"{record} missing field {exc}"
+    return f"malformed {record}: {exc}"

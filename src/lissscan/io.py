@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .coverage import SampledPattern
 from .design import UnmodulatedDesign
-from .errors import ConfigError, DomainError, WeightMapError
+from .errors import ConfigError, DomainError, LissscanError, WeightMapError, field_message
 from .modulated import WeightMap
 from .scanner import ScannerConfig
 
@@ -25,6 +26,28 @@ def _require_path(path) -> Path:
     if path is None or str(path) == "":
         raise DomainError("path must be non-empty")
     return Path(path)
+
+
+def _finite(text: str, convert=float):
+    """JSON number hook: NaN, Infinity and numbers that overflow a float are errors."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text[:24]} is not a finite number")
+    return convert(text)
+
+
+def read_json(path, error: type[LissscanError]) -> dict:
+    """The JSON object in a file. A file that cannot be read, is not JSON,
+    holds NaN, Infinity or a number that overflows a float, or is not a
+    single object raises error."""
+    path = _require_path(path)
+    try:
+        data = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite,
+                          parse_int=lambda text: _finite(text, int))
+    except (OSError, ValueError, RecursionError) as exc:    # JSON errors are ValueErrors
+        raise error(f"could not read JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------- weight maps
@@ -43,7 +66,6 @@ def _pgm_tokens(data: bytes):
             while pos < len(data) and not data[pos:pos + 1].isspace():
                 pos += 1
             yield data[start:pos], pos
-    return
 
 
 def _read_pgm(path: Path) -> np.ndarray:
@@ -131,35 +153,31 @@ def import_pattern(path, fmt: str | None = None) -> SampledPattern:
     """Read a pattern written by export_pattern. CSV carries no frame
     bookkeeping, so frame_len falls back to the covered time span."""
     path = _require_path(path)
-    if not path.is_file():
-        raise DomainError(f"{path}: no such file")
     fmt = (fmt or path.suffix.lstrip(".")).lower()
     if fmt == "csv":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-        if rows.shape[1] != 3:
-            raise DomainError(f"{path}: expected 3 CSV columns, got {rows.shape[1]}")
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"could not read {path}: {exc}") from exc
+        if rows.shape[0] < 2 or rows.shape[1] != 3:
+            raise DomainError(f"{path}: expected 3 CSV columns and 2 rows, got {rows.shape}")
         t = rows[:, 0]
         span = (t[-1] - t[0]) + (t[1] - t[0])
         return SampledPattern(t=t, x=rows[:, 1], y=rows[:, 2], frame_len=span, frames=1)
     if fmt == "json":
-        data = json.loads(path.read_text())
-        return SampledPattern(t=np.array(data["t"]), x=np.array(data["x"]),
-                              y=np.array(data["y"]), frame_len=data["frame_len"],
-                              frames=data["frames"])
+        data = read_json(path, DomainError)
+        try:
+            return SampledPattern(t=data["t"], x=data["x"], y=data["y"],
+                                  frame_len=data["frame_len"], frames=data["frames"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(field_message(f"pattern record {path}", exc)) from exc
     raise DomainError(f"unsupported pattern format {fmt!r} (use csv or json)")
 
 
 # ------------------------------------------------------- configs and designs
 
 def load_scanner(path) -> ScannerConfig:
-    path = _require_path(path)
-    if not path.is_file():
-        raise ConfigError(f"{path}: no such file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return ScannerConfig.from_dict(data)
+    return ScannerConfig.from_dict(read_json(path, ConfigError))
 
 
 def save_scanner(config: ScannerConfig, path) -> Path:
@@ -169,14 +187,7 @@ def save_scanner(config: ScannerConfig, path) -> Path:
 
 
 def load_design(path) -> UnmodulatedDesign:
-    path = _require_path(path)
-    if not path.is_file():
-        raise DomainError(f"{path}: no such file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
-    return UnmodulatedDesign.from_dict(data)
+    return UnmodulatedDesign.from_dict(read_json(path, DomainError))
 
 
 def save_design(design: UnmodulatedDesign, path) -> Path:

@@ -17,6 +17,7 @@ projected gradient descent with step backtracking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .coverage import SampledPattern, _patch_centers, sample_unmodulated
 from .design import as_fraction, design_unmodulated
-from .errors import DomainError, InvalidParams, OptimizationFailed
+from .errors import DomainError, InvalidParams, OptimizationFailed, field_message
 from .scanner import ScannerConfig, transfer_amplitude
 
 FEASIBILITY_SLACK = 1e-9
@@ -109,8 +110,8 @@ class ModulatedParams:
             raise InvalidParams("alpha/gamma length must match nx")
         if len(self.beta) != len(self.ny) or len(self.delta) != len(self.ny):
             raise InvalidParams("beta/delta length must match ny")
-        if self.L < 1 or self.m < 1:
-            raise InvalidParams("L and m must be positive integers")
+        if self.L < 1 or self.m < 1 or self.L * self.m > sys.float_info.max:
+            raise InvalidParams("L and m must be positive integers with a float-sized product")
         for axis, rms in (("x", self.rms_x), ("y", self.rms_y)):
             if rms > 1.0 + FEASIBILITY_SLACK:
                 raise InvalidParams(f"{axis}-axis coefficient RMS {rms:.6f} exceeds 1")
@@ -153,8 +154,8 @@ class ModulatedParams:
                        nx=tuple(data["nx"]), ny=tuple(data["ny"]),
                        L=int(data["L"]), m=int(data["m"]),
                        config=ScannerConfig.from_dict(data["scanner"]))
-        except KeyError as exc:
-            raise InvalidParams(f"params record missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParams(field_message("params record", exc)) from exc
 
 
 def polar_coefficients(amplitudes, phases_rad) -> tuple[np.ndarray, np.ndarray]:

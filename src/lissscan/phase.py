@@ -23,6 +23,7 @@ from .errors import DomainError, IllConditioned, UndefinedPhase
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
+MAX_FRAMES = 10**6   # bounds the drift simulation's arrays (8 MB each)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -111,8 +112,10 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
     if len(set(w.tolist())) != 3:
         raise DomainError("tone frequencies must be distinct")
     frame_time = float(frame_time)
-    if frame_time <= 0:
-        raise DomainError(f"frame_time must be positive, got {frame_time}")
+    if not 0.0 < frame_time < math.inf:
+        raise DomainError(f"frame_time must be positive and finite, got {frame_time}")
+    if not math.isfinite(float(np.abs(w).max()) * frame_time):
+        raise DomainError("omegas * frame_time must stay within float range")
     ts = np.array([0.0, frame_time / 2.0, frame_time])
     cos_block = np.cos(np.outer(ts, w))
     sin_block = np.sin(np.outer(ts, w))
@@ -167,10 +170,12 @@ class DriftScenario:
     measurement_noise_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.frame_time <= 0:
-            raise DomainError(f"frame_time must be positive, got {self.frame_time}")
-        if self.measurement_noise_deg < 0:
-            raise DomainError("measurement noise must be non-negative")
+        if not 0.0 < self.frame_time < math.inf:
+            raise DomainError(f"frame_time must be positive and finite, got {self.frame_time}")
+        if not 0.0 <= self.measurement_noise_deg < math.inf:
+            raise DomainError("measurement noise must be finite and non-negative")
+        if not isinstance(self.control_enabled, bool):
+            raise DomainError(f"control_enabled must be a bool, got {self.control_enabled!r}")
 
 
 @dataclass(eq=False)
@@ -209,15 +214,15 @@ def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis:
     """
     f_res, q = config.axis(axis)
     f_drive = float(f_drive)
-    if f_drive <= 0:
-        raise DomainError(f"drive frequency must be positive, got {f_drive}")
-    if duration < scenario.frame_time:
-        raise DomainError("duration must cover at least one frame")
+    if not 0.0 < f_drive < math.inf:
+        raise DomainError(f"drive frequency must be positive and finite, got {f_drive}")
+    if not scenario.frame_time <= duration < MAX_FRAMES * scenario.frame_time:
+        raise DomainError(f"duration must cover 1 to {MAX_FRAMES} frames, got {duration}")
     n_frames = int(math.floor(duration / scenario.frame_time)) + 1
     times = np.arange(n_frames) * scenario.frame_time
     res = f_res + _drift_offsets(scenario.drift_fn, times)
-    if np.any(res <= 0):
-        raise DomainError("drift drove the resonance non-positive")
+    if not np.all((res > 0) & np.isfinite(res)):
+        raise DomainError("drift drove the resonance non-positive or non-finite")
     psi = np.arctan2(f_drive * res / q, res * res - f_drive * f_drive)
     psi0 = plant_phase_lag(f_drive, f_res, q)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, field_message
 
 AXES = ("x", "y")
 
@@ -58,17 +58,11 @@ class ScannerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScannerConfig":
-        if "fx_res" not in data:
-            raise ConfigError("scanner config missing required field 'fx_res'")
         try:
-            return cls(
-                fx_res=float(data["fx_res"]),
-                fy_res=float(data.get("fy_res", 1.0)),
-                qx=float(data.get("qx", 20.0)),
-                qy=float(data.get("qy", 20.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed scanner config: {exc}") from exc
+            return cls(fx_res=float(data["fx_res"]), fy_res=float(data.get("fy_res", 1.0)),
+                       qx=float(data.get("qx", 20.0)), qy=float(data.get("qy", 20.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(field_message("scanner config", exc)) from exc
 
 
 def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:
@@ -82,7 +76,10 @@ def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:
     if not math.isfinite(f) or f <= 0.0:
         raise DomainError(f"drive frequency must be positive and finite, got {f}")
     u = f / f_res
-    return 1.0 / (q * math.sqrt((u * u - 1.0) ** 2 + (u / q) ** 2))
+    try:
+        return 1.0 / (q * math.sqrt((u * u - 1.0) ** 2 + (u / q) ** 2))
+    except (OverflowError, ZeroDivisionError):    # a square leaves the float range
+        return 1.0 / (q * math.hypot(u * u - 1.0, u / q))
 
 
 def settle_time(config: ScannerConfig, axis: str) -> float:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from lissscan import (DesignCase, ScannerConfig, UnmodulatedDesign,
@@ -68,14 +69,14 @@ def test_retrace_criterion():
         case1_criterion(41, 1)
 
 
-def _oracle_design(r, m):
+def _oracle_design(r, m, search_cap=F(1, 2)):
     """Plain re-enumeration of the selection search, kept deliberately naive."""
     denom = 4 * m
-    center = r * denom
+    center, cap = r * denom, search_cap * denom
     half = m // 2
-    lo = math.floor(center - 2 * m)
-    ks = [k for k in range(max(1, lo), math.ceil(center + 2 * m) + 1)
-          if abs(F(k) - center) <= 2 * m]
+    lo = math.floor(center - cap)
+    ks = [k for k in range(max(1, lo), math.ceil(center + cap) + 1)
+          if abs(F(k) - center) <= cap]
     for k in sorted(ks, key=lambda k: (abs(F(k) - center), k)):
         g = math.gcd(k, denom)
         if g == 1 and all((k * n) % denom not in (1, denom - 1)
@@ -95,6 +96,20 @@ def test_selection_agrees_with_naive_re_enumeration_everywhere():
         for m in (6, 7, 8, 9):
             d = design_unmodulated(r, m)
             assert (d.fx, d.phix, d.case.value) == _oracle_design(r, m), (r, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.fractions(1, 3, max_denominator=400), m=st.integers(2, 64),
+       search_cap=st.fractions(F(1, 1000), 3, max_denominator=1000))
+def test_selection_agrees_with_brute_force_for_any_search_cap(r, m, search_cap):
+    # caps above r reach past k < 1, but k = 2 (gcd 2) is always accepted first
+    expected = _oracle_design(r, m, search_cap)
+    if expected is None:
+        with pytest.raises(NoFeasibleDesign):
+            design_unmodulated(r, m, search_cap=search_cap)
+    else:
+        d = design_unmodulated(r, m, search_cap=search_cap)
+        assert (d.fx, d.phix, d.case.value) == expected
 
 
 def _oracle_baseline(r, m):
@@ -173,6 +188,16 @@ def test_design_record_round_trip():
     assert back.fx == F(9, 7)   # exact rational survives the string form
     plain = UnmodulatedDesign(fx=F(5, 4), phix=0.1, m=7)
     assert UnmodulatedDesign.from_dict(plain.to_dict()) == plain
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fx", "1e400"), ("fy", "1e400"), ("phix", "inf"), ("phiy", "nan"), ("m", None),
+    ("case", "Case9"), ("k", [41])])
+def test_design_record_rejects_values_a_float_pattern_cannot_hold(field, value):
+    record = design_unmodulated(F(3, 2), 7).to_dict()
+    record[field] = value
+    with pytest.raises(DomainError):
+        UnmodulatedDesign.from_dict(record)
 
 
 def test_design_record_consistency_checks():

@@ -1,19 +1,24 @@
 """File formats (weight maps, patterns, configs) and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
-                      import_pattern, load_design, load_scanner, load_weight_map,
-                      sample_unmodulated, save_design, save_scanner,
+                      import_pattern, initial_params, load_design, load_scanner,
+                      load_weight_map, sample_unmodulated, save_design, save_scanner,
                       synthesize_quadrature, MultitoneState)
 from lissscan.cli import cli_dispatch
 from lissscan.errors import ConfigError, DomainError, WeightMapError
@@ -344,9 +349,23 @@ def test_cli_optimize_trace_write_error(tmp_path, capsys):
                          "--n-samples", "100", "--out", str(tmp_path / "p.json"),
                          "--trace", str(trace)]) == 1
     _assert_one_write_error(capsys, trace)
+    assert not (tmp_path / "p.json").exists()       # checked before anything is written
 
 
-def test_cli_phase_sim_write_error(tmp_path, capsys):
+def test_cli_optimize_checks_every_output_path_before_writing(tmp_path, capsys):
+    roi = tmp_path / "roi.csv"
+    np.savetxt(roi, np.ones((8, 8)), delimiter=",")
+    assert cli_dispatch(["optimize", "--scanner", str(_scanner_file(tmp_path, r=2.0)),
+                         "--roi", str(roi), "--tones", "3", "--max-iters", "2",
+                         "--n-samples", "100", "--out", str(tmp_path / "p.json"),
+                         "--trace", str(tmp_path)]) == 1       # the trace path is a directory
+    _assert_one_write_error(capsys, tmp_path)
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_cli_phase_sim_write_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("lissscan.cli.simulate_drift_control",
+                        lambda *a, **k: pytest.fail("phase-sim simulated before checking --out"))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"frame_time": 6.4}))
     out = tmp_path / "missing" / "trace.csv"
@@ -364,3 +383,203 @@ def test_cli_phase_solve_write_error(tmp_path, capsys):
     out = tmp_path / "missing" / "p.json"
     assert cli_dispatch(["phase-solve", "--samples", str(samples), "--out", str(out)]) == 1
     _assert_one_write_error(capsys, out)
+
+
+# ------------------------------------------------------------ JSON file inputs
+
+def _assert_one_error(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{kind}:"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_import_pattern_reports_a_missing_field(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"t": [0.0, 1.0], "x": [0.0, 1.0], "frame_len": 2.0, "frames": 1}))
+    with pytest.raises(DomainError, match="missing field 'y'"):
+        import_pattern(path)
+    path.write_text(json.dumps({"t": [0.0, 1.0], "x": [0.0, 1.0], "y": [0.0, 1.0],
+                                "frame_len": None, "frames": 1}))
+    with pytest.raises(DomainError, match="malformed pattern record"):
+        import_pattern(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(DomainError, match="expected a JSON object"):
+        import_pattern(path)
+
+
+def test_json_reader_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "s.json"
+    for text in ('{"fx_res": NaN}', '{"fx_res": Infinity}', '{"fx_res": -Infinity}',
+                 '{"fx_res": 1e400}', '{"fx_res": 1' + "0" * 400 + '}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="not a finite number"):
+            load_scanner(path)
+    path.write_text('{"fx_res": 1e-400, "qx": 1' + "0" * 300 + '}')
+    with pytest.raises(ConfigError, match="resonant frequencies must be positive"):
+        load_scanner(path)                          # underflow to 0 is finite
+
+
+def test_scanner_file_that_is_a_list_says_so(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('[{"fx_res": 1.5}]')
+    with pytest.raises(ConfigError, match="expected a JSON object, got list"):
+        load_scanner(path)
+
+
+def _cli_inputs(tmp_path):
+    """Files every JSON-reading command needs, and a valid record per JSON flag."""
+    scanner = _scanner_file(tmp_path, r=2.0)
+    design = save_design(design_unmodulated(F(3, 2), 7), tmp_path / "design.json")
+    roi = tmp_path / "roi.csv"
+    np.savetxt(roi, np.ones((4, 4)), delimiter=",")
+    omegas = [2.0 * math.pi * f for f in (13 / 14, 1.0, 15 / 14)]
+    x, xq = synthesize_quadrature(MultitoneState(tuple(omegas), (0.3, 0.5, 0.7), (0.1, -0.2, 0.3)),
+                                  np.array([0.0, 3.5, 7.0]))
+    records = {
+        "--scanner": {"fx_res": 2.0, "fy_res": 1.0, "qx": 20.0, "qy": 20.0},
+        "--design": json.loads(design.read_text()),
+        "--init": initial_params(F(2), m=7, n_tones=3).to_dict(),
+        "--scenario": {"frame_time": 6.4, "f_drive": 2.0, "control_enabled": False,
+                       "measurement_noise_deg": 0.5,
+                       "drift": {"type": "phase_target", "target_deg": 10.0}},
+        "--samples": {"x": x.tolist(), "xq": xq.tolist(), "omegas": omegas, "frame_time": 7.0},
+    }
+    return (scanner, design, roi), records
+
+
+def _cli_argv(flag, path, tmp_path, files):
+    """A cheap run of the command that reads `flag`, with `path` as its file."""
+    scanner, design, roi = map(str, files)
+    out = str(tmp_path / "out")
+    if flag == "--scanner":
+        return ["metrics", "--design", design, "--scanner", path,
+                "--grid", "8", "--n-samples", "50", "--out", out]
+    if flag == "--design":
+        return ["metrics", "--design", path, "--scanner", scanner,
+                "--grid", "8", "--n-samples", "50", "--out", out]
+    if flag == "--init":
+        return ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
+                "--max-iters", "2", "--n-samples", "50", "--init", path, "--out", out]
+    if flag == "--scenario":
+        return ["phase-sim", "--scenario", path, "--scanner", scanner,
+                "--duration", "64", "--out", out]
+    return ["phase-solve", "--samples", path, "--out", out]
+
+
+_READER_ERROR = {"--scanner": "ConfigError", "--design": "DomainError", "--init": "InvalidParams",
+                 "--scenario": "DomainError", "--samples": "DomainError"}
+_DROP = object()
+
+
+def _mutated(record, path, value):
+    """Copy of record with the field at path (a key tuple) set to value, or
+    removed when value is _DROP."""
+    record = json.loads(json.dumps(record))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return record
+
+
+# (flag, field path or None for the whole file, value, error type): each of
+# these ended in a traceback, or ran on and exited 0 with a wrong answer.
+_MALFORMED_CASES = [
+    ("--design", None, [1, 2], "DomainError"),                    # design JSON that is a list
+    ("--init", None, _DROP, "InvalidParams"),                     # missing --init file
+    ("--init", ("L",), None, "InvalidParams"),                    # "L": null
+    ("--init", ("nx",), 5, "InvalidParams"),
+    ("--scenario", None, [], "DomainError"),                      # list scenario
+    ("--samples", None, [1, 2, 3], "DomainError"),                # list samples
+    ("--samples", ("x",), "abc", "DomainError"),
+    ("--scenario", ("control_enabled",), "false", "DomainError"),  # ran the closed loop
+    ("--scenario", ("drift",), {"type": "linear", "rate_per_s": math.nan}, "DomainError"),
+    ("--scenario", ("drift",), {"type": "linear", "rate_per_s": "nan"}, "DomainError"),
+    ("--scenario", ("drift",), [1], "DomainError"),
+    ("--scenario", ("frame_time",), "nan", "DomainError"),
+    ("--scanner", None, [{"fx_res": 2.0}], "ConfigError"),
+]
+
+
+@pytest.mark.parametrize("flag, field, value, kind", _MALFORMED_CASES)
+def test_cli_malformed_json_input_is_one_error_line(flag, field, value, kind, tmp_path, capsys):
+    files, records = _cli_inputs(tmp_path)
+    path = tmp_path / "input.json"
+    if field is not None:
+        path.write_text(json.dumps(_mutated(records[flag], field, value)))
+    elif value is not _DROP:
+        path.write_text(json.dumps(value))
+    assert cli_dispatch(_cli_argv(flag, str(path), tmp_path, files)) == 1
+    _assert_one_error(capsys, kind)
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])
+def test_cli_phase_sim_rejects_a_non_finite_duration(duration, tmp_path, capsys):
+    files, records = _cli_inputs(tmp_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(records["--scenario"]))
+    argv = _cli_argv("--scenario", str(path), tmp_path, files)
+    argv[argv.index("--duration") + 1] = duration
+    assert cli_dispatch(argv) == 1
+    _assert_one_error(capsys, "DomainError")
+
+
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.integers(-10**30, 10**30),
+    st.floats(), st.floats(-1e3, 1e3),
+    st.sampled_from(["", "abc", "nan", "inf", "-1", "1e400", "1/0", "41/28", "x", "Case1",
+                     "linear", "phase_target", "\n"]),
+    st.lists(st.one_of(st.integers(-3, 60), st.floats(-2, 2)), max_size=4),
+    st.just({}), st.just({"type": "linear"}), st.just([[1.0]]))
+
+_WHOLE_FILES = st.sampled_from([
+    "[]", "[1, 2, 3]", "null", "true", "3.5", '"text"', "{", "", "{\"a\": NaN}",
+    "NaN", "Infinity", "-Infinity", "1e999", "{\"fx_res\": 1e999}", "\ufeff{}", "{}",
+    b"\xff\xfe\x00", "missing", "directory"])
+
+
+def _field_paths(record, prefix=()):
+    for key, value in record.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=250, deadline=None)
+@given(flag=st.sampled_from(sorted(_READER_ERROR)), data=st.data())
+def test_cli_json_inputs_end_in_one_of_three_states(flag, data):
+    """Exit 0, exit 2, or exit 1 with exactly one error: line and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        files, records = _cli_inputs(tmp_path)
+        path = tmp_path / "input.json"
+        whole = data.draw(st.one_of(st.none(), _WHOLE_FILES), label="whole file")
+        if whole == "directory":
+            path = tmp_path
+        elif isinstance(whole, bytes):
+            path.write_bytes(whole)
+        elif whole is not None and whole != "missing":
+            path.write_text(whole)
+        elif whole is None:
+            record = records[flag]
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                field = data.draw(st.sampled_from(sorted(_field_paths(record))), label="field")
+                value = data.draw(st.one_of(st.just(_DROP), _ODD_VALUES), label="value")
+                record = _mutated(record, field, value)
+            path.write_text(json.dumps(record))
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_dispatch(_cli_argv(flag, str(path), tmp_path, files))
+        err = err.getvalue()
+        assert code in (0, 1, 2), code
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert not caught, [str(w.message) for w in caught]    # would print on stderr
+            if whole is not None and whole != "{}":
+                assert err.startswith(f"error:{_READER_ERROR[flag]}:"), err

@@ -127,6 +127,17 @@ def test_params_dict_round_trip():
         ModulatedParams.from_dict({"alpha": [0.1]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("L", None), ("m", "seven"), ("nx", 5), ("alpha", "abc"), ("alpha", {"a": 1}),
+    ("L", 1e308),                       # L * m overflows the float tone grid
+])
+def test_params_record_with_a_malformed_field_is_invalid_params(field, value):
+    record = initial_params(F(2), n_tones=3).to_dict()
+    record[field] = value
+    with pytest.raises(InvalidParams):
+        ModulatedParams.from_dict(record)
+
+
 # -------------------------------------------------------------------- synthesis
 
 def test_single_tone_synthesis_matches_closed_form():

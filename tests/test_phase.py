@@ -1,6 +1,7 @@
 """Quadrature phase recovery, three-tone separation, and drift control."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lissscan import (DriftScenario, MultitoneState, QuadraturePair,
                       resonance_offset_for_phase_shift, simulate_drift_control,
                       solve_multitone, synthesize_quadrature, wrap_phase)
 from lissscan.errors import DomainError, IllConditioned, UndefinedPhase
+from lissscan.phase import MAX_FRAMES
 
 OMEGAS = tuple(2.0 * math.pi * f for f in (13 / 14, 1.0, 15 / 14))
 
@@ -207,3 +209,62 @@ def test_drift_simulation_validation():
     crash = DriftScenario(drift_fn=lambda t: 0.0 * t - 5.0, frame_time=6.4)
     with pytest.raises(DomainError):
         simulate_drift_control(crash, CFG2, "x", 2.0, 64.0)
+
+
+NON_FINITE = [math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_drift_scenario_rejects_a_non_finite_frame_time(value):
+    with pytest.raises(DomainError, match="frame_time"):
+        DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_drift_scenario_rejects_a_non_finite_measurement_noise(value):
+    with pytest.raises(DomainError, match="noise"):
+        DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4, measurement_noise_deg=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_drift_simulation_rejects_a_non_finite_drive_frequency(value):
+    scenario = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4)
+    with pytest.raises(DomainError, match="drive frequency"):
+        simulate_drift_control(scenario, CFG2, "x", value, 64.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_drift_simulation_rejects_a_non_finite_duration(value):
+    scenario = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4)
+    with pytest.raises(DomainError, match="duration"):
+        simulate_drift_control(scenario, CFG2, "x", 2.0, value)
+
+
+def test_drift_simulation_bounds_the_frame_count_before_allocating():
+    scenario = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=1e-3)
+    with pytest.raises(DomainError, match="frames"):
+        simulate_drift_control(scenario, CFG2, "x", 2.0, MAX_FRAMES * 1e-3)
+    tiny = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=1e-300)
+    with pytest.raises(DomainError, match="frames"):
+        simulate_drift_control(tiny, CFG2, "x", 2.0, 1.0)
+
+
+def test_drift_simulation_rejects_a_non_finite_resonance():
+    runaway = DriftScenario(drift_fn=lambda t: t * math.nan, frame_time=6.4)
+    with pytest.raises(DomainError, match="non-finite"):
+        simulate_drift_control(runaway, CFG2, "x", 2.0, 64.0)
+
+
+def test_drift_scenario_control_flag_must_be_a_bool():
+    with pytest.raises(DomainError, match="control_enabled"):
+        DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4, control_enabled="false")
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [1e308])    # omega * 1e308 overflows
+def test_solve_multitone_rejects_a_non_finite_frame_time(value):
+    x, xq = synthesize_quadrature(MultitoneState(OMEGAS, (0.3, 0.5, 0.7), (0.1, -0.2, 0.3)),
+                                  np.array([0.0, 3.5, 7.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")             # a CLI would print a warning on stderr
+        with pytest.raises(DomainError, match="frame_time"):
+            solve_multitone(x, xq, OMEGAS, value)

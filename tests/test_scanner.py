@@ -97,3 +97,18 @@ def test_dict_round_trip():
         ScannerConfig.from_dict({"qx": 20.0})
     with pytest.raises(ConfigError):
         ScannerConfig.from_dict({"fx_res": "quick"})
+
+
+def test_response_stays_finite_where_a_square_leaves_the_float_range():
+    huge_q = ScannerConfig(fx_res=1.0, qx=6.4e161)
+    assert transfer_amplitude(huge_q, "x", 1.0) == pytest.approx(1.0, rel=1e-12)   # (u/q)**2 -> 0
+    tiny_res = ScannerConfig(fx_res=1e-118, qx=20.0)
+    u = 1.46 / 1e-118
+    assert transfer_amplitude(tiny_res, "x", 1.46) == pytest.approx(1.0 / (20.0 * u * u), rel=1e-12)
+
+
+def test_from_dict_rejects_a_record_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="malformed scanner config"):
+        ScannerConfig.from_dict([{"fx_res": 2.0}])
+    with pytest.raises(ConfigError, match="missing field 'fx_res'"):
+        ScannerConfig.from_dict({"qx": 20.0})
