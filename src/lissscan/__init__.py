@@ -22,8 +22,9 @@ from .modulated import (ROI_A, ROI_B, Assignment, ModulatedGradient,
                         ModulatedParams, OptimizeOptions, OptimizeResult,
                         WeightMap, default_tone_indices, gradient,
                         initial_params, objective, optimize,
-                        polar_coefficients, project_absolute, project_rms,
-                        reference_pattern, roi_density, synthesize_modulated)
+                        polar_coefficients, positive_region_density,
+                        project_absolute, project_rms, reference_pattern,
+                        roi_density, synthesize_modulated)
 from .phase import (DriftScenario, DriftTrace, MultitoneState, QuadraturePair,
                     plant_phase_lag, quadrature_phase,
                     resonance_offset_for_phase_shift, simulate_drift_control,
@@ -47,7 +48,8 @@ __all__ = [
     "import_pattern", "initial_params", "load_design", "load_scanner",
     "load_weight_map", "objective", "optimize", "peak_frequency",
     "phase_tolerance_sweep", "plant_phase_lag", "polar_coefficients",
-    "project_absolute", "project_rms", "quadrature_phase", "reference_pattern",
+    "positive_region_density", "project_absolute", "project_rms",
+    "quadrature_phase", "reference_pattern",
     "repeat_period", "resonance_offset_for_phase_shift", "roi_density",
     "sample_unmodulated",
     "save_design", "save_scanner", "scanning_range", "settle_time",

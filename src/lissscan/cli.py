@@ -26,7 +26,8 @@ from .design import (as_fraction, baseline_repeating_design, design_unmodulated,
                      repeat_period)
 from .errors import DomainError, InvalidParams, LissscanError, field_message
 from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
-                        optimize, reference_pattern, synthesize_modulated)
+                        optimize, positive_region_density, reference_pattern,
+                        synthesize_modulated)
 from .phase import (DriftScenario, resonance_offset_for_phase_shift,
                     simulate_drift_control, solve_multitone)
 
@@ -124,14 +125,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_region_count(pattern, wmap) -> int:
-    """Samples landing in patches with positive weight."""
-    size = wmap.size
-    ix = np.clip(((pattern.x + 1.0) * 0.5 * size).astype(int), 0, size - 1)
-    iy = np.clip(((pattern.y + 1.0) * 0.5 * size).astype(int), 0, size - 1)
-    return int(np.count_nonzero(wmap.w[ix, iy] > 0))
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out, args.trace)
     scanner = lio.load_scanner(args.scanner)
@@ -155,8 +148,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "final_loss": result.loss,
         "iterations": result.iterations,
         "converged": result.converged,
-        "roi_density": _positive_region_count(optimized, wmap),
-        "roi_density_reference": _positive_region_count(reference, wmap),
+        "roi_density": positive_region_density(optimized, wmap),
+        "roi_density_reference": positive_region_density(reference, wmap),
         "seed": args.seed,
     })
     _emit_json(payload, args.out)
@@ -304,3 +297,7 @@ def cli_dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

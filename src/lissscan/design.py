@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, NoFeasibleDesign, field_message
+from .errors import DomainError, NoFeasibleDesign, field_message, record_value
 
 # Beyond half a unit of resonance ratio the off-resonance attenuation makes
 # any design useless, so the search gives up there.
@@ -113,13 +113,13 @@ class UnmodulatedDesign:
         try:
             case = data.get("case")
             return cls(
-                fx=as_fraction(data["fx"]),
-                phix=float(data["phix"]),
-                m=int(data["m"]),
-                fy=as_fraction(data.get("fy", 1)),
-                phiy=float(data.get("phiy", 0.0)),
+                fx=record_value(data["fx"], "fx", as_fraction),
+                phix=record_value(data["phix"], "phix"),
+                m=record_value(data["m"], "m", int),
+                fy=record_value(data.get("fy", 1), "fy", as_fraction),
+                phiy=record_value(data.get("phiy", 0.0), "phiy"),
                 case=None if case is None else DesignCase(case),
-                k=None if data.get("k") is None else int(data["k"]),
+                k=None if data.get("k") is None else record_value(data["k"], "k", int),
                 note=data.get("note"),
             )
         except (KeyError, TypeError, ValueError) as exc:

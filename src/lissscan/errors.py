@@ -1,4 +1,4 @@
-"""Exception types, and the record-field message, shared across the toolkit."""
+"""Exception types, and the record-field helpers, shared across the toolkit."""
 
 
 class LissscanError(Exception):
@@ -50,3 +50,13 @@ def field_message(record: str, exc: Exception) -> str:
     if isinstance(exc, KeyError):
         return f"{record} missing field {exc}"
     return f"malformed {record}: {exc}"
+
+
+def record_value(value, name: str, convert=float):
+    """convert(value) for a numeric record field. A boolean is refused, and so
+    is a non-integral number for an int field, which int() would truncate."""
+    if isinstance(value, bool) or (convert is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return convert(value)

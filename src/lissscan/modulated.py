@@ -25,7 +25,8 @@ import numpy as np
 
 from .coverage import SampledPattern, _patch_centers, sample_unmodulated
 from .design import as_fraction, design_unmodulated
-from .errors import DomainError, InvalidParams, OptimizationFailed, field_message
+from .errors import (DomainError, InvalidParams, OptimizationFailed, field_message,
+                     record_value)
 from .scanner import ScannerConfig, transfer_amplitude
 
 FEASIBILITY_SLACK = 1e-9
@@ -77,6 +78,29 @@ class WeightMap:
         return cls(w)
 
 
+_COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
+
+
+def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
+    """Root of one axis's summed squared coefficients."""
+    return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
+
+
+def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
+    """The four coefficient arrays as finite 1-D float arrays whose per-axis
+    RMS is within 1 (plus FEASIBILITY_SLACK); InvalidParams otherwise."""
+    arrays = []
+    for name, value in zip(_COEFFICIENTS, (alpha, gamma, beta, delta)):
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise InvalidParams(f"{name} must be a finite 1-D array")
+        arrays.append(arr)
+    for axis, rms in (("x", _rms(*arrays[:2])), ("y", _rms(*arrays[2:]))):
+        if rms > 1.0 + FEASIBILITY_SLACK:
+            raise InvalidParams(f"{axis}-axis coefficient RMS {rms:.6f} exceeds 1")
+    return tuple(arrays)
+
+
 @dataclass(eq=False)
 class ModulatedParams:
     """Per-axis tone indices and cosine/sine actuation coefficients.
@@ -96,11 +120,8 @@ class ModulatedParams:
     config: ScannerConfig
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "beta", "delta"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise InvalidParams(f"{name} must be a finite 1-D array")
-            setattr(self, name, arr)
+        self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
+            self.alpha, self.gamma, self.beta, self.delta)
         self.nx = tuple(int(n) for n in self.nx)
         self.ny = tuple(int(n) for n in self.ny)
         for name, tones in (("nx", self.nx), ("ny", self.ny)):
@@ -112,17 +133,14 @@ class ModulatedParams:
             raise InvalidParams("beta/delta length must match ny")
         if self.L < 1 or self.m < 1 or self.L * self.m > sys.float_info.max:
             raise InvalidParams("L and m must be positive integers with a float-sized product")
-        for axis, rms in (("x", self.rms_x), ("y", self.rms_y)):
-            if rms > 1.0 + FEASIBILITY_SLACK:
-                raise InvalidParams(f"{axis}-axis coefficient RMS {rms:.6f} exceeds 1")
 
     @property
     def rms_x(self) -> float:
-        return float(np.sqrt(np.sum(self.alpha ** 2) + np.sum(self.gamma ** 2)))
+        return _rms(self.alpha, self.gamma)
 
     @property
     def rms_y(self) -> float:
-        return float(np.sqrt(np.sum(self.beta ** 2) + np.sum(self.delta ** 2)))
+        return _rms(self.beta, self.delta)
 
     @property
     def fx_tones(self) -> np.ndarray:
@@ -149,10 +167,12 @@ class ModulatedParams:
     @classmethod
     def from_dict(cls, data: dict) -> "ModulatedParams":
         try:
-            return cls(alpha=data["alpha"], gamma=data["gamma"],
-                       beta=data["beta"], delta=data["delta"],
-                       nx=tuple(data["nx"]), ny=tuple(data["ny"]),
-                       L=int(data["L"]), m=int(data["m"]),
+            coefficients = {name: [record_value(v, name) for v in data[name]]
+                            for name in _COEFFICIENTS}
+            return cls(**coefficients,
+                       nx=tuple(record_value(n, "nx", int) for n in data["nx"]),
+                       ny=tuple(record_value(n, "ny", int) for n in data["ny"]),
+                       L=record_value(data["L"], "L", int), m=record_value(data["m"], "m", int),
                        config=ScannerConfig.from_dict(data["scanner"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(field_message("params record", exc)) from exc
@@ -238,7 +258,10 @@ def synthesize_modulated(params: ModulatedParams, n_samples: int = 500,
 
 @dataclass(eq=False)
 class Assignment:
-    """Nearest-sample index and occupancy flag for every patch."""
+    """Nearest-sample index and occupancy flag per patch, defined on the
+    patches with positive weight only: a zero-weight patch adds nothing to
+    the loss or its gradient, so it is not searched and holds n_idx 0 and
+    occupied False."""
 
     n_idx: np.ndarray     # (M, M) int, flat sample index per patch
     occupied: np.ndarray  # (M, M) bool, nearest sample closer than threshold
@@ -250,15 +273,16 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
     centers = _patch_centers(size)
     dx2 = (centers[:, None] - x[None, :]) ** 2   # (M, N)
     dy2 = (centers[:, None] - y[None, :]) ** 2
-    n_idx = np.empty((size, size), dtype=np.intp)
-    best = np.empty((size, size))
-    rows = np.arange(size)
-    for ix in range(size):                        # row loop keeps memory flat
-        d2 = dx2[ix][None, :] + dy2
-        idx = np.argmin(d2, axis=1)
-        n_idx[ix] = idx
-        best[ix] = d2[rows, idx]
-    occupied = best < threshold * threshold
+    positive = wmap.w > 0
+    n_idx = np.zeros((size, size), dtype=np.intp)
+    best = np.zeros((size, size))
+    for ix in np.flatnonzero(positive.any(axis=1)):   # row loop keeps memory flat
+        iy = np.flatnonzero(positive[ix])
+        d2 = dx2[ix][None, :] + dy2[iy]
+        idx = np.argmin(d2, axis=1)                   # ties go to the smaller index
+        n_idx[ix, iy] = idx
+        best[ix, iy] = d2[np.arange(len(iy)), idx]
+    occupied = positive & (best < threshold * threshold)
     wbar = np.where(occupied, 0.0, wmap.w)
     return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
 
@@ -266,7 +290,8 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
 def objective(pattern: SampledPattern, wmap: WeightMap,
               threshold: float) -> tuple[float, Assignment]:
     """Weighted squared distance from every non-occupied patch center to its
-    nearest sample, plus the assignment that produced it."""
+    nearest sample, plus the assignment that produced it (searched on the
+    positive-weight patches only; see Assignment)."""
     if threshold < 0:
         raise DomainError(f"threshold must be non-negative, got {threshold}")
     return _assign(pattern.x, pattern.y, wmap, float(threshold))
@@ -372,11 +397,10 @@ class OptimizeResult:
     converged: bool
 
 
-def _constraint_norm(params: ModulatedParams, constraint: str) -> float:
+def _constraint_norm(alpha, gamma, beta, delta, constraint: str) -> float:
     if constraint == "rms":
-        return max(params.rms_x, params.rms_y)
-    return max(float(np.hypot(params.alpha, params.gamma).sum()),
-               float(np.hypot(params.beta, params.delta).sum()))
+        return max(_rms(alpha, gamma), _rms(beta, delta))
+    return max(float(np.hypot(alpha, gamma).sum()), float(np.hypot(beta, delta).sum()))
 
 
 def optimize(init: ModulatedParams, wmap: WeightMap,
@@ -402,15 +426,17 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     t = np.arange(opts.n_samples) * (init.m / opts.n_samples)
     bxc, bxs, byc, bys = _bases(init, t)
 
-    def synth(p: ModulatedParams) -> tuple[np.ndarray, np.ndarray]:
-        return bxc @ p.alpha + bxs @ p.gamma, byc @ p.beta + bys @ p.delta
+    def synth(alpha, gamma, beta, delta) -> tuple[np.ndarray, np.ndarray]:
+        return bxc @ alpha + bxs @ gamma, byc @ beta + bys @ delta
 
-    params = init
-    x, y = synth(params)
+    # the descent runs on the four coefficient arrays (alpha, gamma, beta,
+    # delta); only the returned iterate becomes a ModulatedParams
+    coef = (init.alpha, init.gamma, init.beta, init.delta)
+    x, y = synth(*coef)
     loss, asg = _assign(x, y, wmap, threshold)
     trace = [loss]
-    norms = [_constraint_norm(params, opts.constraint)]
-    best_params, best_loss = params, loss
+    norms = [_constraint_norm(*coef, opts.constraint)]
+    best_coef, best_loss = coef, loss
     best_hist = [loss]
     converged = False
     iterations = 0
@@ -420,23 +446,23 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         step = opts.step
         cand = cx = cy = None
         for attempt in range(opts.max_backtracks + 1):
-            a, g = project(params.alpha - step * grad.alpha, params.gamma - step * grad.gamma)
-            b, d = project(params.beta - step * grad.beta, params.delta - step * grad.delta)
-            cand = params.with_coefficients(a, g, b, d)
-            cx, cy = synth(cand)
+            a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
+            b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
+            cand = _checked_coefficients(a, g, b, d)
+            cx, cy = synth(*cand)
             if _loss_fixed(cx, cy, wmap, asg) <= trace[-1]:
                 break
             step *= 0.5
             # the last halved candidate is taken even if it still increases;
             # best-seen tracking protects the returned iterate
-        params, x, y = cand, cx, cy
+        coef, x, y = cand, cx, cy
         loss, asg = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
         trace.append(loss)
-        norms.append(_constraint_norm(params, opts.constraint))
+        norms.append(_constraint_norm(*coef, opts.constraint))
         if loss < best_loss:
-            best_loss, best_params = loss, params
+            best_loss, best_coef = loss, coef
         best_hist.append(best_loss)
         if iterations >= opts.patience:
             before = best_hist[-1 - opts.patience]
@@ -444,7 +470,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 converged = True
                 break
 
-    return OptimizeResult(params=best_params, loss=best_loss,
+    return OptimizeResult(params=init.with_coefficients(*best_coef), loss=best_loss,
                           loss_trace=np.array(trace), norm_trace=np.array(norms),
                           iterations=iterations, converged=converged)
 
@@ -459,6 +485,15 @@ def roi_density(pattern: SampledPattern, rois) -> int:
         inside |= ((pattern.x >= xmin) & (pattern.x <= xmax)
                    & (pattern.y >= ymin) & (pattern.y <= ymax))
     return int(np.count_nonzero(inside))
+
+
+def positive_region_density(pattern: SampledPattern, wmap: WeightMap) -> int:
+    """Number of samples landing in patches with positive weight (a sample
+    outside the field of view counts in its nearest edge patch)."""
+    size = wmap.size
+    ix = np.clip(((pattern.x + 1.0) * 0.5 * size).astype(int), 0, size - 1)
+    iy = np.clip(((pattern.y + 1.0) * 0.5 * size).astype(int), 0, size - 1)
+    return int(np.count_nonzero(wmap.w[ix, iy] > 0))
 
 
 def reference_pattern(r, m: int = 7, config: ScannerConfig | None = None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, field_message
+from .errors import ConfigError, DomainError, field_message, record_value
 
 AXES = ("x", "y")
 
@@ -59,8 +59,10 @@ class ScannerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScannerConfig":
         try:
-            return cls(fx_res=float(data["fx_res"]), fy_res=float(data.get("fy_res", 1.0)),
-                       qx=float(data.get("qx", 20.0)), qy=float(data.get("qy", 20.0)))
+            return cls(fx_res=record_value(data["fx_res"], "fx_res"),
+                       fy_res=record_value(data.get("fy_res", 1.0), "fy_res"),
+                       qx=record_value(data.get("qx", 20.0), "qx"),
+                       qy=record_value(data.get("qy", 20.0), "qy"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(field_message("scanner config", exc)) from exc
 

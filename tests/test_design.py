@@ -188,11 +188,13 @@ def test_design_record_round_trip():
     assert back.fx == F(9, 7)   # exact rational survives the string form
     plain = UnmodulatedDesign(fx=F(5, 4), phix=0.1, m=7)
     assert UnmodulatedDesign.from_dict(plain.to_dict()) == plain
+    assert UnmodulatedDesign.from_dict(dict(plain.to_dict(), m=7.0)) == plain   # integral float
 
 
 @pytest.mark.parametrize("field, value", [
     ("fx", "1e400"), ("fy", "1e400"), ("phix", "inf"), ("phiy", "nan"), ("m", None),
-    ("case", "Case9"), ("k", [41])])
+    ("case", "Case9"), ("k", [41]),
+    ("m", 7.9), ("m", True), ("k", 41.5), ("fy", True), ("phix", True)])
 def test_design_record_rejects_values_a_float_pattern_cannot_hold(field, value):
     record = design_unmodulated(F(3, 2), 7).to_dict()
     record[field] = value

@@ -204,6 +204,17 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_module_runs_as_a_script(tmp_path):
+    src = str(Path(__import__("lissscan").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = tmp_path / "script.json"
+    subprocess.run([sys.executable, "-m", "lissscan.cli", "design", "--r", "1.5", "--m", "7",
+                    "--out", str(script)], env=env, capture_output=True, check=True, timeout=60)
+    dispatched = tmp_path / "dispatched.json"
+    assert cli_dispatch(["design", "--r", "1.5", "--m", "7", "--out", str(dispatched)]) == 0
+    assert script.read_bytes() == dispatched.read_bytes()
+
+
 def test_cli_metrics(tmp_path, capsys):
     scanner = _scanner_file(tmp_path)
     design = tmp_path / "design.json"
@@ -501,6 +512,17 @@ _MALFORMED_CASES = [
     ("--scenario", ("drift",), [1], "DomainError"),
     ("--scenario", ("frame_time",), "nan", "DomainError"),
     ("--scanner", None, [{"fx_res": 2.0}], "ConfigError"),
+    # booleans and fractional integers were read as numbers: true -> 1.0, 7.9 -> 7
+    ("--scanner", ("fx_res",), True, "ConfigError"),
+    ("--scanner", ("qy",), False, "ConfigError"),
+    ("--design", ("m",), 7.9, "DomainError"),
+    ("--design", ("fy",), True, "DomainError"),
+    ("--design", ("phix",), False, "DomainError"),
+    ("--init", ("L",), 2.5, "InvalidParams"),
+    ("--init", ("m",), True, "InvalidParams"),
+    ("--init", ("nx",), [26, 28.5, 30], "InvalidParams"),
+    ("--init", ("alpha",), [False, True, False], "InvalidParams"),
+    ("--init", ("scanner", "qx"), True, "ConfigError"),         # nested scanner record
 ]
 
 

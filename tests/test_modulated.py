@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lissscan import (ROI_A, ROI_B, ModulatedParams, OptimizeOptions,
+from lissscan import modulated
+from lissscan import (ROI_A, ROI_B, Assignment, ModulatedParams, OptimizeOptions,
                       SampledPattern, ScannerConfig, WeightMap,
                       default_tone_indices, design_unmodulated, gradient,
                       initial_params, objective, optimize, polar_coefficients,
-                      project_absolute, project_rms, reference_pattern,
-                      roi_density, sample_unmodulated, synthesize_modulated,
+                      positive_region_density, project_absolute, project_rms,
+                      reference_pattern, roi_density, sample_unmodulated, synthesize_modulated,
                       transfer_amplitude)
 from lissscan.errors import DomainError, InvalidParams
 
@@ -130,6 +132,8 @@ def test_params_dict_round_trip():
 @pytest.mark.parametrize("field, value", [
     ("L", None), ("m", "seven"), ("nx", 5), ("alpha", "abc"), ("alpha", {"a": 1}),
     ("L", 1e308),                       # L * m overflows the float tone grid
+    ("L", 2.5), ("m", True), ("nx", [13, 14.5, 15]), ("ny", [True, 14, 15]),
+    ("alpha", [0.1, False, 0.0]),       # booleans and fractions used to pass as numbers
 ])
 def test_params_record_with_a_malformed_field_is_invalid_params(field, value):
     record = initial_params(F(2), n_tones=3).to_dict()
@@ -223,6 +227,44 @@ def test_objective_matches_brute_force():
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
+@st.composite
+def _tied_problems(draw):
+    """Weight maps with zero patches, and samples with exact duplicates and
+    lattice points equidistant from patch centers, so nearest-sample ties occur."""
+    size = draw(st.integers(1, 10))
+    w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                      min_size=size * size, max_size=size * size))
+    coord = st.one_of(st.sampled_from([-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]),
+                      st.floats(-1.5, 1.5))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=30))
+    x, y = (np.array([points[i][axis] for i in picks]) for axis in (0, 1))
+    pattern = SampledPattern(t=np.arange(len(picks)) * 1.0, x=x, y=y, frame_len=float(len(picks)))
+    threshold = draw(st.sampled_from([0.0, 0.1, 1.0 / size, 0.5]))
+    return pattern, WeightMap(np.reshape(w, (size, size))), threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_tied_problems())
+def test_objective_searches_weighted_patches_like_a_full_brute_force(problem):
+    pattern, wmap, threshold = problem
+    loss, asg = objective(pattern, wmap, threshold)
+    centers = -1.0 + (2.0 * np.arange(wmap.size) + 1.0) / wmap.size
+    best = np.empty_like(wmap.w)
+    for i, cx in enumerate(centers):
+        for j, cy in enumerate(centers):
+            d2 = (pattern.x - cx) ** 2 + (pattern.y - cy) ** 2
+            first = int(np.flatnonzero(d2 == d2.min())[0])
+            best[i, j] = d2[first]
+            if wmap.w[i, j] > 0:
+                assert asg.n_idx[i, j] == first
+                assert asg.occupied[i, j] == (d2[first] < threshold ** 2)
+            else:
+                assert not asg.occupied[i, j]
+    occupied = best < threshold ** 2
+    assert loss == float(np.sum(np.where(occupied, 0.0, wmap.w) * best))
+
+
 def test_occupied_patches_pay_nothing():
     pattern = SampledPattern(t=np.array([0.0, 1.0]), x=np.array([-0.9375, 0.5]),
                              y=np.array([-0.9375, 0.5]), frame_len=2.0)
@@ -256,6 +298,18 @@ def test_roi_density_counting():
     assert roi_density(pattern, [(-1, 1, -1, 1)]) == 4
     with pytest.raises(DomainError):
         roi_density(pattern, [(0.5, 0.2, 0.0, 1.0)])
+
+
+def test_positive_region_density_counts_samples_in_weighted_patches():
+    pattern = SampledPattern(t=np.arange(5) * 1.0,
+                             x=np.array([0.5, 0.5, -0.6, 0.2, 1.5]),
+                             y=np.array([0.5, 0.7, 0.0, -0.4, 1.5]), frame_len=5.0)
+    w = np.zeros((4, 4))
+    w[3, 3] = 1.0                     # top-right patch [0.5, 1] x [0.5, 1]
+    assert positive_region_density(pattern, WeightMap(w)) == 3   # (1.5, 1.5) clips into it
+    w[0, 2] = 0.5                     # [-1, -0.5] x [0, 0.5]
+    assert positive_region_density(pattern, WeightMap(w)) == 4
+    assert positive_region_density(pattern, WeightMap.uniform(4)) == 5
 
 
 # ------------------------------------------------------------------- gradients
@@ -389,6 +443,50 @@ def test_optimize_converges_early_when_nothing_improves():
     # everything occupied from the start: loss 0, patience stops the loop
     assert res.loss == 0.0
     assert res.converged and res.iterations < 200
+
+
+def _full_search_assign(x, y, wmap, threshold):
+    """Reference nearest-sample search over every patch, weighted or not."""
+    size = wmap.size
+    centers = -1.0 + (2.0 * np.arange(size) + 1.0) / size
+    dx2 = (centers[:, None] - x[None, :]) ** 2
+    dy2 = (centers[:, None] - y[None, :]) ** 2
+    n_idx = np.empty((size, size), dtype=np.intp)
+    best = np.empty((size, size))
+    for ix in range(size):
+        d2 = dx2[ix][None, :] + dy2
+        n_idx[ix] = np.argmin(d2, axis=1)
+        best[ix] = d2[np.arange(size), n_idx[ix]]
+    occupied = best < threshold * threshold
+    wbar = np.where(occupied, 0.0, wmap.w)
+    return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
+
+
+@pytest.mark.parametrize("wmap", [WeightMap.from_rectangles([ROI_B], 32), WeightMap.uniform(32)],
+                         ids=["rectangle", "fully-weighted"])
+def test_optimize_is_bit_identical_to_a_full_nearest_sample_search(wmap, monkeypatch):
+    init = initial_params(2, n_tones=5)
+    opts = OptimizeOptions(max_iters=60)
+    weighted_only = optimize(init, wmap, opts)
+    monkeypatch.setattr(modulated, "_assign", _full_search_assign)
+    full = optimize(init, wmap, opts)
+    assert weighted_only.loss_trace.tobytes() == full.loss_trace.tobytes()
+    assert weighted_only.norm_trace.tobytes() == full.norm_trace.tobytes()
+    for name in ("alpha", "gamma", "beta", "delta"):
+        assert getattr(weighted_only.params, name).tobytes() == getattr(full.params, name).tobytes()
+    assert (weighted_only.iterations, weighted_only.converged) == (full.iterations, full.converged)
+
+
+@pytest.mark.parametrize("projection, message", [
+    (lambda c, s: (c * math.nan, s), "alpha must be a finite"),
+    (lambda c, s: (c + 1.0, s), "x-axis coefficient RMS"),
+], ids=["non-finite", "outside-the-ball"])
+def test_optimize_rejects_a_candidate_that_fails_the_coefficient_check(projection, message,
+                                                                       monkeypatch):
+    monkeypatch.setitem(modulated._PROJECTIONS, "rms", projection)
+    with pytest.raises(InvalidParams, match=message):
+        optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                 OptimizeOptions(max_iters=3))
 
 
 def test_optimize_input_validation():

@@ -97,6 +97,9 @@ def test_dict_round_trip():
         ScannerConfig.from_dict({"qx": 20.0})
     with pytest.raises(ConfigError):
         ScannerConfig.from_dict({"fx_res": "quick"})
+    for field in ("fx_res", "fy_res", "qx", "qy"):   # true is not 1.0
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            ScannerConfig.from_dict(dict(cfg.to_dict(), **{field: True}))
 
 
 def test_response_stays_finite_where_a_square_leaves_the_float_range():
