@@ -9,14 +9,8 @@ seed write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
-from pathlib import Path
-
-import numpy as np
 
 from . import io as lio
 from .coverage import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, fill_factor,
@@ -24,7 +18,7 @@ from .coverage import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, fill_factor,
                        sweep_workers_from_env)
 from .design import (as_fraction, baseline_repeating_design, design_unmodulated,
                      repeat_period)
-from .errors import DomainError, InvalidParams, LissscanError, field_message
+from .errors import DomainError, InvalidParams, LissscanError, field_message, record_value
 from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
                         optimize, positive_region_density, reference_pattern,
                         synthesize_modulated)
@@ -32,38 +26,12 @@ from .phase import (DriftScenario, resonance_offset_for_phase_shift,
                     simulate_drift_control, solve_multitone)
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write text to path as is (no newline translation); a failed write is a DomainError."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"could not write {path}: {exc}") from exc
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write a header and rows as CSV (the csv module's \\r\\n line ends)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_file(path, buf.getvalue())
-
-
-def _check_out_dirs(*paths: str | None) -> None:
-    """Fail before any computing when an output path cannot be a file."""
-    for path in paths:
-        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise DomainError(f"could not write {path}: not a file in an existing directory")
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
     """Write payload to the --out file, or to stdout when --out is absent or empty."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not out:
-        sys.stdout.write(text)
+    if out:
+        lio.write_text(out, lio.json_text(payload))
     else:
-        _write_file(out, text)
+        sys.stdout.write(lio.json_text(payload))
 
 
 def _required_path(text: str) -> str:
@@ -108,7 +76,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    lio.check_out_paths(args.out)
     scanner = lio.load_scanner(args.scanner) if args.scanner else None
     r_min, r_max, r_step = map(as_fraction, (args.r_min, args.r_max, args.r_step))
     if r_step <= 0 or r_max < r_min:
@@ -117,16 +85,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_designs(r_grid, _parse_m_list(args.m), config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
-    _write_csv(args.out, ["r", "m", "rule", "fill_factor", "scanning_range", "status"],
-               ([repr(float(row.r)), row.m, row.rule,
-                 "" if row.fill_factor is None else repr(row.fill_factor),
-                 "" if row.scanning_range is None else repr(row.scanning_range),
-                 row.status] for row in rows))
+    lio.write_csv(args.out, ["r", "m", "rule", "fill_factor", "scanning_range", "status"],
+                  ([repr(float(row.r)), row.m, row.rule,
+                    "" if row.fill_factor is None else repr(row.fill_factor),
+                    "" if row.scanning_range is None else repr(row.scanning_range),
+                    row.status] for row in rows))
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out, args.trace)
+    lio.check_out_paths(args.out, args.trace)
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
     r = Fraction(scanner.fx_res) / Fraction(scanner.fy_res)
@@ -135,8 +103,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                           y_single_tone=args.y_single_tone)
     init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams)) if args.init else cold
     opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
-                           threshold=args.threshold, seed=args.seed,
-                           n_samples=args.n_samples, constraint=args.constraint)
+                           threshold=args.threshold, n_samples=args.n_samples,
+                           constraint=args.constraint)
     result = optimize(init, wmap, opts)
     optimized = synthesize_modulated(result.params, args.n_samples)
     reference = reference_pattern(r, m=args.m, config=scanner,
@@ -150,12 +118,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "converged": result.converged,
         "roi_density": positive_region_density(optimized, wmap),
         "roi_density_reference": positive_region_density(reference, wmap),
-        "seed": args.seed,
     })
     _emit_json(payload, args.out)
     if args.trace:
-        _write_csv(args.trace, ["iteration", "loss"],
-                   ([i, repr(float(loss))] for i, loss in enumerate(result.loss_trace)))
+        lio.write_csv(args.trace, ["iteration", "loss"],
+                      ([i, repr(float(loss))] for i, loss in enumerate(result.loss_trace)))
     return 0
 
 
@@ -166,45 +133,47 @@ def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: floa
     if kind == "none":
         return lambda t: t * 0.0
     if kind == "linear":
-        rate = float(spec["rate_per_s"])
+        rate = record_value(spec["rate_per_s"], "rate_per_s")
         return lambda t: rate * t
     if kind == "linear_total":
-        total = float(spec["total_offset"])
+        total = record_value(spec["total_offset"], "total_offset")
         return lambda t: total * t / duration
     if kind == "phase_target":
-        total = resonance_offset_for_phase_shift(f_drive, f_res, q, float(spec["target_deg"]))
+        target = record_value(spec["target_deg"], "target_deg")
+        total = resonance_offset_for_phase_shift(f_drive, f_res, q, target)
         return lambda t: total * t / duration
     raise DomainError(f"unknown drift type {kind!r}")
 
 
 def cmd_phase_sim(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    lio.check_out_paths(args.out)
     scanner = lio.load_scanner(args.scanner)
     spec = lio.read_json(args.scenario, DomainError)
     axis = spec.get("axis", "x")
     try:
         f_res, q = scanner.axis(axis)
-        f_drive = float(spec.get("f_drive", f_res))
+        f_drive = record_value(spec.get("f_drive", f_res), "f_drive")
         scenario = DriftScenario(
             drift_fn=_drift_fn(spec.get("drift", {}), f_drive, f_res, q, args.duration),
-            frame_time=float(spec["frame_time"]),
+            frame_time=record_value(spec["frame_time"], "frame_time"),
             control_enabled=spec.get("control_enabled", True),
-            measurement_noise_deg=float(spec.get("measurement_noise_deg", 0.0)))
+            measurement_noise_deg=record_value(spec.get("measurement_noise_deg", 0.0),
+                                               "measurement_noise_deg"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(field_message(f"scenario {args.scenario}", exc)) from exc
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
-    _write_csv(args.out, ["t", "phase_error_deg", "corrected"],
-               ([repr(float(t)), repr(float(err)), repr(float(corr))]
-                for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg)))
+    lio.write_csv(args.out, ["t", "phase_error_deg", "corrected"],
+                  ([repr(float(t)), repr(float(err)), repr(float(corr))]
+                   for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg)))
     return 0
 
 
 def cmd_phase_solve(args: argparse.Namespace) -> int:
     data = lio.read_json(args.samples, DomainError)
     try:
-        x, xq, omegas = (np.asarray(data[key], dtype=np.float64) for key in ("x", "xq", "omegas"))
-        frame_time = float(data["frame_time"])
+        x, xq, omegas = ([record_value(v, key) for v in data[key]] for key in ("x", "xq", "omegas"))
+        frame_time = record_value(data["frame_time"], "frame_time")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(field_message(f"samples {args.samples}", exc)) from exc
     state = solve_multitone(x, xq, omegas, frame_time)
@@ -261,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", default="rms", choices=("rms", "absolute"))
     p.add_argument("--y-single-tone", action="store_true")
     p.add_argument("--init", help="warm-start params JSON")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=_required_path, help="output params JSON")
     p.add_argument("--trace", help="optional loss trace CSV")
     p.set_defaults(func=cmd_optimize)

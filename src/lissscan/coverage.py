@@ -60,7 +60,6 @@ class SampledPattern:
 class CoverageReport:
     fill_factor: float
     r_max: float
-    scanning_range: float | None = None
 
 
 def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
@@ -211,14 +210,12 @@ def sweep_workers_from_env() -> int | None:
 
 
 def phase_tolerance_sweep(design: UnmodulatedDesign, config: ScannerConfig,
-                          deltas: Sequence[float], frame_index: int = 0,
-                          n_samples: int = N_SAMPLES_DEFAULT,
-                          n_grid: int = N_GRID_DEFAULT) -> list[tuple[float, float]]:
-    """Fill-factor of the design with its x phase offset by each delta (rad)."""
+                          deltas: Sequence[float]) -> list[tuple[float, float]]:
+    """Fill-factor of the design with its x phase offset by each delta (rad),
+    over the first frame at the default sample count and grid."""
     out = []
     for delta in deltas:
         shifted = UnmodulatedDesign(fx=design.fx, phix=design.phix + float(delta),
                                     m=design.m, fy=design.fy, phiy=design.phiy)
-        pattern = sample_unmodulated(shifted, config, frame_index, n_samples)
-        out.append((float(delta), fill_factor(pattern, n_grid).fill_factor))
+        out.append((float(delta), fill_factor(sample_unmodulated(shifted, config)).fill_factor))
     return out

@@ -1,4 +1,6 @@
-"""Exception types, and the record-field helpers, shared across the toolkit."""
+"""Exception types, and the value checks, shared across the toolkit."""
+
+import math
 
 
 class LissscanError(Exception):
@@ -60,3 +62,11 @@ def record_value(value, name: str, convert=float):
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return convert(value)
+
+
+def positive_finite(value, name: str) -> float:
+    """float(value), which must be positive and finite; DomainError otherwise."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value

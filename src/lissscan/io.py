@@ -1,4 +1,5 @@
-"""File ingestion and export: weight maps, patterns, scanner configs.
+"""File ingestion and export: weight maps, patterns, scanner configs, and
+the writers every output file goes through (a failed write is a DomainError).
 
 Weight maps come from 8-bit PGM images (P2 ASCII or P5 binary) or from
 CSV grids; image row 0 is the top of the field of view (y = +1) and
@@ -11,13 +12,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .coverage import SampledPattern
 from .design import UnmodulatedDesign
-from .errors import ConfigError, DomainError, LissscanError, WeightMapError, field_message
+from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, field_message,
+                     record_value)
 from .modulated import WeightMap
 from .scanner import ScannerConfig
 
@@ -48,6 +51,40 @@ def read_json(path, error: type[LissscanError]) -> dict:
     if not isinstance(data, dict):
         raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+# -------------------------------------------------------------------- writers
+
+def check_out_paths(*paths: str | None) -> None:
+    """Fail before any computing when an output path cannot be a file."""
+    for path in paths:
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise DomainError(f"could not write {path}: not a file in an existing directory")
+
+
+def write_text(path, text: str) -> Path:
+    """Write text to path as is (no newline translation)."""
+    path = _require_path(path)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"could not write {path}: {exc}") from exc
+    return path
+
+
+def json_text(payload: dict) -> str:
+    """JSON output text: two-space indentation, sorted keys, trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv(path, header: list[str], rows) -> Path:
+    """Write a header and rows as CSV (the csv module's \\r\\n line ends)."""
+    buf = StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------- weight maps
@@ -83,19 +120,16 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise WeightMapError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     if width < 1 or height < 1:
         raise WeightMapError(f"{path}: bad dimensions {width}x{height}")
+    n = width * height
     if magic == b"P5":
-        raster = data[end + 1:end + 1 + width * height]
-        if len(raster) < width * height:
-            raise WeightMapError(f"{path}: raster shorter than {width}x{height}")
-        values = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
+        values = np.frombuffer(data[end + 1:end + 1 + n], dtype=np.uint8).astype(np.float64)
     else:
         try:
-            values = np.array([int(tok) for tok, _ in tokens], dtype=np.float64)
+            values = np.array([int(tok) for tok, _ in tokens], dtype=np.float64)[:n]
         except ValueError as exc:
             raise WeightMapError(f"{path}: non-integer sample in P2 raster") from exc
-        if len(values) < width * height:
-            raise WeightMapError(f"{path}: raster shorter than {width}x{height}")
-        values = values[:width * height]
+    if len(values) < n:
+        raise WeightMapError(f"{path}: raster shorter than {width}x{height}")
     if values.max(initial=0.0) > maxval:
         raise WeightMapError(f"{path}: sample exceeds declared maxval {maxval}")
     return values.reshape(height, width) / maxval
@@ -129,31 +163,32 @@ def load_weight_map(path) -> WeightMap:
 
 # ------------------------------------------------------------------- patterns
 
-def export_pattern(pattern: SampledPattern, path, fmt: str | None = None) -> Path:
-    """Write a pattern to CSV (t, x, y) or JSON (all fields). fmt defaults to
-    the path suffix."""
+def _pattern_format(path) -> tuple[Path, str]:
     path = _require_path(path)
-    fmt = (fmt or path.suffix.lstrip(".")).lower()
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y"])
-            for t, x, y in zip(pattern.t, pattern.x, pattern.y):
-                writer.writerow([f"{t:.12g}", f"{x:.12g}", f"{y:.12g}"])
-    elif fmt == "json":
-        payload = {"t": pattern.t.tolist(), "x": pattern.x.tolist(), "y": pattern.y.tolist(),
-                   "frame_len": pattern.frame_len, "frames": pattern.frames}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    else:
+    fmt = path.suffix.lstrip(".").lower()
+    if fmt not in ("csv", "json"):
         raise DomainError(f"unsupported pattern format {fmt!r} (use csv or json)")
-    return path
+    return path, fmt
 
 
-def import_pattern(path, fmt: str | None = None) -> SampledPattern:
-    """Read a pattern written by export_pattern. CSV carries no frame
-    bookkeeping, so frame_len falls back to the covered time span."""
-    path = _require_path(path)
-    fmt = (fmt or path.suffix.lstrip(".")).lower()
+def export_pattern(pattern: SampledPattern, path) -> Path:
+    """Write a pattern to CSV (t, x, y) or JSON (all fields), by the path's
+    suffix."""
+    path, fmt = _pattern_format(path)
+    if fmt == "csv":
+        return write_csv(path, ["t", "x", "y"],
+                         ([f"{t:.12g}", f"{x:.12g}", f"{y:.12g}"]
+                          for t, x, y in zip(pattern.t, pattern.x, pattern.y)))
+    payload = {"t": pattern.t.tolist(), "x": pattern.x.tolist(), "y": pattern.y.tolist(),
+               "frame_len": pattern.frame_len, "frames": pattern.frames}
+    return write_text(path, json.dumps(payload, indent=2) + "\n")    # keeps field order
+
+
+def import_pattern(path) -> SampledPattern:
+    """Read a pattern written by export_pattern, by the path's suffix. CSV
+    carries no frame bookkeeping, so frame_len falls back to the covered
+    time span."""
+    path, fmt = _pattern_format(path)
     if fmt == "csv":
         try:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
@@ -164,14 +199,14 @@ def import_pattern(path, fmt: str | None = None) -> SampledPattern:
         t = rows[:, 0]
         span = (t[-1] - t[0]) + (t[1] - t[0])
         return SampledPattern(t=t, x=rows[:, 1], y=rows[:, 2], frame_len=span, frames=1)
-    if fmt == "json":
-        data = read_json(path, DomainError)
-        try:
-            return SampledPattern(t=data["t"], x=data["x"], y=data["y"],
-                                  frame_len=data["frame_len"], frames=data["frames"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(field_message(f"pattern record {path}", exc)) from exc
-    raise DomainError(f"unsupported pattern format {fmt!r} (use csv or json)")
+    data = read_json(path, DomainError)
+    try:
+        t, x, y = ([record_value(v, key) for v in data[key]] for key in ("t", "x", "y"))
+        return SampledPattern(t=t, x=x, y=y,
+                              frame_len=record_value(data["frame_len"], "frame_len"),
+                              frames=record_value(data["frames"], "frames", int))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(field_message(f"pattern record {path}", exc)) from exc
 
 
 # ------------------------------------------------------- configs and designs
@@ -181,9 +216,7 @@ def load_scanner(path) -> ScannerConfig:
 
 
 def save_scanner(config: ScannerConfig, path) -> Path:
-    path = _require_path(path)
-    path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_text(path, json_text(config.to_dict()))
 
 
 def load_design(path) -> UnmodulatedDesign:
@@ -191,6 +224,4 @@ def load_design(path) -> UnmodulatedDesign:
 
 
 def save_design(design: UnmodulatedDesign, path) -> Path:
-    path = _require_path(path)
-    path.write_text(json.dumps(design.to_dict(), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_text(path, json_text(design.to_dict()))

@@ -30,6 +30,8 @@ from .errors import (DomainError, InvalidParams, OptimizationFailed, field_messa
 from .scanner import ScannerConfig, transfer_amplitude
 
 FEASIBILITY_SLACK = 1e-9
+MAX_BACKTRACKS = 10   # step halvings per iteration
+REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 
 # Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
@@ -37,8 +39,9 @@ ROI_B = (0.2, 0.9, 0.2, 0.8)
 
 # Default tone ladder: five tones at {6/7, 13/14, 1, 15/14, 8/7} times the
 # axis resonance (the middle three for the 3-tone variant), snapped to the
-# n / (L*m) grid.
+# n / (L*m) grid with L = 2 frames per coefficient period.
 _TONE_STEPS = {5: range(12, 17), 3: range(13, 16)}
+_L = 2
 
 
 @dataclass(eq=False)
@@ -185,12 +188,12 @@ def polar_coefficients(amplitudes, phases_rad) -> tuple[np.ndarray, np.ndarray]:
     return amps * np.cos(phases), -amps * np.sin(phases)
 
 
-def default_tone_indices(r, n_tones: int = 5, m: int = 7, L: int = 2) -> tuple[int, ...]:
-    """Tone indices for one axis with resonance ratio r, snapped to n/(L*m).
+def default_tone_indices(r, n_tones: int = 5, m: int = 7) -> tuple[int, ...]:
+    """Tone indices for one axis with resonance ratio r, snapped to n/(2*m).
 
-    Exact whenever c*r*L*m/14 is an integer for every ladder step c (always
-    true for r = 1 and r = 2 with the defaults); otherwise each tone rounds
-    to the nearest grid index.
+    Exact whenever c*r*2*m/14 is an integer for every ladder step c (always
+    true for r = 1 and r = 2); otherwise each tone rounds to the nearest
+    grid index.
     """
     if n_tones not in _TONE_STEPS:
         raise InvalidParams(f"n_tones must be one of {sorted(_TONE_STEPS)}, got {n_tones}")
@@ -199,36 +202,34 @@ def default_tone_indices(r, n_tones: int = 5, m: int = 7, L: int = 2) -> tuple[i
         raise InvalidParams("resonance ratio must be positive")
     indices = []
     for c in _TONE_STEPS[n_tones]:
-        n = round(Fraction(c, 14) * r * L * m)
+        n = round(Fraction(c, 14) * r * _L * m)
         if n < 1 or (indices and n <= indices[-1]):
-            raise InvalidParams(f"tone ladder collapsed for r = {float(r)}, m = {m}, L = {L}")
+            raise InvalidParams(f"tone ladder collapsed for r = {float(r)}, m = {m}, L = {_L}")
         indices.append(n)
     return tuple(indices)
 
 
 def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float = 20.0,
-                   amplitude: float = 0.95, y_single_tone: bool = False,
-                   L: int = 2) -> ModulatedParams:
+                   y_single_tone: bool = False) -> ModulatedParams:
     """Single-tone starting point on the default tone ladder.
 
-    All actuation sits on the center (near-resonance) tone of each axis as a
-    cosine, matching the zero-phase convention of the unmodulated designs;
-    this pattern doubles as the unmodulated reference for focusing ratios.
+    All actuation (amplitude 0.95) sits on the center (near-resonance) tone
+    of each axis as a cosine, matching the zero-phase convention of the
+    unmodulated designs; this pattern doubles as the unmodulated reference
+    for focusing ratios.
     """
-    if not 0.0 < amplitude <= 1.0:
-        raise InvalidParams(f"amplitude must lie in (0, 1], got {amplitude}")
     r = as_fraction(r)
-    nx = default_tone_indices(r, n_tones, m, L)
-    ny = (round(Fraction(1) * L * m),) if y_single_tone else default_tone_indices(1, n_tones, m, L)
+    nx = default_tone_indices(r, n_tones, m)
+    ny = (_L * m,) if y_single_tone else default_tone_indices(1, n_tones, m)
     config = ScannerConfig(fx_res=float(r), fy_res=1.0, qx=qx, qy=qy)
     alpha = np.zeros(len(nx))
     gamma = np.zeros(len(nx))
     beta = np.zeros(len(ny))
     delta = np.zeros(len(ny))
-    alpha[len(nx) // 2] = amplitude
-    beta[len(ny) // 2] = amplitude
+    alpha[len(nx) // 2] = 0.95
+    beta[len(ny) // 2] = 0.95
     return ModulatedParams(alpha=alpha, gamma=gamma, beta=beta, delta=delta,
-                           nx=nx, ny=ny, L=L, m=m, config=config)
+                           nx=nx, ny=ny, L=_L, m=m, config=config)
 
 
 def _bases(params: ModulatedParams, t: np.ndarray):
@@ -344,20 +345,19 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
 
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial projection of one axis onto the RMS unit ball."""
-    norm = math.sqrt(float(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
+    norm = _rms(cos_coef, sin_coef)
     if norm <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
     return cos_coef / norm, sin_coef / norm
 
 
-def _project_simplex(v: np.ndarray, z: float = 1.0) -> np.ndarray:
-    """Euclidean projection of non-negative v onto {u >= 0, sum(u) <= z}."""
-    if v.sum() <= z:
-        return v.copy()
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of non-negative v with sum(v) > 1 onto the
+    simplex {u >= 0, sum(u) = 1}."""
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - z))[0][-1]
-    theta = (cumulative[rho] - z) / (rho + 1.0)
+    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - 1.0))[0][-1]
+    theta = (cumulative[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
@@ -367,7 +367,7 @@ def project_absolute(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.nda
     mags = np.hypot(cos_coef, sin_coef)
     if mags.sum() <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
-    target = _project_simplex(mags, 1.0)
+    target = _project_simplex(mags)
     scale = np.divide(target, mags, out=np.zeros_like(mags), where=mags > 0)
     return cos_coef * scale, sin_coef * scale
 
@@ -379,11 +379,8 @@ class OptimizeOptions:
     max_iters: int = 200
     step: float = 0.05
     threshold: float | None = None   # None: half a patch side, 1/M
-    seed: int = 0                    # reserved; the descent itself is deterministic
     n_samples: int = 500
     constraint: str = "rms"          # "rms" | "absolute"
-    max_backtracks: int = 10
-    rel_tol: float = 1e-5
     patience: int = 10
 
 
@@ -410,8 +407,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     Per iteration: gradient with the assignment frozen, step with halving
     backtracking judged against the frozen-assignment loss, projection onto
     the constraint set, then a fresh assignment. Returns the best-seen
-    iterate; raises OptimizationFailed (with the trace) if the loss stops
-    being finite.
+    iterate; raises OptimizationFailed (with the trace so far) if the loss
+    or its gradient is not finite.
     """
     opts = opts or OptimizeOptions()
     if opts.constraint not in _PROJECTIONS:
@@ -434,6 +431,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     coef = (init.alpha, init.gamma, init.beta, init.delta)
     x, y = synth(*coef)
     loss, asg = _assign(x, y, wmap, threshold)
+    if not math.isfinite(loss):
+        raise OptimizationFailed("objective is non-finite at the start", trace=np.array([loss]))
     trace = [loss]
     norms = [_constraint_norm(*coef, opts.constraint)]
     best_coef, best_loss = coef, loss
@@ -443,9 +442,11 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
 
     for iterations in range(1, opts.max_iters + 1):
         grad = _gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys)
+        if not all(np.all(np.isfinite(g)) for g in (grad.alpha, grad.gamma, grad.beta, grad.delta)):
+            raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
         step = opts.step
         cand = cx = cy = None
-        for attempt in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
             b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
             cand = _checked_coefficients(a, g, b, d)
@@ -466,7 +467,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         best_hist.append(best_loss)
         if iterations >= opts.patience:
             before = best_hist[-1 - opts.patience]
-            if before - best_hist[-1] <= opts.rel_tol * max(before, 1e-12):
+            if before - best_hist[-1] <= REL_TOL * max(before, 1e-12):
                 converged = True
                 break
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, UndefinedPhase
+from .errors import DomainError, IllConditioned, UndefinedPhase, positive_finite
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -111,9 +111,7 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
         raise DomainError("samples and frequencies must be finite")
     if len(set(w.tolist())) != 3:
         raise DomainError("tone frequencies must be distinct")
-    frame_time = float(frame_time)
-    if not 0.0 < frame_time < math.inf:
-        raise DomainError(f"frame_time must be positive and finite, got {frame_time}")
+    frame_time = positive_finite(frame_time, "frame_time")
     if not math.isfinite(float(np.abs(w).max()) * frame_time):
         raise DomainError("omegas * frame_time must stay within float range")
     ts = np.array([0.0, frame_time / 2.0, frame_time])
@@ -170,8 +168,7 @@ class DriftScenario:
     measurement_noise_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.frame_time < math.inf:
-            raise DomainError(f"frame_time must be positive and finite, got {self.frame_time}")
+        self.frame_time = positive_finite(self.frame_time, "frame_time")
         if not 0.0 <= self.measurement_noise_deg < math.inf:
             raise DomainError("measurement noise must be finite and non-negative")
         if not isinstance(self.control_enabled, bool):
@@ -213,9 +210,7 @@ def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis:
     reported per-frame error is the post-correction one.
     """
     f_res, q = config.axis(axis)
-    f_drive = float(f_drive)
-    if not 0.0 < f_drive < math.inf:
-        raise DomainError(f"drive frequency must be positive and finite, got {f_drive}")
+    f_drive = positive_finite(f_drive, "drive frequency")
     if not scenario.frame_time <= duration < MAX_FRAMES * scenario.frame_time:
         raise DomainError(f"duration must cover 1 to {MAX_FRAMES} frames, got {duration}")
     n_frames = int(math.floor(duration / scenario.frame_time)) + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, field_message, record_value
+from .errors import ConfigError, DomainError, field_message, positive_finite, record_value
 
 AXES = ("x", "y")
 
@@ -74,10 +74,7 @@ def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:
     is 1/Q.
     """
     f_res, q = config.axis(axis)
-    f = float(f)
-    if not math.isfinite(f) or f <= 0.0:
-        raise DomainError(f"drive frequency must be positive and finite, got {f}")
-    u = f / f_res
+    u = positive_finite(f, "drive frequency") / f_res
     try:
         return 1.0 / (q * math.sqrt((u * u - 1.0) ** 2 + (u / q) ** 2))
     except (OverflowError, ZeroDivisionError):    # a square leaves the float range

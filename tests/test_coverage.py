@@ -58,6 +58,8 @@ def test_sampled_pattern_validation():
         SampledPattern(t=np.array([0.0, 0.2, 0.5]), x=np.zeros(3), y=np.zeros(3), frame_len=1.0)
     with pytest.raises(DomainError):
         SampledPattern(t=t, x=np.zeros(10), y=np.zeros(10), frame_len=-1.0)
+    with pytest.raises(DomainError, match="one-dimensional"):
+        SampledPattern(t=t[None, :], x=np.zeros(10), y=np.zeros(10), frame_len=1.0)
     with pytest.raises(DomainError):
         sample_unmodulated(P2, CFG, 0, 1)
 

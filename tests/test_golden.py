@@ -67,7 +67,7 @@ def test_cli_output_matches_golden(case, tmp_path):
     got = run_case(case, tmp_path)
     expected_dir = GOLDEN / case["name"]
     want = {path.name: path.read_bytes() for path in sorted(expected_dir.iterdir())}
-    assert sorted(got) == sorted(want), f"{case['name']}: wrote {sorted(got)}, expected {sorted(want)}"
+    assert sorted(got) == sorted(want), f"{case['name']}: wrote {sorted(got)}, want {sorted(want)}"
     diffs = [_diff(name, want[name], got[name]) for name in want if got[name] != want[name]]
     assert not diffs, (f"{case['name']} differs from the files recorded with "
                        f"{MANIFEST['recorded_with']}:\n" + "\n".join(diffs))

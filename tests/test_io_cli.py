@@ -72,6 +72,19 @@ def test_pgm_rejects_malformed_files(tmp_path):
     path.write_text("P2\n2 2\n100\n0 0 0 200\n")
     with pytest.raises(WeightMapError):
         load_weight_map(path)                       # sample above maxval
+    for header in ("P2\n2\n", "P2\n2 x\n255\n0 0 0 0\n"):
+        path.write_text(header)
+        with pytest.raises(WeightMapError, match="truncated or malformed PGM header"):
+            load_weight_map(path)
+    path.write_text("P2\n0 2\n255\n")
+    with pytest.raises(WeightMapError, match="bad dimensions 0x2"):
+        load_weight_map(path)
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
+    with pytest.raises(WeightMapError, match="raster shorter than 2x2"):
+        load_weight_map(path)
+    path.write_text("P2\n2 2\n255\n0 0 a 0\n")
+    with pytest.raises(WeightMapError, match="non-integer sample"):
+        load_weight_map(path)
     with pytest.raises(WeightMapError):
         load_weight_map(tmp_path / "missing.pgm")
 
@@ -124,6 +137,14 @@ def test_pattern_format_errors(tmp_path):
         import_pattern(tmp_path / "nope.csv")
     with pytest.raises(DomainError):
         export_pattern(pattern, "")
+    with pytest.raises(DomainError, match="unsupported pattern format 'xml'"):
+        import_pattern(tmp_path / "p.xml")
+    for text in ("t,x\n0,1\n1,2\n", "t,x,y\n0,1,2\n"):       # 2 columns; 1 row
+        (tmp_path / "bad.csv").write_text(text)
+        with pytest.raises(DomainError, match="expected 3 CSV columns and 2 rows"):
+            import_pattern(tmp_path / "bad.csv")
+    with pytest.raises(DomainError, match="could not write"):
+        export_pattern(pattern, tmp_path / "missing" / "p.json")
 
 
 def test_scanner_and_design_files_round_trip(tmp_path):
@@ -254,7 +275,7 @@ def test_cli_optimize(tmp_path):
     payload = json.loads(out.read_text())
     for key in ("alpha", "gamma", "beta", "delta", "nx", "ny", "fx_tone_freqs",
                 "fy_tone_freqs", "final_loss", "iterations", "converged",
-                "roi_density", "roi_density_reference", "seed", "scanner"):
+                "roi_density", "roi_density_reference", "scanner"):
         assert key in payload
     assert payload["nx"] == [26, 28, 30]
     assert len(trace.read_text().splitlines()) == payload["iterations"] + 2
@@ -418,6 +439,21 @@ def test_import_pattern_reports_a_missing_field(tmp_path):
         import_pattern(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t", [True, 1.0]), ("x", [0.0, True]), ("y", [False, 1.0]), ("frame_len", True),
+    ("frames", True), ("frames", 1.9),      # were read as 1.0 and truncated to 1
+    ("x", 0.5), ("y", [[0.0], [1.0]]),
+])
+def test_import_pattern_rejects_a_malformed_field(field, value, tmp_path):
+    record = {"t": [0.0, 1.0], "x": [0.0, 1.0], "y": [0.0, 1.0], "frame_len": 2.0, "frames": 1}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(record))
+    assert import_pattern(path).frames == 1
+    path.write_text(json.dumps(dict(record, **{field: value})))
+    with pytest.raises(DomainError, match="malformed pattern record"):
+        import_pattern(path)
+
+
 def test_json_reader_rejects_non_finite_numbers(tmp_path):
     path = tmp_path / "s.json"
     for text in ('{"fx_res": NaN}', '{"fx_res": Infinity}', '{"fx_res": -Infinity}',
@@ -523,6 +559,17 @@ _MALFORMED_CASES = [
     ("--init", ("nx",), [26, 28.5, 30], "InvalidParams"),
     ("--init", ("alpha",), [False, True, False], "InvalidParams"),
     ("--init", ("scanner", "qx"), True, "ConfigError"),         # nested scanner record
+    ("--scenario", ("frame_time",), True, "DomainError"),
+    ("--scenario", ("f_drive",), True, "DomainError"),
+    ("--scenario", ("measurement_noise_deg",), False, "DomainError"),
+    ("--scenario", ("drift",), {"type": "linear", "rate_per_s": True}, "DomainError"),
+    ("--scenario", ("drift",), {"type": "linear_total", "total_offset": True}, "DomainError"),
+    ("--scenario", ("drift",), {"type": "linear_total"}, "DomainError"),
+    ("--scenario", ("drift", "target_deg"), False, "DomainError"),
+    ("--samples", ("x",), [True, 0.5, 0.5], "DomainError"),
+    ("--samples", ("xq",), [0.1, False, 0.2], "DomainError"),
+    ("--samples", ("omegas",), [True, 6.3, 6.7], "DomainError"),
+    ("--samples", ("frame_time",), True, "DomainError"),
 ]
 
 
@@ -536,6 +583,18 @@ def test_cli_malformed_json_input_is_one_error_line(flag, field, value, kind, tm
         path.write_text(json.dumps(value))
     assert cli_dispatch(_cli_argv(flag, str(path), tmp_path, files)) == 1
     _assert_one_error(capsys, kind)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "7,x"), ("--m", ","), ("--r-step", "0"), ("--r-step", "-0.05"), ("--r-max", "1.4"),
+])
+def test_cli_sweep_rejects_a_bad_grid(flag, value, tmp_path, capsys):
+    argv = ["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05", "--m", "7",
+            "--out", str(tmp_path / "sweep.csv")]
+    argv[argv.index(flag) + 1] = value
+    assert cli_dispatch(argv) == 1
+    _assert_one_error(capsys, "DomainError")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])

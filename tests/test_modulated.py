@@ -16,7 +16,7 @@ from lissscan import (ROI_A, ROI_B, Assignment, ModulatedParams, OptimizeOptions
                       positive_region_density, project_absolute, project_rms,
                       reference_pattern, roi_density, sample_unmodulated, synthesize_modulated,
                       transfer_amplitude)
-from lissscan.errors import DomainError, InvalidParams
+from lissscan.errors import DomainError, InvalidParams, OptimizationFailed
 
 F = Fraction
 
@@ -76,10 +76,6 @@ def test_initial_params_layout():
     single = initial_params(2, m=7, n_tones=3, y_single_tone=True)
     assert single.ny == (14,)
     np.testing.assert_allclose(single.fy_tones, [1.0])
-    with pytest.raises(InvalidParams):
-        initial_params(2, amplitude=0.0)
-    with pytest.raises(InvalidParams):
-        initial_params(2, amplitude=1.5)
 
 
 def test_tone_frequencies_sit_on_the_grid():
@@ -134,6 +130,7 @@ def test_params_dict_round_trip():
     ("L", 1e308),                       # L * m overflows the float tone grid
     ("L", 2.5), ("m", True), ("nx", [13, 14.5, 15]), ("ny", [True, 14, 15]),
     ("alpha", [0.1, False, 0.0]),       # booleans and fractions used to pass as numbers
+    ("beta", [0.1, 0.0]), ("delta", [0.0]),   # y coefficients against three ny tones
 ])
 def test_params_record_with_a_malformed_field_is_invalid_params(field, value):
     record = initial_params(F(2), n_tones=3).to_dict()
@@ -497,3 +494,27 @@ def test_optimize_input_validation():
         optimize(init, WeightMap.uniform(8), OptimizeOptions(constraint="clip"))
     with pytest.raises(DomainError):
         optimize(init, WeightMap.uniform(8), OptimizeOptions(threshold=-0.2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("weight", [1e308, 1e307])
+def test_optimize_fails_with_its_trace_when_the_loss_overflows(weight):
+    # 1e308: the very first loss overflows; 1e307: the first step's does
+    with pytest.raises(OptimizationFailed, match="non-finite") as err:
+        optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), weight)))
+    trace = err.value.trace
+    assert not math.isfinite(trace[-1]) and np.all(np.isfinite(trace[:-1]))
+
+
+def test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite(monkeypatch):
+    def nan_gradient(*args):
+        grad = gradient_fixed(*args)
+        grad.alpha = grad.alpha * math.nan
+        return grad
+    gradient_fixed = modulated._gradient_fixed
+    monkeypatch.setattr(modulated, "_gradient_fixed", nan_gradient)
+    init = initial_params(2, n_tones=3)
+    wmap = WeightMap.from_rectangles([ROI_B], 16)
+    with pytest.raises(OptimizationFailed, match="gradient became non-finite") as err:
+        optimize(init, wmap, OptimizeOptions(max_iters=3))
+    assert err.value.trace.tolist() == [objective(synthesize_modulated(init), wmap, 1 / 16)[0]]

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from lissscan import (DriftScenario, MultitoneState, QuadraturePair,
                       ScannerConfig, plant_phase_lag, quadrature_phase,
                       resonance_offset_for_phase_shift, simulate_drift_control,
-                      solve_multitone, synthesize_quadrature, wrap_phase)
+                      solve_multitone, synthesize_quadrature, transfer_amplitude,
+                      wrap_phase)
 from lissscan.errors import DomainError, IllConditioned, UndefinedPhase
 from lissscan.phase import MAX_FRAMES
 
@@ -43,6 +44,8 @@ def test_multitone_state_validation():
         MultitoneState(omegas=(1.0, 1.0, 2.0), amps=(1, 1, 1), phases=(0, 0, 0))
     with pytest.raises(DomainError):
         MultitoneState(omegas=(1.0, 2.0, 3.0), amps=(1, -1, 1), phases=(0, 0, 0))
+    with pytest.raises(DomainError, match="exactly three tones"):
+        MultitoneState(omegas=(1.0, 2.0), amps=(1, 1), phases=(0, 0))
     state = MultitoneState(omegas=(1.0, 2.0, 3.0), amps=(1, 1, 1),
                            phases=(0.0, 3 * math.pi, -math.pi))
     assert state.phases[1] == pytest.approx(math.pi)
@@ -268,3 +271,16 @@ def test_solve_multitone_rejects_a_non_finite_frame_time(value):
         warnings.simplefilter("error")             # a CLI would print a warning on stderr
         with pytest.raises(DomainError, match="frame_time"):
             solve_multitone(x, xq, OMEGAS, value)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=-6.4), "frame_time", -6.4),
+    (lambda: simulate_drift_control(DriftScenario(lambda t: 0.0 * t, 6.4), CFG2, "x", 0.0, 64.0),
+     "drive frequency", 0.0),
+    (lambda: solve_multitone([1, 0, 0], [0, 1, 0], OMEGAS, math.nan), "frame_time", math.nan),
+    (lambda: transfer_amplitude(CFG2, "y", -math.inf), "drive frequency", -math.inf),
+], ids=["scenario", "drift-simulation", "multitone", "transfer-amplitude"])
+def test_positive_finite_checks_share_one_message(call, name, value):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"{name} must be positive and finite, got {value}"
