@@ -507,11 +507,12 @@ def test_optimize_fails_with_its_trace_when_the_loss_overflows(weight):
 
 
 def test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite(monkeypatch):
+    gradient_fixed = modulated._gradient_fixed
+
     def nan_gradient(*args):
         grad = gradient_fixed(*args)
         grad.alpha = grad.alpha * math.nan
         return grad
-    gradient_fixed = modulated._gradient_fixed
     monkeypatch.setattr(modulated, "_gradient_fixed", nan_gradient)
     init = initial_params(2, n_tones=3)
     wmap = WeightMap.from_rectangles([ROI_B], 16)
