@@ -11,7 +11,7 @@ from .coverage import (CoverageReport, SampledPattern, SweepRow, fill_factor,
                        scanning_range, sweep_designs, sweep_workers_from_env)
 from .design import (DesignCase, PeriodReport, UnmodulatedDesign, as_fraction,
                      baseline_repeating_design, case1_criterion,
-                     design_unmodulated, format_rational, repeat_period)
+                     design_unmodulated, repeat_period)
 from .errors import (ConfigError, DegeneratePattern, DomainError,
                      IllConditioned, InvalidParams, LissscanError,
                      NoFeasibleDesign, OptimizationFailed, UndefinedPhase,
@@ -44,7 +44,7 @@ __all__ = [
     "SweepRow", "UndefinedPhase", "UnmodulatedDesign", "WeightMap",
     "WeightMapError", "as_fraction", "baseline_repeating_design",
     "case1_criterion", "default_tone_indices", "design_unmodulated",
-    "export_pattern", "fill_factor", "format_rational", "gradient",
+    "export_pattern", "fill_factor", "gradient",
     "import_pattern", "initial_params", "load_design", "load_scanner",
     "load_weight_map", "objective", "optimize", "peak_frequency",
     "phase_tolerance_sweep", "plant_phase_lag", "polar_coefficients",

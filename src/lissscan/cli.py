@@ -18,7 +18,7 @@ from .coverage import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, fill_factor,
                        sweep_workers_from_env)
 from .design import (as_fraction, baseline_repeating_design, design_unmodulated,
                      repeat_period)
-from .errors import DomainError, InvalidParams, LissscanError, field_message, record_value
+from .errors import DomainError, InvalidParams, LissscanError, record_errors, record_value
 from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
                         optimize, positive_region_density, reference_pattern,
                         synthesize_modulated)
@@ -150,7 +150,7 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
     scanner = lio.load_scanner(args.scanner)
     spec = lio.read_json(args.scenario, DomainError)
     axis = spec.get("axis", "x")
-    try:
+    with record_errors(f"scenario {args.scenario}", DomainError):
         f_res, q = scanner.axis(axis)
         f_drive = record_value(spec.get("f_drive", f_res), "f_drive")
         scenario = DriftScenario(
@@ -159,8 +159,6 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
             control_enabled=spec.get("control_enabled", True),
             measurement_noise_deg=record_value(spec.get("measurement_noise_deg", 0.0),
                                                "measurement_noise_deg"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(field_message(f"scenario {args.scenario}", exc)) from exc
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
     lio.write_csv(args.out, ["t", "phase_error_deg", "corrected"],
@@ -171,11 +169,9 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
 
 def cmd_phase_solve(args: argparse.Namespace) -> int:
     data = lio.read_json(args.samples, DomainError)
-    try:
+    with record_errors(f"samples {args.samples}", DomainError):
         x, xq, omegas = ([record_value(v, key) for v in data[key]] for key in ("x", "xq", "omegas"))
         frame_time = record_value(data["frame_time"], "frame_time")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(field_message(f"samples {args.samples}", exc)) from exc
     state = solve_multitone(x, xq, omegas, frame_time)
     payload = {"omegas": list(state.omegas), "amplitudes": list(state.amps),
                "phases_rad": list(state.phases)}

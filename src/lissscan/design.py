@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, NoFeasibleDesign, field_message, record_value
+from .errors import DomainError, NoFeasibleDesign, record_errors, record_value
 
 # Beyond half a unit of resonance ratio the off-resonance attenuation makes
 # any design useless, so the search gives up there.
@@ -33,6 +33,23 @@ class DesignCase(str, Enum):
     BASELINE = "Baseline"  # every-frame repeating comparison rule
 
 
+# case -> (c, g, quarter): fx = k/(c*m) with gcd(k, c*m) = g, and
+# phix = pi/(2m) when quarter, else 0
+_CASES = {
+    DesignCase.CASE1: (4, 1, False),
+    DesignCase.CASE2: (4, 2, False),
+    DesignCase.CASE3: (4, 4, True),
+    DesignCase.BASELINE: (1, 1, True),
+}
+_PROPOSED_BY_GCD = {g: case for case, (c, g, _) in _CASES.items() if c == 4}
+
+
+def _prescribed(case: DesignCase, k: int, m: int) -> tuple[Fraction, float]:
+    """The (fx, phix) that case prescribes for k and m."""
+    c, _, quarter = _CASES[case]
+    return Fraction(k, c * m), math.pi / (2 * m) if quarter else 0.0
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '41/28' or '1.5', floats and Fractions."""
     try:
@@ -41,10 +58,6 @@ def as_fraction(value) -> Fraction:
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"expected a rational number in float range, got {value!r}") from exc
     return frac
-
-
-def format_rational(value: Fraction) -> str:
-    return str(as_fraction(value))
 
 
 def _validate_m(m: int) -> None:
@@ -81,36 +94,21 @@ class UnmodulatedDesign:
             self._check_case()
 
     def _check_case(self) -> None:
-        m, k = self.m, self.k
-        if self.case is DesignCase.BASELINE:
-            ok = math.gcd(k, m) == 1 and self.fx == Fraction(k, m) and self.phix == math.pi / (2 * m)
-        else:
-            g = math.gcd(k, 4 * m)
-            ok = self.fx == Fraction(k, 4 * m)
-            if self.case is DesignCase.CASE1:
-                ok = ok and g == 1 and self.phix == 0.0
-            elif self.case is DesignCase.CASE2:
-                ok = ok and g == 2 and self.phix == 0.0
-            else:
-                ok = ok and g == 4 and self.phix == math.pi / (2 * m)
-        if not ok:
+        c, g, _ = _CASES[self.case]
+        if (math.gcd(self.k, c * self.m) != g
+                or (self.fx, self.phix) != _prescribed(self.case, self.k, self.m)):
             raise DomainError(f"design fields inconsistent with {self.case.value}")
 
     def to_dict(self) -> dict:
         return {
-            "fx": format_rational(self.fx),
-            "fy": format_rational(self.fy),
-            "phix": self.phix,
-            "phiy": self.phiy,
-            "m": self.m,
-            "case": None if self.case is None else self.case.value,
-            "k": self.k,
-            "note": self.note,
+            "fx": str(self.fx), "fy": str(self.fy), "phix": self.phix, "phiy": self.phiy,
+            "m": self.m, "case": None if self.case is None else self.case.value,
+            "k": self.k, "note": self.note,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnmodulatedDesign":
-        try:
+        with record_errors("design record", DomainError):
             case = data.get("case")
             return cls(
                 fx=record_value(data["fx"], "fx", as_fraction),
@@ -122,8 +120,6 @@ class UnmodulatedDesign:
                 k=None if data.get("k") is None else record_value(data["k"], "k", int),
                 note=data.get("note"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(field_message("design record", exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -197,17 +193,9 @@ def design_unmodulated(r, m: int, *, search_cap: Fraction = SEARCH_CAP) -> Unmod
         if not k_min <= group[0] <= k_max:
             break
         for k in group:     # k = 2 always qualifies (gcd 2), so no k < 1 is reached
-            g = math.gcd(k, denom)
-            if g == 1:
-                if case1_criterion(k, m):
-                    return UnmodulatedDesign(fx=Fraction(k, denom), phix=0.0, m=m,
-                                             case=DesignCase.CASE1, k=k, note=note)
-            elif g == 2:
-                return UnmodulatedDesign(fx=Fraction(k, denom), phix=0.0, m=m,
-                                         case=DesignCase.CASE2, k=k, note=note)
-            elif g == 4:
-                return UnmodulatedDesign(fx=Fraction(k, denom), phix=math.pi / (2 * m), m=m,
-                                         case=DesignCase.CASE3, k=k, note=note)
+            case = _PROPOSED_BY_GCD.get(math.gcd(k, denom))
+            if case is not None and (case is not DesignCase.CASE1 or case1_criterion(k, m)):
+                return UnmodulatedDesign(*_prescribed(case, k, m), m, case=case, k=k, note=note)
     raise NoFeasibleDesign(
         f"no acceptable tone with |k/(4m) - r| <= {search_cap} for r = {float(r)}, m = {m}"
     )
@@ -225,32 +213,11 @@ def baseline_repeating_design(r, m: int) -> UnmodulatedDesign:
     _validate_m(m)
     if r <= 0:
         raise DomainError(f"resonance ratio must be positive, got {float(r)}")
-    for group in _tie_groups(r * m):
-        for k in sorted(group, key=lambda k: (k % 2 == 0, k)):
-            if k >= 1 and math.gcd(k, m) == 1:
-                return UnmodulatedDesign(fx=Fraction(k, m), phix=math.pi / (2 * m), m=m,
-                                         case=DesignCase.BASELINE, k=k)
-    raise NoFeasibleDesign("unreachable: k = 1 is coprime with every m")  # pragma: no cover
-
-
-def _has_reflection(fx: Fraction, fy: Fraction, phix: float, phiy: float, period: Fraction) -> bool:
-    """Is there an instant where both instantaneous phases are multiples of pi?
-
-    At such an instant the trajectory runs into its own time reversal, so the
-    second half of every signal period retraces the first half's points.
-    """
-    # Zeros of sin(2*pi*fy*t + phiy) lie at t_n = (n - phiy/pi) / (2*fy).
-    count = 2 * fy * period
-    assert count.denominator == 1
-    phiy_pi = phiy / math.pi
-    phix_pi = phix / math.pi
-    ratio = float(fx / fy)
-    n0 = math.ceil(phiy_pi - 1e-12)
-    for n in range(n0, n0 + int(count)):
-        value = ratio * (n - phiy_pi) + phix_pi  # x phase / pi at the y zero
-        if abs(value - round(value)) < 1e-9:
-            return True
-    return False
+    k = next(k for group in _tie_groups(r * m)      # k = 1 is coprime with every m
+             for k in sorted(group, key=lambda k: (k % 2 == 0, k))
+             if k >= 1 and math.gcd(k, m) == 1)
+    return UnmodulatedDesign(*_prescribed(DesignCase.BASELINE, k, m), m,
+                             case=DesignCase.BASELINE, k=k)
 
 
 def repeat_period(fx, fy, phix: float = 0.0, phiy: float = 0.0) -> PeriodReport:
@@ -260,6 +227,9 @@ def repeat_period(fx, fy, phix: float = 0.0, phiy: float = 0.0) -> PeriodReport:
     The point set halves its period whenever some instant has both
     instantaneous phases at a multiple of pi (for example phix = phiy = 0 at
     t = 0): cosine symmetry then folds the second half-period onto the first.
+    With fx/fy = p/q in lowest terms, x phase / pi at the n-th y zero is
+    (p*n - p*phiy/pi + q*phix/pi) / q and p*n meets every residue mod q, so
+    that instant exists iff q*phix/pi - p*phiy/pi is an integer (to q*1e-9).
     """
     fx = as_fraction(fx)
     fy = as_fraction(fy)
@@ -267,6 +237,8 @@ def repeat_period(fx, fy, phix: float = 0.0, phiy: float = 0.0) -> PeriodReport:
         raise DomainError("tone frequencies must be positive")
     signal = Fraction(math.lcm(fx.denominator, fy.denominator),
                       math.gcd(fx.numerator, fy.numerator))
-    if _has_reflection(fx, fy, float(phix), float(phiy), signal):
+    p, q = (fx / fy).as_integer_ratio()
+    offset = q * (float(phix) / math.pi) - p * (float(phiy) / math.pi)
+    if abs(offset - round(offset)) < q * 1e-9:
         return PeriodReport(signal, signal / 2)
     return PeriodReport(signal, signal)

@@ -1,6 +1,7 @@
 """Exception types, and the value checks, shared across the toolkit."""
 
 import math
+from contextlib import contextmanager
 
 
 class LissscanError(Exception):
@@ -47,11 +48,15 @@ class WeightMapError(LissscanError):
     """Weight-map file could not be ingested."""
 
 
-def field_message(record: str, exc: Exception) -> str:
-    """Message for a record whose field is missing (KeyError) or malformed."""
-    if isinstance(exc, KeyError):
-        return f"{record} missing field {exc}"
-    return f"malformed {record}: {exc}"
+@contextmanager
+def record_errors(record: str, error: type[LissscanError]):
+    """Re-raise a missing (KeyError) or malformed field read inside as error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{record} missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(f"malformed {record}: {exc}") from exc
 
 
 def record_value(value, name: str, convert=float):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coverage import SampledPattern
 from .design import UnmodulatedDesign
-from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, field_message,
+from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, record_errors,
                      record_value)
 from .modulated import WeightMap
 from .scanner import ScannerConfig
@@ -200,13 +200,11 @@ def import_pattern(path) -> SampledPattern:
         span = (t[-1] - t[0]) + (t[1] - t[0])
         return SampledPattern(t=t, x=rows[:, 1], y=rows[:, 2], frame_len=span, frames=1)
     data = read_json(path, DomainError)
-    try:
+    with record_errors(f"pattern record {path}", DomainError):
         t, x, y = ([record_value(v, key) for v in data[key]] for key in ("t", "x", "y"))
         return SampledPattern(t=t, x=x, y=y,
                               frame_len=record_value(data["frame_len"], "frame_len"),
                               frames=record_value(data["frames"], "frames", int))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(field_message(f"pattern record {path}", exc)) from exc
 
 
 # ------------------------------------------------------- configs and designs

@@ -25,8 +25,7 @@ import numpy as np
 
 from .coverage import SampledPattern, _patch_centers, sample_unmodulated
 from .design import as_fraction, design_unmodulated
-from .errors import (DomainError, InvalidParams, OptimizationFailed, field_message,
-                     record_value)
+from .errors import DomainError, InvalidParams, OptimizationFailed, record_errors, record_value
 from .scanner import ScannerConfig, transfer_amplitude
 
 FEASIBILITY_SLACK = 1e-9
@@ -169,7 +168,7 @@ class ModulatedParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModulatedParams":
-        try:
+        with record_errors("params record", InvalidParams):
             coefficients = {name: [record_value(v, name) for v in data[name]]
                             for name in _COEFFICIENTS}
             return cls(**coefficients,
@@ -177,8 +176,6 @@ class ModulatedParams:
                        ny=tuple(record_value(n, "ny", int) for n in data["ny"]),
                        L=record_value(data["L"], "L", int), m=record_value(data["m"], "m", int),
                        config=ScannerConfig.from_dict(data["scanner"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParams(field_message("params record", exc)) from exc
 
 
 def polar_coefficients(amplitudes, phases_rad) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, field_message, positive_finite, record_value
+from .errors import ConfigError, DomainError, positive_finite, record_errors, record_value
 
 AXES = ("x", "y")
 
@@ -58,13 +58,11 @@ class ScannerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScannerConfig":
-        try:
+        with record_errors("scanner config", ConfigError):
             return cls(fx_res=record_value(data["fx_res"], "fx_res"),
                        fy_res=record_value(data.get("fy_res", 1.0), "fy_res"),
                        qx=record_value(data.get("qx", 20.0), "qx"),
                        qy=record_value(data.get("qy", 20.0), "qy"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(field_message("scanner config", exc)) from exc
 
 
 def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:

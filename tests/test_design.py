@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from lissscan import (DesignCase, ScannerConfig, UnmodulatedDesign,
@@ -157,6 +157,37 @@ def test_periods_pinned(fx, phix, signal, coverage):
     assert (report.signal_period, report.coverage_period) == (signal, coverage)
 
 
+def _oracle_coverage_period(fx, fy, cx, cy, signal):
+    """Brute force over every y zero of one signal period, with the phases
+    given exactly as multiples of pi (phix = cx*pi, phiy = cy*pi): the point
+    set halves its period iff the x phase is a multiple of pi at one of them."""
+    # sin(2*pi*fy*t + cy*pi) = 0 at t_n = (n - cy) / (2*fy)
+    first = math.ceil(cy)
+    for n in range(first, first + int(2 * fy * signal)):
+        x_phase = 2 * fx * (n - cy) / (2 * fy) + cx
+        if x_phase.denominator == 1:
+            return signal / 2
+    return signal
+
+
+_PHASES = st.fractions(-2, 2, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=st.fractions(F(1, 20), 3, max_denominator=20),
+       fy=st.fractions(F(1, 20), 3, max_denominator=20), cx=_PHASES, cy=_PHASES)
+@example(fx=F(3, 2), fy=F(2, 3), cx=F(1, 4), cy=F(1, 3))    # retraces with fy != 1, phiy != 0
+@example(fx=F(3, 2), fy=F(2, 3), cx=F(1, 4), cy=F(1, 2))    # does not
+def test_coverage_period_matches_a_walk_over_the_y_zeros(fx, fy, cx, cy):
+    assume(fx > 0 and fy > 0)
+    report = repeat_period(fx, fy, float(cx) * math.pi, float(cy) * math.pi)
+    signal = report.signal_period
+    cycles_x, cycles_y = fx * signal, fy * signal    # whole, coprime cycle counts
+    assert cycles_x.denominator == cycles_y.denominator == 1
+    assert math.gcd(cycles_x.numerator, cycles_y.numerator) == 1
+    assert report.coverage_period == _oracle_coverage_period(fx, fy, cx, cy, signal)
+
+
 def test_period_validation():
     with pytest.raises(DomainError):
         repeat_period(F(0), 1)
@@ -200,6 +231,19 @@ def test_design_record_rejects_values_a_float_pattern_cannot_hold(field, value):
     record[field] = value
     with pytest.raises(DomainError):
         UnmodulatedDesign.from_dict(record)
+
+
+@pytest.mark.parametrize("design", [
+    design_unmodulated(F(3, 2), 7), design_unmodulated(F(13, 10), 8),
+    design_unmodulated(F(13, 10), 7), baseline_repeating_design(F(3, 2), 7),
+], ids=["Case1", "Case2", "Case3", "Baseline"])
+def test_a_design_record_must_match_its_case(design):
+    record = design.to_dict()
+    assert UnmodulatedDesign.from_dict(record) == design
+    other_phase = math.pi / (2 * design.m) if design.phix == 0.0 else 0.0
+    for field, value in (("phix", other_phase), ("k", design.k + 1), ("fx", "1/2")):
+        with pytest.raises(DomainError, match=f"inconsistent with {design.case.value}"):
+            UnmodulatedDesign.from_dict(dict(record, **{field: value}))
 
 
 def test_design_record_consistency_checks():
