@@ -95,6 +95,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     lio.check_out_paths(args.out, args.trace)
+    opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
+                           threshold=args.threshold, n_samples=args.n_samples,
+                           constraint=args.constraint)
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
     r = Fraction(scanner.fx_res) / Fraction(scanner.fy_res)
@@ -102,9 +105,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                           qx=scanner.qx, qy=scanner.qy,
                           y_single_tone=args.y_single_tone)
     init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams)) if args.init else cold
-    opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
-                           threshold=args.threshold, n_samples=args.n_samples,
-                           constraint=args.constraint)
     result = optimize(init, wmap, opts)
     optimized = synthesize_modulated(result.params, args.n_samples)
     reference = reference_pattern(r, m=args.m, config=scanner,

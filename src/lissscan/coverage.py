@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import (UnmodulatedDesign, as_fraction, baseline_repeating_design,
                      design_unmodulated)
-from .errors import DegeneratePattern, DomainError, LissscanError
+from .errors import DegeneratePattern, DomainError, LissscanError, record_errors, record_value
 from .scanner import ScannerConfig, transfer_amplitude
 
 N_SAMPLES_DEFAULT = 1000   # per frame
@@ -50,16 +50,24 @@ class SampledPattern:
         steps = np.diff(self.t)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise DomainError("timestamps must be strictly increasing and uniform")
-        self.frame_len = float(self.frame_len)
-        self.frames = int(self.frames)
-        if self.frame_len <= 0 or self.frames < 1:
-            raise DomainError("frame_len must be positive and frames >= 1")
+        with record_errors("pattern record", DomainError):
+            self.frame_len = record_value(self.frame_len, "frame_len")
+            self.frames = record_value(self.frames, "frames", int)
+        if not 0.0 < self.frame_len < np.inf or self.frames < 1:
+            raise DomainError("frame_len must be positive and finite, and frames >= 1")
 
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """r_max, the largest empty circle's radius, and fill_factor = 2 - r_max."""
+
     fill_factor: float
     r_max: float
+
+
+def _response(config: ScannerConfig, axis: str, f) -> float:
+    """Amplitude response at a design frequency f, in units of the y resonance."""
+    return transfer_amplitude(config, axis, float(f) * config.fy_res)
 
 
 def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
@@ -73,8 +81,8 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
-    ax = transfer_amplitude(config, "x", float(design.fx)) if amp_x is None else float(amp_x)
-    ay = transfer_amplitude(config, "y", float(design.fy)) if amp_y is None else float(amp_y)
+    ax = _response(config, "x", design.fx) if amp_x is None else float(amp_x)
+    ay = _response(config, "y", design.fy) if amp_y is None else float(amp_y)
     m = design.m
     t = frame_index * m + np.arange(n_samples) * (m / n_samples)
     x = ax * np.cos(2.0 * np.pi * float(design.fx) * t + design.phix)
@@ -124,12 +132,13 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
 
 def scanning_range(design: UnmodulatedDesign, config: ScannerConfig) -> float:
     """Product of the amplitude responses at the two drive tones."""
-    return (transfer_amplitude(config, "x", float(design.fx))
-            * transfer_amplitude(config, "y", float(design.fy)))
+    return _response(config, "x", design.fx) * _response(config, "y", design.fy)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (r, m, rule) cell of sweep_designs; an errored cell has no numbers."""
+
     r: Fraction
     m: int
     rule: str                  # "proposed" | "baseline"

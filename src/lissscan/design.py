@@ -27,6 +27,8 @@ R_MIN, R_MAX = Fraction(1), Fraction(3)
 
 
 class DesignCase(str, Enum):
+    """The selection-rule class a design came from."""
+
     CASE1 = "Case1"        # point set closes after two frames, phase 0
     CASE2 = "Case2"        # closes after one frame, phase 0
     CASE3 = "Case3"        # closes after one frame, quarter-gap phase pi/(2m)
@@ -124,6 +126,8 @@ class UnmodulatedDesign:
 
 @dataclass(frozen=True)
 class PeriodReport:
+    """Signal and coverage periods of a two-tone pattern (see repeat_period)."""
+
     signal_period: Fraction    # both tones complete whole cycles
     coverage_period: Fraction  # traced point set repeats (possibly half of the above)
 

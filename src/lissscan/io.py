@@ -202,24 +202,26 @@ def import_pattern(path) -> SampledPattern:
     data = read_json(path, DomainError)
     with record_errors(f"pattern record {path}", DomainError):
         t, x, y = ([record_value(v, key) for v in data[key]] for key in ("t", "x", "y"))
-        return SampledPattern(t=t, x=x, y=y,
-                              frame_len=record_value(data["frame_len"], "frame_len"),
-                              frames=record_value(data["frames"], "frames", int))
+        return SampledPattern(t=t, x=x, y=y, frame_len=data["frame_len"], frames=data["frames"])
 
 
 # ------------------------------------------------------- configs and designs
 
 def load_scanner(path) -> ScannerConfig:
+    """Scanner config from a JSON file (see docs/formats.md); ConfigError if malformed."""
     return ScannerConfig.from_dict(read_json(path, ConfigError))
 
 
 def save_scanner(config: ScannerConfig, path) -> Path:
+    """Write a scanner config as JSON; returns the path written."""
     return write_text(path, json_text(config.to_dict()))
 
 
 def load_design(path) -> UnmodulatedDesign:
+    """Design record from a JSON file (see docs/formats.md); DomainError if malformed."""
     return UnmodulatedDesign.from_dict(read_json(path, DomainError))
 
 
 def save_design(design: UnmodulatedDesign, path) -> Path:
+    """Write a design record as JSON; returns the path written."""
     return write_text(path, json_text(design.to_dict()))

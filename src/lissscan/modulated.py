@@ -23,10 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coverage import SampledPattern, _patch_centers, sample_unmodulated
+from .coverage import SampledPattern, _patch_centers, _response, sample_unmodulated
 from .design import as_fraction, design_unmodulated
-from .errors import DomainError, InvalidParams, OptimizationFailed, record_errors, record_value
-from .scanner import ScannerConfig, transfer_amplitude
+from .errors import (DomainError, InvalidParams, OptimizationFailed, positive_finite,
+                     record_errors, record_value)
+from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
@@ -84,8 +85,9 @@ _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
-    """Root of one axis's summed squared coefficients."""
-    return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
+    """Root of one axis's summed squared coefficients; inf, with no warning, on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
 
 
 def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
@@ -231,8 +233,8 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
 
 def _bases(params: ModulatedParams, t: np.ndarray):
     """Plant-weighted cosine/sine basis matrices, shape (len(t), tones)."""
-    hx = np.array([transfer_amplitude(params.config, "x", f) for f in params.fx_tones])
-    hy = np.array([transfer_amplitude(params.config, "y", f) for f in params.fy_tones])
+    hx = np.array([_response(params.config, "x", f) for f in params.fx_tones])
+    hy = np.array([_response(params.config, "y", f) for f in params.fy_tones])
     ax = 2.0 * np.pi * np.outer(t, params.fx_tones)
     ay = 2.0 * np.pi * np.outer(t, params.fy_tones)
     return np.cos(ax) * hx, np.sin(ax) * hx, np.cos(ay) * hy, np.sin(ay) * hy
@@ -307,6 +309,8 @@ def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, asg: Assignment) 
 
 @dataclass(eq=False)
 class ModulatedGradient:
+    """Objective gradient with respect to each coefficient array."""
+
     alpha: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
@@ -373,6 +377,8 @@ _PROJECTIONS = {"rms": project_rms, "absolute": project_absolute}
 
 @dataclass
 class OptimizeOptions:
+    """Settings of optimize, checked on construction (DomainError)."""
+
     max_iters: int = 200
     step: float = 0.05
     threshold: float | None = None   # None: half a patch side, 1/M
@@ -380,9 +386,24 @@ class OptimizeOptions:
     constraint: str = "rms"          # "rms" | "absolute"
     patience: int = 10
 
+    def __post_init__(self) -> None:
+        positive_finite(self.step, "step")
+        if self.n_samples < 2:
+            raise DomainError(f"n_samples must be at least 2, got {self.n_samples}")
+        if self.threshold is not None and not 0.0 <= self.threshold < math.inf:
+            raise DomainError(f"threshold must be finite and non-negative, got {self.threshold}")
+        if self.max_iters < 0 or self.patience < 1:
+            raise DomainError(f"need max_iters >= 0 and patience >= 1, got {self.max_iters} "
+                              f"and {self.patience}")
+        if self.constraint not in _PROJECTIONS:
+            raise DomainError(f"constraint must be one of {sorted(_PROJECTIONS)}, "
+                              f"got {self.constraint!r}")
+
 
 @dataclass(eq=False)
 class OptimizeResult:
+    """Best-seen iterate of optimize, with its loss and per-iterate traces."""
+
     params: ModulatedParams          # best-seen iterate
     loss: float
     loss_trace: np.ndarray           # true loss per iterate, index 0 = init
@@ -397,6 +418,7 @@ def _constraint_norm(alpha, gamma, beta, delta, constraint: str) -> float:
     return max(float(np.hypot(alpha, gamma).sum()), float(np.hypot(beta, delta).sum()))
 
 
+@np.errstate(over="ignore")    # an overflowing loss or gradient raises OptimizationFailed
 def optimize(init: ModulatedParams, wmap: WeightMap,
              opts: OptimizeOptions | None = None) -> OptimizeResult:
     """Projected gradient descent on the weighted-coverage objective.
@@ -408,13 +430,9 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     or its gradient is not finite.
     """
     opts = opts or OptimizeOptions()
-    if opts.constraint not in _PROJECTIONS:
-        raise DomainError(f"constraint must be one of {sorted(_PROJECTIONS)}, got {opts.constraint!r}")
     if not np.any(wmap.w > 0):
         raise InvalidParams("weight map has no positive entries")
     threshold = (1.0 / wmap.size) if opts.threshold is None else float(opts.threshold)
-    if threshold < 0:
-        raise DomainError(f"threshold must be non-negative, got {threshold}")
     project = _PROJECTIONS[opts.constraint]
 
     t = np.arange(opts.n_samples) * (init.m / opts.n_samples)

@@ -60,6 +60,9 @@ def test_sampled_pattern_validation():
         SampledPattern(t=t, x=np.zeros(10), y=np.zeros(10), frame_len=-1.0)
     with pytest.raises(DomainError, match="one-dimensional"):
         SampledPattern(t=t[None, :], x=np.zeros(10), y=np.zeros(10), frame_len=1.0)
+    for bookkeeping in ({"frame_len": True}, {"frames": 1.9}, {"frame_len": math.nan}):
+        with pytest.raises(DomainError, match="frame"):    # were read as 1.0, 1 and nan
+            SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1], **{"frame_len": 1.0, **bookkeeping})
     with pytest.raises(DomainError):
         sample_unmodulated(P2, CFG, 0, 1)
 

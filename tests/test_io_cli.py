@@ -225,6 +225,21 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_every_exported_class_and_function_has_its_own_docstring():
+    import dataclasses
+    import lissscan
+    missing = []
+    for name in lissscan.__all__:
+        obj = getattr(lissscan, name)
+        if not callable(obj):           # ROI_A, ROI_B are plain tuples
+            continue
+        doc = obj.__dict__.get("__doc__") if isinstance(obj, type) else obj.__doc__
+        generated = dataclasses.is_dataclass(obj) and (doc or "").startswith(f"{name}(")
+        if not (doc or "").strip() or generated:
+            missing.append(name)
+    assert missing == []
+
+
 def test_cli_module_runs_as_a_script(tmp_path):
     src = str(Path(__import__("lissscan").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -245,6 +260,42 @@ def test_cli_metrics(tmp_path, capsys):
     assert payload["fill_factor"] == pytest.approx(1.8765781196864306, rel=1e-12)
     assert payload["scanning_range"] == pytest.approx(0.7375084657374081, rel=1e-12)
     assert payload["r_max"] == pytest.approx(2.0 - payload["fill_factor"], rel=1e-12)
+
+
+def _hz_and_normalized_runs(tmp_path, capsys, argv, r):
+    """Payloads of one CLI run against a scanner in Hz (y resonance 1000)
+    and against the same scanner normalized to a unit y resonance."""
+    payloads = []
+    for name, record in (("hz.json", {"fx_res": 1000 * r, "fy_res": 1000}),
+                         ("unit.json", {"fx_res": r})):
+        (tmp_path / name).write_text(json.dumps(record))
+        out = tmp_path / f"out-{name}"
+        assert cli_dispatch(argv + ["--scanner", str(tmp_path / name), "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    assert capsys.readouterr().err == ""
+    return payloads
+
+
+def test_cli_metrics_reads_a_scanner_in_hz_like_a_normalized_one(tmp_path, capsys):
+    # the design record's frequencies are in units of the y resonance
+    design = tmp_path / "design.json"
+    assert cli_dispatch(["design", "--r", "1.465", "--m", "7", "--out", str(design)]) == 0
+    hz, unit = _hz_and_normalized_runs(tmp_path, capsys, ["metrics", "--design", str(design)],
+                                       1.465)
+    assert sorted(hz) == sorted(unit) == ["fill_factor", "r_max", "scanning_range"]
+    for key in hz:                      # the scanning range read 0.0025 in Hz
+        assert hz[key] == pytest.approx(unit[key], rel=1e-12, abs=0.0)
+
+
+def test_cli_optimize_reads_a_scanner_in_hz_like_a_normalized_one(tmp_path, capsys):
+    roi = Path(__file__).parent / "golden" / "inputs" / "roi_b.pgm"
+    argv = ["optimize", "--roi", str(roi), "--tones", "3", "--max-iters", "3",
+            "--n-samples", "200"]
+    hz, unit = _hz_and_normalized_runs(tmp_path, capsys, argv, 2.0)
+    assert unit["roi_density_reference"] > 0     # read 0 in Hz
+    for key in ("roi_density", "roi_density_reference", "iterations"):
+        assert hz[key] == unit[key]
+    assert hz["final_loss"] == pytest.approx(unit["final_loss"], rel=1e-12, abs=0.0)
 
 
 def test_cli_sweep_csv(tmp_path, monkeypatch):
@@ -595,6 +646,24 @@ def test_cli_sweep_rejects_a_bad_grid(flag, value, tmp_path, capsys):
     assert cli_dispatch(argv) == 1
     _assert_one_error(capsys, "DomainError")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-samples", "0"), ("--n-samples", "1"), ("--step", "-1"), ("--step", "nan"),
+    ("--threshold", "nan"), ("--max-iters", "-1"),
+])
+def test_cli_optimize_rejects_a_bad_option_before_the_descent(flag, value, tmp_path, capsys,
+                                                              monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+    monkeypatch.setattr("lissscan.cli.optimize", no_descent)
+    files, _ = _cli_inputs(tmp_path)
+    scanner, _, roi = map(str, files)
+    out = tmp_path / "params.json"
+    assert cli_dispatch(["optimize", "--scanner", scanner, "--roi", roi, flag, value,
+                         "--out", str(out)]) == 1
+    _assert_one_error(capsys, "DomainError")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])

@@ -2,6 +2,7 @@
 projected-descent optimizer."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -494,6 +495,27 @@ def test_optimize_input_validation():
         optimize(init, WeightMap.uniform(8), OptimizeOptions(constraint="clip"))
     with pytest.raises(DomainError):
         optimize(init, WeightMap.uniform(8), OptimizeOptions(threshold=-0.2))
+
+
+@pytest.mark.parametrize("options", [
+    {"n_samples": 1}, {"n_samples": 0}, {"step": 0.0}, {"step": -1.0}, {"step": math.nan},
+    {"step": math.inf}, {"threshold": math.nan}, {"threshold": math.inf}, {"max_iters": -1},
+    {"patience": 0},
+], ids=lambda options: "-".join(f"{k}={v}" for k, v in options.items()))
+def test_optimize_options_check_their_own_fields(options):
+    with pytest.raises(DomainError, match=next(iter(options))):
+        OptimizeOptions(**options)
+
+
+@pytest.mark.parametrize("weight", [1e308, 1e307])
+def test_an_overflowing_optimize_raises_without_a_numpy_warning(weight):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a CLI would print a warning on stderr
+        with pytest.raises(OptimizationFailed, match="non-finite"):
+            optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), weight)))
+        record = dict(initial_params(2, m=7, n_tones=3).to_dict(), alpha=[1e200, 0.0, 0.0])
+        with pytest.raises(InvalidParams, match="RMS inf exceeds 1"):
+            ModulatedParams.from_dict(record)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -120,6 +120,8 @@ def test_resonance_offset_round_trip():
     assert math.degrees(moved) == pytest.approx(-20.0, abs=1e-9)
     with pytest.raises(DomainError):
         resonance_offset_for_phase_shift(2.0, 2.0, 20.0, 95.0)   # target leaves (0, 180)
+    with pytest.raises(DomainError, match="not representable"):   # g - f_res rounds to -f_res
+        resonance_offset_for_phase_shift(1e-10, 1e10, 20.0, 45.0)
     for near_end in (-89.9999, 89.999):    # outside the old fixed search bracket
         off = resonance_offset_for_phase_shift(1.0, 1.0, 20.0, near_end)
         moved = plant_phase_lag(1.0, 1.0 + off, 20.0) - plant_phase_lag(1.0, 1.0, 20.0)
