@@ -237,8 +237,8 @@ def repeat_period(fx, fy, phix: float = 0.0, phiy: float = 0.0) -> PeriodReport:
     """
     fx = as_fraction(fx)
     fy = as_fraction(fy)
-    if fx <= 0 or fy <= 0:
-        raise DomainError("tone frequencies must be positive")
+    if fx <= 0 or fy <= 0 or not all(map(math.isfinite, (float(phix), float(phiy)))):
+        raise DomainError("tone frequencies must be positive and phases finite")
     signal = Fraction(math.lcm(fx.denominator, fy.denominator),
                       math.gcd(fx.numerator, fy.numerator))
     p, q = (fx / fy).as_integer_ratio()

@@ -193,6 +193,9 @@ def test_period_validation():
         repeat_period(F(0), 1)
     with pytest.raises(DomainError):
         repeat_period(F(3, 2), F(-1))
+    for phase in (math.nan, math.inf):      # raised ValueError / OverflowError from round()
+        with pytest.raises(DomainError, match="phases finite"):
+            repeat_period(F(3, 2), 1, phase)
 
 
 def test_half_signal_period_retraces_the_point_set():

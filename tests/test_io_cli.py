@@ -1,6 +1,7 @@
 """File formats (weight maps, patterns, configs) and the command-line front end."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lissscan
 from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
                       import_pattern, initial_params, load_design, load_scanner,
                       load_weight_map, sample_unmodulated, save_design, save_scanner,
@@ -226,8 +228,6 @@ def test_import_leaves_scipy_spatial_unloaded():
 
 
 def test_every_exported_class_and_function_has_its_own_docstring():
-    import dataclasses
-    import lissscan
     missing = []
     for name in lissscan.__all__:
         obj = getattr(lissscan, name)
