@@ -85,9 +85,8 @@ _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
-    """Root of one axis's summed squared coefficients; inf, with no warning, on overflow."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
+    """Root of one axis's summed squared coefficients."""
+    return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
 
 
 def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
@@ -124,8 +123,9 @@ class ModulatedParams:
     config: ScannerConfig
 
     def __post_init__(self) -> None:
-        self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
-            self.alpha, self.gamma, self.beta, self.delta)
+        with np.errstate(over="ignore"):    # an overflowing RMS raises InvalidParams
+            self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
+                self.alpha, self.gamma, self.beta, self.delta)
         self.nx = tuple(int(n) for n in self.nx)
         self.ny = tuple(int(n) for n in self.ny)
         for name, tones in (("nx", self.nx), ("ny", self.ny)):
