@@ -3,27 +3,19 @@
 Subcommands: design, metrics, sweep, optimize, phase-sim, phase-solve.
 Exit codes: 0 success, 1 domain error (single machine-parsable line on
 stderr, prefixed "error:"), 2 usage error. Runs with identical flags and
-seed write byte-identical outputs.
+seed write byte-identical outputs. Each command imports the numpy-backed
+modules it calls, so start-up loads nothing a command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import io as lio
-from .coverage import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, fill_factor,
-                       sample_unmodulated, scanning_range, sweep_designs,
-                       sweep_workers_from_env)
-from .design import (as_fraction, baseline_repeating_design, design_unmodulated,
-                     repeat_period)
+from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, as_fraction,
+                     baseline_repeating_design, design_unmodulated, repeat_period)
 from .errors import DomainError, InvalidParams, LissscanError, record_errors, record_value
-from .modulated import (ModulatedParams, OptimizeOptions, initial_params,
-                        optimize, positive_region_density, reference_pattern,
-                        synthesize_modulated)
-from .phase import (DriftScenario, resonance_offset_for_phase_shift,
-                    simulate_drift_control, solve_multitone)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -55,6 +47,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from .coverage import fill_factor, sample_unmodulated, scanning_range
     scanner = lio.load_scanner(args.scanner)
     design = lio.load_design(args.design)
     pattern = sample_unmodulated(design, scanner, args.frame, args.n_samples)
@@ -76,13 +69,17 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .coverage import MAX_SWEEP_CELLS, sweep_designs, sweep_workers_from_env
     lio.check_out_paths(args.out)
     scanner = lio.load_scanner(args.scanner) if args.scanner else None
     r_min, r_max, r_step = map(as_fraction, (args.r_min, args.r_max, args.r_step))
     if r_step <= 0 or r_max < r_min:
         raise DomainError("need r_step > 0 and r_max >= r_min")
-    r_grid = [r_min + i * r_step for i in range(int((r_max - r_min) / r_step) + 1)]
-    rows = sweep_designs(r_grid, _parse_m_list(args.m), config=scanner,
+    n_ratios, m_list = (r_max - r_min) // r_step + 1, _parse_m_list(args.m)
+    if n_ratios * len(m_list) > MAX_SWEEP_CELLS:
+        raise DomainError(f"sweep of {n_ratios * len(m_list)} cells exceeds {MAX_SWEEP_CELLS}")
+    r_grid = [r_min + i * r_step for i in range(n_ratios)]
+    rows = sweep_designs(r_grid, m_list, config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
     lio.write_csv(args.out, ["r", "m", "rule", "fill_factor", "scanning_range", "status"],
@@ -94,13 +91,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .modulated import (ModulatedParams, OptimizeOptions, initial_params, optimize,
+                            positive_region_density, reference_pattern, synthesize_modulated)
     lio.check_out_paths(args.out, args.trace)
     opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
                            threshold=args.threshold, n_samples=args.n_samples,
                            constraint=args.constraint)
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
-    r = Fraction(scanner.fx_res) / Fraction(scanner.fy_res)
+    r = as_fraction(scanner.fx_res) / as_fraction(scanner.fy_res)
     cold = initial_params(r, m=args.m, n_tones=args.tones,
                           qx=scanner.qx, qy=scanner.qy,
                           y_single_tone=args.y_single_tone)
@@ -127,6 +126,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: float):
+    from .phase import resonance_offset_for_phase_shift
     if not isinstance(spec, dict):
         raise DomainError(f"drift must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("type", "none")
@@ -146,6 +146,7 @@ def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: floa
 
 
 def cmd_phase_sim(args: argparse.Namespace) -> int:
+    from .phase import DriftScenario, simulate_drift_control
     lio.check_out_paths(args.out)
     scanner = lio.load_scanner(args.scanner)
     spec = lio.read_json(args.scenario, DomainError)
@@ -168,6 +169,7 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_solve(args: argparse.Namespace) -> int:
+    from .phase import solve_multitone
     data = lio.read_json(args.samples, DomainError)
     with record_errors(f"samples {args.samples}", DomainError):
         x, xq, omegas = ([record_value(v, key) for v in data[key]] for key in ("x", "xq", "omegas"))

@@ -12,7 +12,6 @@ responses, i.e. the fraction of the full field of view actually reached.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,13 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .design import (UnmodulatedDesign, as_fraction, baseline_repeating_design,
-                     design_unmodulated)
+from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, UnmodulatedDesign, as_fraction,
+                     baseline_repeating_design, design_unmodulated)
 from .errors import DegeneratePattern, DomainError, LissscanError, record_errors, record_value
 from .scanner import ScannerConfig, transfer_amplitude
 
-N_SAMPLES_DEFAULT = 1000   # per frame
-N_GRID_DEFAULT = 128       # patch centers per axis
+MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
 
 
 @dataclass(eq=False)
@@ -189,6 +187,7 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
         jobs.setdefault(geometry, (design, cell_config, n_samples, n_grid))
         cells.append((r, m, rule, geometry, reach))
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         import scipy.spatial  # noqa: F401  (imported once here, not in each forked worker)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=8)))

@@ -24,6 +24,9 @@ from .errors import DomainError, NoFeasibleDesign, record_errors, record_value
 SEARCH_CAP = Fraction(1, 2)
 M_MIN, M_MAX = 2, 64
 R_MIN, R_MAX = Fraction(1), Fraction(3)
+# Coverage's sampling defaults live here, without numpy, for the CLI parser.
+N_SAMPLES_DEFAULT = 1000   # per frame
+N_GRID_DEFAULT = 128       # patch centers per axis
 
 
 class DesignCase(str, Enum):

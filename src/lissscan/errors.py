@@ -69,6 +69,14 @@ def record_value(value, name: str, convert=float):
     return convert(value)
 
 
+def finite_non_negative(value, name: str) -> float:
+    """float(value), which must be finite and non-negative; DomainError otherwise."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and non-negative, got {value}")
+    return value
+
+
 def positive_finite(value, name: str) -> float:
     """float(value), which must be positive and finite; DomainError otherwise."""
     value = float(value)

@@ -14,15 +14,17 @@ import json
 import math
 from io import StringIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .coverage import SampledPattern
 from .design import UnmodulatedDesign
 from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, record_errors,
                      record_value)
-from .modulated import WeightMap
 from .scanner import ScannerConfig
+
+if TYPE_CHECKING:      # numpy and the modules that need it load in the readers below
+    import numpy as np
+    from .coverage import SampledPattern
+    from .modulated import WeightMap
 
 
 def _require_path(path) -> Path:
@@ -106,6 +108,7 @@ def _pgm_tokens(data: bytes):
 
 
 def _read_pgm(path: Path) -> np.ndarray:
+    import numpy as np
     data = path.read_bytes()
     tokens = _pgm_tokens(data)
     try:
@@ -136,6 +139,7 @@ def _read_pgm(path: Path) -> np.ndarray:
 
 
 def _read_csv_grid(path: Path) -> np.ndarray:
+    import numpy as np
     try:
         grid = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
@@ -148,6 +152,7 @@ def _read_csv_grid(path: Path) -> np.ndarray:
 
 def load_weight_map(path) -> WeightMap:
     """Square weight map from a PGM image or CSV grid, values in [0, 1]."""
+    from .modulated import WeightMap
     path = _require_path(path)
     if not path.is_file():
         raise WeightMapError(f"{path}: no such file")
@@ -158,7 +163,7 @@ def load_weight_map(path) -> WeightMap:
     if image.shape[0] != image.shape[1]:
         raise WeightMapError(f"{path}: weight map must be square, got {image.shape}")
     # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
-    return WeightMap(np.flipud(image).T.copy())
+    return WeightMap(image[::-1].T.copy())
 
 
 # ------------------------------------------------------------------- patterns
@@ -188,6 +193,8 @@ def import_pattern(path) -> SampledPattern:
     """Read a pattern written by export_pattern, by the path's suffix. CSV
     carries no frame bookkeeping, so frame_len falls back to the covered
     time span."""
+    import numpy as np
+    from .coverage import SampledPattern
     path, fmt = _pattern_format(path)
     if fmt == "csv":
         try:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .coverage import SampledPattern, _patch_centers, _response, sample_unmodulated
 from .design import as_fraction, design_unmodulated
-from .errors import (DomainError, InvalidParams, OptimizationFailed, positive_finite,
-                     record_errors, record_value)
+from .errors import (DomainError, InvalidParams, OptimizationFailed, finite_non_negative,
+                     positive_finite, record_errors, record_value)
 from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
@@ -292,9 +292,7 @@ def objective(pattern: SampledPattern, wmap: WeightMap,
     """Weighted squared distance from every non-occupied patch center to its
     nearest sample, plus the assignment that produced it (searched on the
     positive-weight patches only; see Assignment)."""
-    if threshold < 0:
-        raise DomainError(f"threshold must be non-negative, got {threshold}")
-    return _assign(pattern.x, pattern.y, wmap, float(threshold))
+    return _assign(pattern.x, pattern.y, wmap, finite_non_negative(threshold, "threshold"))
 
 
 def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, asg: Assignment) -> float:
@@ -390,8 +388,8 @@ class OptimizeOptions:
         positive_finite(self.step, "step")
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.threshold is not None and not 0.0 <= self.threshold < math.inf:
-            raise DomainError(f"threshold must be finite and non-negative, got {self.threshold}")
+        if self.threshold is not None:
+            finite_non_negative(self.threshold, "threshold")
         if self.max_iters < 0 or self.patience < 1:
             raise DomainError(f"need max_iters >= 0 and patience >= 1, got {self.max_iters} "
                               f"and {self.patience}")

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, UndefinedPhase, positive_finite
+from .errors import (DomainError, IllConditioned, UndefinedPhase, finite_non_negative,
+                     positive_finite)
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -169,8 +170,8 @@ class DriftScenario:
 
     def __post_init__(self) -> None:
         self.frame_time = positive_finite(self.frame_time, "frame_time")
-        if not 0.0 <= self.measurement_noise_deg < math.inf:
-            raise DomainError("measurement noise must be finite and non-negative")
+        self.measurement_noise_deg = finite_non_negative(self.measurement_noise_deg,
+                                                         "measurement_noise_deg")
         if not isinstance(self.control_enabled, bool):
             raise DomainError(f"control_enabled must be a bool, got {self.control_enabled!r}")
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -22,7 +23,9 @@ from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
                       import_pattern, initial_params, load_design, load_scanner,
                       load_weight_map, sample_unmodulated, save_design, save_scanner,
                       synthesize_quadrature, MultitoneState)
+from lissscan import cli
 from lissscan.cli import cli_dispatch
+from lissscan.coverage import MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
 
 F = Fraction
@@ -227,6 +230,55 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
+_FOR_SCIPY = ("scipy", "concurrent.futures.process")      # sweep and metrics only
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("design", ("numpy", "multiprocessing") + _FOR_SCIPY),
+    ("phase-solve", _FOR_SCIPY),
+    ("optimize", _FOR_SCIPY),
+])
+def test_a_cli_command_starts_with_only_the_modules_it_uses(command, unloaded, tmp_path):
+    files, records = _cli_inputs(tmp_path)
+    scanner, _, roi = map(str, files)
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(records["--samples"]))
+    argv = {"design": ["design", "--r", "1.5", "--m", "7"],
+            "phase-solve": ["phase-solve", "--samples", str(samples)],
+            "optimize": ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
+                         "--max-iters", "2", "--n-samples", "50",
+                         "--out", str(tmp_path / "params.json")]}[command]
+    src = str(Path(lissscan.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lissscan.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime logs every module the run imports: "import time: self | cumulative | name"
+    loaded = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "lissscan.design" in loaded       # cli runs as __main__; it imports design
+    assert not [name for name in loaded if name.split(".")[0] in unloaded or name in unloaded]
+
+
+def test_the_lazy_namespace_binds_each_exported_name_to_its_defining_object():
+    namespace = {}
+    exec("from lissscan import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lissscan.__all__)
+    for name in lissscan.__all__:
+        value = namespace[name]      # the plain tuples ROI_A and ROI_B carry no __module__
+        home = value.__module__ if callable(value) else "lissscan.modulated"
+        assert getattr(sys.modules[home], name) is value is getattr(lissscan, name), name
+    assert set(lissscan.__all__) <= set(dir(lissscan))
+
+
+def test_the_lazy_namespace_reaches_submodules_and_refuses_unknown_names():
+    for name in ("cli", "coverage", "design", "errors", "io", "modulated", "phase", "scanner"):
+        assert getattr(lissscan, name) is importlib.import_module(f"lissscan.{name}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lissscan.no_such_name
+    assert not hasattr(lissscan, "numpy")
+
+
 def test_every_exported_class_and_function_has_its_own_docstring():
     missing = []
     for name in lissscan.__all__:
@@ -415,7 +467,7 @@ def test_cli_metrics_write_error(tmp_path, capsys):
 
 def test_cli_sweep_rejects_a_missing_output_directory_before_computing(tmp_path, capsys,
                                                                       monkeypatch):
-    monkeypatch.setattr("lissscan.cli.sweep_designs",
+    monkeypatch.setattr("lissscan.coverage.sweep_designs",
                         lambda *a, **k: pytest.fail("sweep computed before checking --out"))
     out = tmp_path / "missing" / "x.csv"
     assert cli_dispatch(["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05",
@@ -447,7 +499,7 @@ def test_cli_optimize_checks_every_output_path_before_writing(tmp_path, capsys):
 
 
 def test_cli_phase_sim_write_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("lissscan.cli.simulate_drift_control",
+    monkeypatch.setattr("lissscan.phase.simulate_drift_control",
                         lambda *a, **k: pytest.fail("phase-sim simulated before checking --out"))
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"frame_time": 6.4}))
@@ -648,6 +700,32 @@ def test_cli_sweep_rejects_a_bad_grid(flag, value, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_cli_sweep_bounds_its_cell_count_before_building_the_grid(tmp_path, capsys, monkeypatch):
+    # 2e9 + 1 ratios: cli calls range only to build the ratio grid, so a
+    # failing range proves that the bound comes first and allocates nothing
+    monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built before the bound"),
+                        raising=False)
+    assert cli_dispatch(["sweep", "--r-min", "1", "--r-max", "3", "--r-step", "1e-9",
+                         "--m", "7", "--out", str(tmp_path / "sweep.csv")]) == 1
+    _assert_one_error(capsys, "DomainError")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cli_sweep_takes_up_to_max_sweep_cells(extra, tmp_path, capsys, monkeypatch):
+    grids = []
+    monkeypatch.setattr("lissscan.coverage.sweep_designs",
+                        lambda r_grid, m_set, **kw: grids.append((len(r_grid), m_set)) or [])
+    step = F(1, MAX_SWEEP_CELLS)
+    n_ratios = MAX_SWEEP_CELLS // 2 + extra           # two m values: one cell over the cap
+    assert cli_dispatch(["sweep", "--r-min", "1", "--r-max", str(1 + (n_ratios - 1) * step),
+                         "--r-step", str(step), "--m", "7,8",
+                         "--out", str(tmp_path / "sweep.csv")]) == extra
+    assert grids == ([] if extra else [(MAX_SWEEP_CELLS // 2, [7, 8])])
+    if extra:
+        _assert_one_error(capsys, "DomainError")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n-samples", "0"), ("--n-samples", "1"), ("--step", "-1"), ("--step", "nan"),
     ("--threshold", "nan"), ("--max-iters", "-1"),
@@ -656,7 +734,7 @@ def test_cli_optimize_rejects_a_bad_option_before_the_descent(flag, value, tmp_p
                                                               monkeypatch):
     def no_descent(*args, **kwargs):
         raise AssertionError("the descent ran")
-    monkeypatch.setattr("lissscan.cli.optimize", no_descent)
+    monkeypatch.setattr("lissscan.modulated.optimize", no_descent)
     files, _ = _cli_inputs(tmp_path)
     scanner, _, roi = map(str, files)
     out = tmp_path / "params.json"

@@ -286,6 +286,22 @@ def test_raising_the_threshold_never_raises_the_loss():
         objective(pattern, wmap, -0.1)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1])
+def test_objective_gradient_and_options_refuse_a_threshold_alike(threshold):
+    # a NaN threshold used to score as if no patch were occupied, inf as 0.0
+    params = initial_params(2)
+    pattern = synthesize_modulated(params, 200)
+    wmap = WeightMap.from_rectangles([ROI_B], 16)
+    messages = set()
+    for call in (lambda: objective(pattern, wmap, threshold),
+                 lambda: gradient(params, wmap, 200, threshold),
+                 lambda: OptimizeOptions(threshold=threshold)):
+        with pytest.raises(DomainError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {f"threshold must be finite and non-negative, got {threshold}"}
+
+
 def test_roi_density_counting():
     pattern = SampledPattern(t=np.arange(4) * 1.0,
                              x=np.array([0.5, 0.5, -0.6, 0.2]),
