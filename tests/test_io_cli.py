@@ -230,13 +230,13 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
-_FOR_SCIPY = ("scipy", "concurrent.futures.process")      # sweep and metrics only
+_METRICS_AND_SWEEP_ONLY = ("scipy", "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    ("design", ("numpy", "multiprocessing") + _FOR_SCIPY),
-    ("phase-solve", _FOR_SCIPY),
-    ("optimize", _FOR_SCIPY),
+    ("design", ("numpy", "multiprocessing") + _METRICS_AND_SWEEP_ONLY),
+    ("phase-solve", _METRICS_AND_SWEEP_ONLY),
+    ("optimize", _METRICS_AND_SWEEP_ONLY),
 ])
 def test_a_cli_command_starts_with_only_the_modules_it_uses(command, unloaded, tmp_path):
     files, records = _cli_inputs(tmp_path)
