@@ -60,7 +60,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _parse_m_list(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = list(dict.fromkeys(int(tok) for tok in text.split(",") if tok.strip() != ""))
     except ValueError as exc:
         raise DomainError(f"--m must be comma-separated integers, got {text!r}") from exc
     if not values:
@@ -100,10 +100,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
     r = as_fraction(scanner.fx_res) / as_fraction(scanner.fy_res)
-    cold = initial_params(r, m=args.m, n_tones=args.tones,
-                          qx=scanner.qx, qy=scanner.qy,
-                          y_single_tone=args.y_single_tone)
-    init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams)) if args.init else cold
+    if args.init:
+        init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams))
+    else:
+        init = initial_params(r, m=args.m, n_tones=args.tones, qx=scanner.qx, qy=scanner.qy,
+                              y_single_tone=args.y_single_tone)
     result = optimize(init, wmap, opts)
     optimized = synthesize_modulated(result.params, args.n_samples)
     reference = reference_pattern(r, m=args.m, config=scanner,

@@ -161,14 +161,15 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
                   workers: int | None = None) -> list[SweepRow]:
     """Evaluate both selection rules over a grid of (r, m) cells.
 
-    Returns one row per (r, m, rule) in deterministic order. Cells where a
+    Returns one row per (r, m, rule) in deterministic order; a repeated
+    ratio or frame time counts once, where it first appears. Cells where a
     rule errors come back flagged in the status column instead of being
     dropped. Each distinct geometry (fx, fy, phix, phiy, m) is scored once,
     at unit amplitude, which fill factor does not depend on. workers > 1
     scores the geometries in a process pool; the rows do not depend on it.
     """
-    r_grid = [as_fraction(r) for r in r_grid]
-    m_set = [int(m) for m in m_set]
+    r_grid = list(dict.fromkeys(as_fraction(r) for r in r_grid))
+    m_set = list(dict.fromkeys(int(m) for m in m_set))
     if not r_grid or not m_set:
         raise DomainError("sweep grids must be non-empty")
     qx, qy = (config.qx, config.qy) if config is not None else (20.0, 20.0)

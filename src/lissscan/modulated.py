@@ -84,9 +84,13 @@ class WeightMap:
 _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
+@np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     """Root of one axis's summed squared coefficients."""
-    return float(np.sqrt(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2)))
+    total = float(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2))
+    if total == math.inf:    # a square leaves the float range
+        return math.hypot(*cos_coef, *sin_coef)
+    return math.sqrt(total)
 
 
 def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
@@ -123,9 +127,8 @@ class ModulatedParams:
     config: ScannerConfig
 
     def __post_init__(self) -> None:
-        with np.errstate(over="ignore"):    # an overflowing RMS raises InvalidParams
-            self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
-                self.alpha, self.gamma, self.beta, self.delta)
+        self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
+            self.alpha, self.gamma, self.beta, self.delta)
         self.nx = tuple(int(n) for n in self.nx)
         self.ny = tuple(int(n) for n in self.ny)
         for name, tones in (("nx", self.nx), ("ny", self.ny)):
@@ -231,13 +234,24 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
                            nx=nx, ny=ny, L=_L, m=m, config=config)
 
 
-def _bases(params: ModulatedParams, t: np.ndarray):
-    """Plant-weighted cosine/sine basis matrices, shape (len(t), tones)."""
+def _bases(params: ModulatedParams, n_samples: int, frames: int = 1):
+    """Sample times over [0, frames*m), endpoint excluded, and the plant-weighted
+    cosine/sine bases (bxc, bxs, byc, bys), each of shape (n_samples, tones)."""
+    if n_samples < 2:
+        raise DomainError(f"need at least 2 samples, got {n_samples}")
+    if frames < 1:
+        raise DomainError(f"need at least 1 frame, got {frames}")
+    t = np.arange(n_samples) * (frames * params.m / n_samples)
     hx = np.array([_response(params.config, "x", f) for f in params.fx_tones])
     hy = np.array([_response(params.config, "y", f) for f in params.fy_tones])
     ax = 2.0 * np.pi * np.outer(t, params.fx_tones)
     ay = 2.0 * np.pi * np.outer(t, params.fy_tones)
-    return np.cos(ax) * hx, np.sin(ax) * hx, np.cos(ay) * hy, np.sin(ay) * hy
+    return t, (np.cos(ax) * hx, np.sin(ax) * hx, np.cos(ay) * hy, np.sin(ay) * hy)
+
+
+def _positions(bases, alpha, gamma, beta, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Sample positions x, y of the coefficients on _bases's matrices."""
+    return bases[0] @ alpha + bases[1] @ gamma, bases[2] @ beta + bases[3] @ delta
 
 
 def synthesize_modulated(params: ModulatedParams, n_samples: int = 500,
@@ -245,14 +259,8 @@ def synthesize_modulated(params: ModulatedParams, n_samples: int = 500,
     """n_samples uniform samples of the two-axis sum over t in [0, frames*m),
     endpoint excluded.  One frame is the evaluation window everywhere; the
     full coefficient period spans L frames."""
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
-    if frames < 1:
-        raise DomainError(f"need at least 1 frame, got {frames}")
-    t = np.arange(n_samples) * (frames * params.m / n_samples)
-    bxc, bxs, byc, bys = _bases(params, t)
-    x = bxc @ params.alpha + bxs @ params.gamma
-    y = byc @ params.beta + bys @ params.delta
+    t, bases = _bases(params, n_samples, frames)
+    x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
     return SampledPattern(t=t, x=x, y=y, frame_len=float(params.m), frames=frames)
 
 
@@ -336,10 +344,10 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
              threshold: float) -> ModulatedGradient:
     """Exact objective gradient in coefficient space with the current
     patch-to-sample assignment held fixed."""
-    pattern = synthesize_modulated(params, n_samples)
-    _, asg = objective(pattern, wmap, threshold)
-    bxc, bxs, byc, bys = _bases(params, pattern.t)
-    return _gradient_fixed(pattern.x, pattern.y, wmap, asg, bxc, bxs, byc, bys)
+    _, bases = _bases(params, n_samples)
+    x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
+    _, asg = _assign(x, y, wmap, finite_non_negative(threshold, "threshold"))
+    return _gradient_fixed(x, y, wmap, asg, *bases)
 
 
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +424,7 @@ def _constraint_norm(alpha, gamma, beta, delta, constraint: str) -> float:
     return max(float(np.hypot(alpha, gamma).sum()), float(np.hypot(beta, delta).sum()))
 
 
-@np.errstate(over="ignore")    # an overflowing loss or gradient raises OptimizationFailed
+@np.errstate(over="ignore", invalid="ignore")    # non-finite values are caught in the loop
 def optimize(init: ModulatedParams, wmap: WeightMap,
              opts: OptimizeOptions | None = None) -> OptimizeResult:
     """Projected gradient descent on the weighted-coverage objective.
@@ -433,43 +441,35 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     threshold = (1.0 / wmap.size) if opts.threshold is None else float(opts.threshold)
     project = _PROJECTIONS[opts.constraint]
 
-    t = np.arange(opts.n_samples) * (init.m / opts.n_samples)
-    bxc, bxs, byc, bys = _bases(init, t)
-
-    def synth(alpha, gamma, beta, delta) -> tuple[np.ndarray, np.ndarray]:
-        return bxc @ alpha + bxs @ gamma, byc @ beta + bys @ delta
-
+    _, bases = _bases(init, opts.n_samples)
     # the descent runs on the four coefficient arrays (alpha, gamma, beta,
     # delta); only the returned iterate becomes a ModulatedParams
     coef = (init.alpha, init.gamma, init.beta, init.delta)
-    x, y = synth(*coef)
+    x, y = _positions(bases, *coef)
     loss, asg = _assign(x, y, wmap, threshold)
     if not math.isfinite(loss):
         raise OptimizationFailed("objective is non-finite at the start", trace=np.array([loss]))
     trace = [loss]
     norms = [_constraint_norm(*coef, opts.constraint)]
     best_coef, best_loss = coef, loss
-    best_hist = [loss]
     converged = False
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
-        grad = _gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys)
+        grad = _gradient_fixed(x, y, wmap, asg, *bases)
         if not all(np.all(np.isfinite(g)) for g in (grad.alpha, grad.gamma, grad.beta, grad.delta)):
             raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
         step = opts.step
-        cand = cx = cy = None
         for _ in range(MAX_BACKTRACKS + 1):
             a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
             b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
-            cand = _checked_coefficients(a, g, b, d)
-            cx, cy = synth(*cand)
-            if _loss_fixed(cx, cy, wmap, asg) <= trace[-1]:
+            x, y = _positions(bases, a, g, b, d)
+            if _loss_fixed(x, y, wmap, asg) <= trace[-1]:
                 break
             step *= 0.5
             # the last halved candidate is taken even if it still increases;
             # best-seen tracking protects the returned iterate
-        coef, x, y = cand, cx, cy
+        coef = _checked_coefficients(a, g, b, d)
         loss, asg = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
@@ -477,10 +477,9 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         norms.append(_constraint_norm(*coef, opts.constraint))
         if loss < best_loss:
             best_loss, best_coef = loss, coef
-        best_hist.append(best_loss)
         if iterations >= opts.patience:
-            before = best_hist[-1 - opts.patience]
-            if before - best_hist[-1] <= REL_TOL * max(before, 1e-12):
+            before = min(trace[:-opts.patience])    # best loss patience iterations ago
+            if before - best_loss <= REL_TOL * max(before, 1e-12):
                 converged = True
                 break
 

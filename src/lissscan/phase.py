@@ -132,8 +132,9 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
 
 def plant_phase_lag(f_drive: float, f_res: float, q: float) -> float:
     """Steady-state phase lag of a driven harmonic oscillator, in (0, pi)."""
-    if f_drive <= 0 or f_res <= 0 or q <= 0:
-        raise DomainError("frequencies and quality factor must be positive")
+    f_drive = positive_finite(f_drive, "drive frequency")
+    f_res = positive_finite(f_res, "resonant frequency")
+    q = positive_finite(q, "quality factor")
     return math.atan2(f_drive * f_res / q, f_res * f_res - f_drive * f_drive)
 
 

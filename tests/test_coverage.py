@@ -228,6 +228,12 @@ def test_sweep_scores_each_distinct_geometry_once(monkeypatch):
     assert len(calls) == len(distinct) < len(rows)
 
 
+def test_sweep_counts_a_repeated_ratio_or_frame_time_once():
+    rows = sweep_designs([1.5, F(3, 2), F(8, 5)], [7, 7], n_samples=300, n_grid=32)
+    assert rows == sweep_designs([F(3, 2), F(8, 5)], [7], n_samples=300, n_grid=32)
+    assert [(row.r, row.m) for row in rows] == [(F(3, 2), 7)] * 2 + [(F(8, 5), 7)] * 2
+
+
 def test_sweep_scoring_errors_reach_every_cell_of_the_geometry():
     rows = sweep_designs(REPEAT_GRID, [7], n_grid=1)
     assert [row.status for row in rows] == ["error:DomainError"] * 8

@@ -726,6 +726,41 @@ def test_cli_sweep_takes_up_to_max_sweep_cells(extra, tmp_path, capsys, monkeypa
         _assert_one_error(capsys, "DomainError")
 
 
+def test_cli_sweep_counts_a_repeated_frame_time_once(tmp_path, monkeypatch):
+    written = []
+    for m_list in ("7", "7,7"):
+        out = tmp_path / "sweep.csv"
+        assert cli_dispatch(["sweep", "--r-min", "1.5", "--r-max", "1.5", "--r-step", "0.1",
+                             "--m", m_list, "--grid", "8", "--n-samples", "50",
+                             "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and len(written[0].splitlines()) == 3
+    # the cell bound counts distinct values too: 7,8,7,8 is two frame times
+    grids = []
+    monkeypatch.setattr("lissscan.coverage.sweep_designs",
+                        lambda r_grid, m_set, **kw: grids.append((len(r_grid), m_set)) or [])
+    step = F(1, MAX_SWEEP_CELLS)
+    assert cli_dispatch(["sweep", "--r-min", "1", "--r-max",
+                         str(1 + (MAX_SWEEP_CELLS // 2 - 1) * step), "--r-step", str(step),
+                         "--m", "7,8,7,8", "--out", str(tmp_path / "bound.csv")]) == 0
+    assert grids == [(MAX_SWEEP_CELLS // 2, [7, 8])]
+
+
+def test_cli_optimize_with_init_does_not_build_the_cold_start(tmp_path):
+    # r = 1, m = 2 collapses the default tone ladder; a warm start never reads it
+    scanner, init = tmp_path / "scanner.json", tmp_path / "init.json"
+    scanner.write_text(json.dumps({"fx_res": 1.0}))
+    warm = initial_params(1, n_tones=3)
+    init.write_text(json.dumps(warm.to_dict()))
+    out = tmp_path / "params.json"
+    roi = Path(__file__).parent / "golden" / "inputs" / "roi_b.pgm"
+    assert cli_dispatch(["optimize", "--scanner", str(scanner), "--roi", str(roi),
+                         "--tones", "3", "--m", "2", "--init", str(init), "--max-iters", "3",
+                         "--n-samples", "200", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["nx"] == list(warm.nx) and payload["m"] == warm.m
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n-samples", "0"), ("--n-samples", "1"), ("--step", "-1"), ("--step", "nan"),
     ("--threshold", "nan"), ("--max-iters", "-1"),

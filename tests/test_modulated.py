@@ -382,6 +382,14 @@ def test_rms_projection():
                                scale * np.concatenate([big_a, big_b]), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")      # the squares overflow without a warning
+def test_rms_projection_of_a_large_finite_vector_is_its_direction():
+    qa, qb = project_rms(np.array([1e200, 0.0]), np.array([0.0]))
+    assert qa.tolist() == [1.0, 0.0] and qb.tolist() == [0.0]
+    qa, qb = project_rms(np.array([3e200]), np.array([-4e200]))
+    np.testing.assert_allclose(np.concatenate([qa, qb]), [0.6, -0.8], rtol=1e-15)
+
+
 def test_absolute_projection_satisfies_the_simplex_conditions():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -525,13 +533,24 @@ def test_optimize_options_check_their_own_fields(options):
 
 
 @pytest.mark.filterwarnings("error")      # no numpy overflow warning reaches stderr
-@pytest.mark.parametrize("weight", [1e308, 1e307])
-def test_optimize_fails_with_its_trace_when_the_loss_overflows(weight):
-    # 1e308: the very first loss overflows; 1e307: the first step's does
+@pytest.mark.parametrize("weight, step", [(1e308, 0.05), (1e307, 1e3)], ids=["1e+308", "1e+307"])
+def test_optimize_fails_with_its_trace_when_the_loss_overflows(weight, step):
+    # 1e308: the very first loss overflows; 1e307 with a long step: a later one does
     with pytest.raises(OptimizationFailed, match="non-finite") as err:
-        optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), weight)))
+        optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), weight)),
+                 OptimizeOptions(step=step))
     trace = err.value.trace
     assert not math.isfinite(trace[-1]) and np.all(np.isfinite(trace[:-1]))
+
+
+@pytest.mark.filterwarnings("error")      # the overflowing steps warn nothing
+def test_optimize_backtracks_from_a_step_that_overflows_the_coefficients():
+    # step * gradient leaves the float range; the candidate is non-finite, so
+    # it fails the line search and the halved steps are tried
+    res = optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                   OptimizeOptions(step=1e308, max_iters=3))
+    assert np.all(np.isfinite(res.loss_trace)) and len(res.loss_trace) == 4
+    assert np.all(res.norm_trace <= 1.0 + 1e-9)
 
 
 def test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite(monkeypatch):

@@ -99,6 +99,16 @@ def test_solve_multitone_validation():
         solve_multitone([0, 0, 0], [0, 0, 0], OMEGAS, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position, name", [(0, "drive frequency"), (1, "resonant frequency"),
+                                            (2, "quality factor")])
+def test_plant_phase_lag_refuses_a_non_finite_argument(position, name, value):
+    args = [1.0, 1.0, 20.0]
+    args[position] = value
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        plant_phase_lag(*args)
+
+
 def test_plant_phase_lag():
     assert plant_phase_lag(2.0, 2.0, 20.0) == pytest.approx(math.pi / 2, rel=1e-15)
     assert plant_phase_lag(1.9, 2.0, 20.0) == pytest.approx(0.4533386958545627, rel=1e-12)
