@@ -47,7 +47,10 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .coverage import fill_factor, sample_unmodulated, scanning_range
+    from .coverage import (_grid_count, _sample_count, fill_factor, sample_unmodulated,
+                           scanning_range)
+    _sample_count(args.n_samples)     # the bounds come before any input is read
+    _grid_count(args.grid)
     scanner = lio.load_scanner(args.scanner)
     design = lio.load_design(args.design)
     pattern = sample_unmodulated(design, scanner, args.frame, args.n_samples)
@@ -69,8 +72,11 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .coverage import MAX_SWEEP_CELLS, sweep_designs, sweep_workers_from_env
+    from .coverage import (MAX_SWEEP_CELLS, _grid_count, _sample_count, sweep_designs,
+                           sweep_workers_from_env)
     lio.check_out_paths(args.out)
+    _sample_count(args.n_samples)     # the bounds come before any input is read
+    _grid_count(args.grid)
     scanner = lio.load_scanner(args.scanner) if args.scanner else None
     r_min, r_max, r_step = map(as_fraction, (args.r_min, args.r_max, args.r_step))
     if r_step <= 0 or r_max < r_min:
@@ -83,9 +89,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          n_samples=args.n_samples, n_grid=args.grid,
                          workers=sweep_workers_from_env())
     lio.write_csv(args.out, ["r", "m", "rule", "fill_factor", "scanning_range", "status"],
-                  ([repr(float(row.r)), row.m, row.rule,
-                    "" if row.fill_factor is None else repr(row.fill_factor),
-                    "" if row.scanning_range is None else repr(row.scanning_range),
+                  ([float(row.r), row.m, row.rule, row.fill_factor, row.scanning_range,
                     row.status] for row in rows))
     return 0
 
@@ -121,8 +125,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     })
     _emit_json(payload, args.out)
     if args.trace:
-        lio.write_csv(args.trace, ["iteration", "loss"],
-                      ([i, repr(float(loss))] for i, loss in enumerate(result.loss_trace)))
+        lio.write_csv(args.trace, ["iteration", "loss"], enumerate(result.loss_trace))
     return 0
 
 
@@ -138,12 +141,12 @@ def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: floa
         return lambda t: rate * t
     if kind == "linear_total":
         total = record_value(spec["total_offset"], "total_offset")
-        return lambda t: total * t / duration
-    if kind == "phase_target":
+    elif kind == "phase_target":
         target = record_value(spec["target_deg"], "target_deg")
         total = resonance_offset_for_phase_shift(f_drive, f_res, q, target)
-        return lambda t: total * t / duration
-    raise DomainError(f"unknown drift type {kind!r}")
+    else:
+        raise DomainError(f"unknown drift type {kind!r}")
+    return lambda t: total * t / duration
 
 
 def cmd_phase_sim(args: argparse.Namespace) -> int:
@@ -164,8 +167,7 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
     lio.write_csv(args.out, ["t", "phase_error_deg", "corrected"],
-                  ([repr(float(t)), repr(float(err)), repr(float(corr))]
-                   for t, err, corr in zip(trace.t, trace.phase_error_deg, trace.correction_deg)))
+                  zip(trace.t, trace.phase_error_deg, trace.correction_deg))
     return 0
 
 

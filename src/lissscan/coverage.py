@@ -12,6 +12,7 @@ responses, i.e. the fraction of the full field of view actually reached.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,10 +22,14 @@ import numpy as np
 
 from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, UnmodulatedDesign, as_fraction,
                      baseline_repeating_design, design_unmodulated)
-from .errors import DegeneratePattern, DomainError, LissscanError, record_errors, record_value
+from .errors import (DegeneratePattern, DomainError, LissscanError, count_value, record_errors,
+                     record_value)
 from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
+MAX_GRID = 2048           # fill_factor's n_grid x n_grid bound array stays at 32 MB
+MAX_SAMPLES = 2**21       # a pattern's stacked (n_samples, 2) KD-tree input stays at 32 MB
+MAX_ITERS = 10**6         # optimize's loss and norm trace lists stay near 32 MB each
 
 
 @dataclass(eq=False)
@@ -77,15 +82,31 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     with the endpoint excluded. Amplitudes default to the plant response at
     each tone; pass amp_x / amp_y to override (e.g. 0 to silence an axis).
     """
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
     ax = _response(config, "x", design.fx) if amp_x is None else float(amp_x)
     ay = _response(config, "y", design.fy) if amp_y is None else float(amp_y)
     m = design.m
-    t = frame_index * m + np.arange(n_samples) * (m / n_samples)
+    if not abs(frame_index * m) <= sys.float_info.max:
+        raise DomainError(f"frame_index {frame_index} starts the frame outside float range")
+    t = _sample_times(frame_index * m, m, n_samples)
     x = ax * np.cos(2.0 * np.pi * float(design.fx) * t + design.phix)
     y = ay * np.cos(2.0 * np.pi * float(design.fy) * t + design.phiy)
     return SampledPattern(t=t, x=x, y=y, frame_len=m, frames=1)
+
+
+def _sample_count(n_samples) -> int:
+    """n_samples as an integer in [2, MAX_SAMPLES]; DomainError otherwise."""
+    return count_value(n_samples, "n_samples", 2, MAX_SAMPLES)
+
+
+def _grid_count(n_grid) -> int:
+    """n_grid as an integer in [2, MAX_GRID]; DomainError otherwise."""
+    return count_value(n_grid, "n_grid", 2, MAX_GRID)
+
+
+def _sample_times(start, span, n_samples) -> np.ndarray:
+    """n_samples uniform times over [start, start + span), endpoint excluded."""
+    n_samples = _sample_count(n_samples)
+    return start + np.arange(n_samples) * (span / n_samples)
 
 
 def _patch_centers(n: int) -> np.ndarray:
@@ -105,8 +126,7 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
     is bit-identical to the maximum over all centers.
     """
     from scipy.spatial import cKDTree   # deferred: most commands never need it
-    if n_grid < 2:
-        raise DomainError(f"grid must have at least 2 patches per axis, got {n_grid}")
+    n_grid = _grid_count(n_grid)
     sx = float(np.max(np.abs(pattern.x)))
     sy = float(np.max(np.abs(pattern.y)))
     if not (np.isfinite(sx) and np.isfinite(sy)):

@@ -69,6 +69,21 @@ def record_value(value, name: str, convert=float):
     return convert(value)
 
 
+def count_value(value, name: str, low: int, high: float = math.inf,
+                error: type[LissscanError] = DomainError) -> int:
+    """value as an int in [low, high]; error otherwise. As record_value does
+    for an int field, a boolean or a non-integral number is refused rather
+    than truncated (7.0 reads as 7)."""
+    try:
+        count = record_value(value, name, int)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if not low <= count <= high:
+        limit = f"at least {low}" if high == math.inf else f"between {low} and {high}"
+        raise error(f"{name} must be {limit}, got {count}")
+    return count
+
+
 def finite_non_negative(value, name: str) -> float:
     """float(value), which must be finite and non-negative; DomainError otherwise."""
     value = float(value)

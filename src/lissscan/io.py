@@ -81,7 +81,9 @@ def json_text(payload: dict) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> Path:
-    """Write a header and rows as CSV (the csv module's \\r\\n line ends)."""
+    """Write a header and rows as CSV (the csv module's \\r\\n line ends). Fields
+    go in as given: a number as str(), for a float (numpy's float64 too) its
+    shortest round-trip repr, and None as an empty field."""
     buf = StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -186,7 +188,7 @@ def export_pattern(pattern: SampledPattern, path) -> Path:
                           for t, x, y in zip(pattern.t, pattern.x, pattern.y)))
     payload = {"t": pattern.t.tolist(), "x": pattern.x.tolist(), "y": pattern.y.tolist(),
                "frame_len": pattern.frame_len, "frames": pattern.frames}
-    return write_text(path, json.dumps(payload, indent=2) + "\n")    # keeps field order
+    return write_text(path, json_text(payload))
 
 
 def import_pattern(path) -> SampledPattern:

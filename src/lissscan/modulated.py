@@ -23,10 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coverage import SampledPattern, _patch_centers, _response, sample_unmodulated
+from .coverage import (MAX_ITERS, SampledPattern, _patch_centers, _response, _sample_count,
+                       _sample_times, sample_unmodulated)
 from .design import as_fraction, design_unmodulated
-from .errors import (DomainError, InvalidParams, OptimizationFailed, finite_non_negative,
-                     positive_finite, record_errors, record_value)
+from .errors import (DomainError, InvalidParams, OptimizationFailed, count_value,
+                     finite_non_negative, positive_finite, record_errors, record_value)
 from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
@@ -129,11 +130,11 @@ class ModulatedParams:
     def __post_init__(self) -> None:
         self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
             self.alpha, self.gamma, self.beta, self.delta)
-        self.nx = tuple(int(n) for n in self.nx)
-        self.ny = tuple(int(n) for n in self.ny)
-        for name, tones in (("nx", self.nx), ("ny", self.ny)):
-            if not tones or any(n < 1 for n in tones) or list(tones) != sorted(set(tones)):
+        for name in ("nx", "ny"):
+            tones = tuple(count_value(n, name, 1, error=InvalidParams) for n in getattr(self, name))
+            if not tones or list(tones) != sorted(set(tones)):
                 raise InvalidParams(f"{name} must be distinct positive integers in ascending order")
+            setattr(self, name, tones)
         if len(self.alpha) != len(self.nx) or len(self.gamma) != len(self.nx):
             raise InvalidParams("alpha/gamma length must match nx")
         if len(self.beta) != len(self.ny) or len(self.delta) != len(self.ny):
@@ -176,9 +177,7 @@ class ModulatedParams:
         with record_errors("params record", InvalidParams):
             coefficients = {name: [record_value(v, name) for v in data[name]]
                             for name in _COEFFICIENTS}
-            return cls(**coefficients,
-                       nx=tuple(record_value(n, "nx", int) for n in data["nx"]),
-                       ny=tuple(record_value(n, "ny", int) for n in data["ny"]),
+            return cls(**coefficients, nx=data["nx"], ny=data["ny"],
                        L=record_value(data["L"], "L", int), m=record_value(data["m"], "m", int),
                        config=ScannerConfig.from_dict(data["scanner"]))
 
@@ -217,8 +216,8 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
 
     All actuation (amplitude 0.95) sits on the center (near-resonance) tone
     of each axis as a cosine, matching the zero-phase convention of the
-    unmodulated designs; this pattern doubles as the unmodulated reference
-    for focusing ratios.
+    unmodulated designs. Focusing ratios are judged against
+    reference_pattern, not against this starting point.
     """
     r = as_fraction(r)
     nx = default_tone_indices(r, n_tones, m)
@@ -237,11 +236,8 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
 def _bases(params: ModulatedParams, n_samples: int, frames: int = 1):
     """Sample times over [0, frames*m), endpoint excluded, and the plant-weighted
     cosine/sine bases (bxc, bxs, byc, bys), each of shape (n_samples, tones)."""
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
-    if frames < 1:
-        raise DomainError(f"need at least 1 frame, got {frames}")
-    t = np.arange(n_samples) * (frames * params.m / n_samples)
+    frames = count_value(frames, "frames", 1)
+    t = _sample_times(0, frames * params.m, n_samples)
     hx = np.array([_response(params.config, "x", f) for f in params.fx_tones])
     hy = np.array([_response(params.config, "y", f) for f in params.fy_tones])
     ax = 2.0 * np.pi * np.outer(t, params.fx_tones)
@@ -295,12 +291,17 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
     return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite loss raises instead
 def objective(pattern: SampledPattern, wmap: WeightMap,
               threshold: float) -> tuple[float, Assignment]:
     """Weighted squared distance from every non-occupied patch center to its
     nearest sample, plus the assignment that produced it (searched on the
-    positive-weight patches only; see Assignment)."""
-    return _assign(pattern.x, pattern.y, wmap, finite_non_negative(threshold, "threshold"))
+    positive-weight patches only; see Assignment). DomainError if the loss
+    is not finite."""
+    loss, asg = _assign(pattern.x, pattern.y, wmap, finite_non_negative(threshold, "threshold"))
+    if not math.isfinite(loss):
+        raise DomainError(f"objective is not finite: {loss}")
+    return loss, asg
 
 
 def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, asg: Assignment) -> float:
@@ -322,32 +323,37 @@ class ModulatedGradient:
     beta: np.ndarray
     delta: np.ndarray
 
+    def is_finite(self) -> bool:
+        """Whether every component is finite."""
+        return all(np.all(np.isfinite(g)) for g in (self.alpha, self.gamma, self.beta, self.delta))
+
 
 def _gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys) -> ModulatedGradient:
-    size = wmap.size
     n = len(x)
-    centers = _patch_centers(size)
-    wbar = np.where(asg.occupied, 0.0, wmap.w).ravel()
+    centers = _patch_centers(wmap.size)
+    wbar = np.where(asg.occupied, 0.0, wmap.w)
     idx = asg.n_idx.ravel()
-    cxp = np.repeat(centers, size)   # patch x centers, ix-major flattening
-    cyp = np.tile(centers, size)
-    s1 = np.bincount(idx, weights=wbar, minlength=n)
-    sx = np.bincount(idx, weights=wbar * cxp, minlength=n)
-    sy = np.bincount(idx, weights=wbar * cyp, minlength=n)
+    s1 = np.bincount(idx, weights=wbar.ravel(), minlength=n)
+    sx = np.bincount(idx, weights=(wbar * centers[:, None]).ravel(), minlength=n)
+    sy = np.bincount(idx, weights=(wbar * centers[None, :]).ravel(), minlength=n)
     gx = 2.0 * (x * s1 - sx)         # dLoss / d(sample position)
     gy = 2.0 * (y * s1 - sy)
     return ModulatedGradient(alpha=bxc.T @ gx, gamma=bxs.T @ gx,
                              beta=byc.T @ gy, delta=bys.T @ gy)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite gradient raises instead
 def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
              threshold: float) -> ModulatedGradient:
     """Exact objective gradient in coefficient space with the current
-    patch-to-sample assignment held fixed."""
+    patch-to-sample assignment held fixed; DomainError if it is not finite."""
     _, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
     _, asg = _assign(x, y, wmap, finite_non_negative(threshold, "threshold"))
-    return _gradient_fixed(x, y, wmap, asg, *bases)
+    grad = _gradient_fixed(x, y, wmap, asg, *bases)
+    if not grad.is_finite():
+        raise DomainError("gradient is not finite")
+    return grad
 
 
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,13 +400,11 @@ class OptimizeOptions:
 
     def __post_init__(self) -> None:
         positive_finite(self.step, "step")
-        if self.n_samples < 2:
-            raise DomainError(f"n_samples must be at least 2, got {self.n_samples}")
+        self.n_samples = _sample_count(self.n_samples)
         if self.threshold is not None:
             finite_non_negative(self.threshold, "threshold")
-        if self.max_iters < 0 or self.patience < 1:
-            raise DomainError(f"need max_iters >= 0 and patience >= 1, got {self.max_iters} "
-                              f"and {self.patience}")
+        self.max_iters = count_value(self.max_iters, "max_iters", 0, MAX_ITERS)
+        self.patience = count_value(self.patience, "patience", 1)
         if self.constraint not in _PROJECTIONS:
             raise DomainError(f"constraint must be one of {sorted(_PROJECTIONS)}, "
                               f"got {self.constraint!r}")
@@ -457,7 +461,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
 
     for iterations in range(1, opts.max_iters + 1):
         grad = _gradient_fixed(x, y, wmap, asg, *bases)
-        if not all(np.all(np.isfinite(g)) for g in (grad.alpha, grad.gamma, grad.beta, grad.delta)):
+        if not grad.is_finite():
             raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
         step = opts.step
         for _ in range(MAX_BACKTRACKS + 1):

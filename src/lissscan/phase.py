@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, IllConditioned, UndefinedPhase, finite_non_negative,
-                     positive_finite)
+from .errors import (DomainError, IllConditioned, UndefinedPhase, count_value,
+                     finite_non_negative, positive_finite)
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -213,6 +213,7 @@ def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis:
     """
     f_res, q = config.axis(axis)
     f_drive = positive_finite(f_drive, "drive frequency")
+    seed = count_value(seed, "seed", 0)
     if not scenario.frame_time <= duration < MAX_FRAMES * scenario.frame_time:
         raise DomainError(f"duration must cover 1 to {MAX_FRAMES} frames, got {duration}")
     n_frames = int(math.floor(duration / scenario.frame_time)) + 1
@@ -220,8 +221,8 @@ def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis:
     res = f_res + _drift_offsets(scenario.drift_fn, times)
     if not np.all((res > 0) & np.isfinite(res)):
         raise DomainError("drift drove the resonance non-positive or non-finite")
-    psi = np.arctan2(f_drive * res / q, res * res - f_drive * f_drive)
-    psi0 = plant_phase_lag(f_drive, f_res, q)
+    lag = lambda g: np.arctan2(f_drive * g / q, g * g - f_drive * f_drive)
+    psi, psi0 = lag(res), lag(np.float64(f_res))    # one arctan2: no drift reads 0.0
 
     if not scenario.control_enabled:
         errors = wrap_phase(psi - psi0)

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from lissscan import coverage
 from lissscan import (ScannerConfig, SampledPattern, UnmodulatedDesign,
                       baseline_repeating_design, design_unmodulated, fill_factor,
-                      phase_tolerance_sweep, sample_unmodulated, scanning_range,
-                      sweep_designs, sweep_workers_from_env)
+                      initial_params, phase_tolerance_sweep, sample_unmodulated, scanning_range,
+                      sweep_designs, sweep_workers_from_env, synthesize_modulated)
+from lissscan.coverage import MAX_GRID, MAX_SAMPLES
 from lissscan.errors import DegeneratePattern, DomainError
 
 F = Fraction
@@ -104,6 +105,25 @@ def test_fill_factor_rejects_flat_patterns_and_tiny_grids():
         fill_factor(sample_unmodulated(P2, CFG, 0, 100, amp_y=0.0))
     with pytest.raises(DomainError):
         fill_factor(sample_unmodulated(P2, CFG, 0, 100), n_grid=1)
+
+
+def test_sample_and_grid_bounds_raise_before_anything_is_allocated(monkeypatch):
+    pattern = sample_unmodulated(P2, CFG, 0, 100)
+    params = initial_params(2, n_tones=3)
+    fill_factor(pattern, 8)                          # scipy.spatial is loaded before the patch
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the bound was checked")
+    for name in ("arange", "meshgrid", "outer", "empty", "zeros"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(DomainError, match=f"n_grid must be between 2 and {MAX_GRID}, got"):
+        fill_factor(pattern, MAX_GRID + 1)
+    with pytest.raises(DomainError, match=f"n_samples must be between 2 and {MAX_SAMPLES}, got"):
+        sample_unmodulated(P2, CFG, 0, MAX_SAMPLES + 1)
+    with pytest.raises(DomainError, match="n_samples must be between"):
+        synthesize_modulated(params, MAX_SAMPLES + 1)
+    assert coverage._grid_count(MAX_GRID) == MAX_GRID       # the bounds themselves are allowed
+    assert coverage._sample_count(MAX_SAMPLES) == MAX_SAMPLES
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])

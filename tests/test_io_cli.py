@@ -25,7 +25,7 @@ from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
                       synthesize_quadrature, MultitoneState)
 from lissscan import cli
 from lissscan.cli import cli_dispatch
-from lissscan.coverage import MAX_SWEEP_CELLS
+from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
 
 F = Fraction
@@ -128,7 +128,9 @@ def test_pattern_csv_round_trip(tmp_path):
 
 def test_pattern_json_round_trip(tmp_path):
     pattern = sample_unmodulated(design_unmodulated(F(3, 2), 7), CFG, 0, 200)
-    back = import_pattern(export_pattern(pattern, tmp_path / "p.json"))
+    path = export_pattern(pattern, tmp_path / "p.json")
+    assert list(json.loads(path.read_text())) == ["frame_len", "frames", "t", "x", "y"]  # sorted
+    back = import_pattern(path)
     np.testing.assert_array_equal(back.x, pattern.x)   # full precision
     np.testing.assert_array_equal(back.t, pattern.t)
     assert back.frame_len == pattern.frame_len and back.frames == pattern.frames
@@ -779,6 +781,57 @@ def test_cli_optimize_rejects_a_bad_option_before_the_descent(flag, value, tmp_p
     assert not out.exists()
 
 
+_FLAG_VALUES = st.one_of(
+    st.integers(-3, 40).map(str), st.floats(-3, 40).map(repr),
+    st.sampled_from(["", " ", "abc", "nan", "inf", "-inf", "1e400", "1e300", "-1e300", "1e-300",
+                     "5e-324", "1/3", "1/0", "0x10", "-0", "1e-9", "1e9", "7,7", "7,,8", "9" * 25,
+                     "9" * 400, "-" + "9" * 400, str(MAX_GRID + 1), str(MAX_SAMPLES + 1),
+                     str(MAX_ITERS + 1)]))
+
+
+def _flag_run(command, tmp_path, files, scenario):
+    """A cheap run of command, and the value flags a fuzz run may change
+    (paths are left to the JSON fuzz above). Valid drawn values stay small,
+    so no run is slow; out-of-bound ones must be refused first."""
+    scanner, design, roi = map(str, files)
+    out = str(tmp_path / "out")
+    return {
+        "design": (["design", "--r", "1.5", "--m", "7"], ["--r", "--m"]),
+        "metrics": (["metrics", "--design", design, "--scanner", scanner, "--frame", "0",
+                     "--grid", "8", "--n-samples", "50", "--out", out],
+                    ["--frame", "--n-samples", "--grid"]),
+        "sweep": (["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05", "--m", "7",
+                   "--scanner", scanner, "--grid", "8", "--n-samples", "50", "--out", out],
+                  ["--r-min", "--r-max", "--r-step", "--m", "--n-samples", "--grid"]),
+        "optimize": (["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3", "--m", "7",
+                      "--n-samples", "50", "--max-iters", "2", "--step", "0.05",
+                      "--threshold", "0.1", "--out", out],
+                     ["--tones", "--m", "--n-samples", "--max-iters", "--step", "--threshold"]),
+        "phase-sim": (["phase-sim", "--scenario", scenario, "--scanner", scanner,
+                       "--duration", "64", "--seed", "0", "--out", out], ["--duration", "--seed"]),
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("metrics", "--grid", MAX_GRID + 1), ("metrics", "--n-samples", MAX_SAMPLES + 1),
+    ("sweep", "--grid", MAX_GRID + 1), ("sweep", "--n-samples", MAX_SAMPLES + 1),
+    ("optimize", "--n-samples", MAX_SAMPLES + 1), ("optimize", "--max-iters", MAX_ITERS + 1),
+])
+def test_cli_sizing_flags_are_bounded_before_any_input_is_read(command, flag, value, tmp_path,
+                                                               capsys, monkeypatch):
+    files, _ = _cli_inputs(tmp_path)
+    argv, _ = _flag_run(command, tmp_path, files, scenario=None)
+    argv[argv.index(flag) + 1] = str(value)
+
+    def refused_first(*args, **kwargs):
+        raise AssertionError("an input was read or an array allocated before the bound")
+    monkeypatch.setattr("lissscan.io.read_json", refused_first)
+    monkeypatch.setattr(np, "arange", refused_first)
+    assert cli_dispatch(argv) == 1
+    _assert_one_error(capsys, "DomainError")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])
 def test_cli_phase_sim_rejects_a_non_finite_duration(duration, tmp_path, capsys):
     files, records = _cli_inputs(tmp_path)
@@ -846,3 +899,30 @@ def test_cli_json_inputs_end_in_one_of_three_states(flag, data):
             assert not caught, [str(w.message) for w in caught]    # would print on stderr
             if whole is not None and whole != "{}":
                 assert err.startswith(f"error:{_READER_ERROR[flag]}:"), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["design", "metrics", "optimize", "phase-sim", "sweep"]),
+       data=st.data())
+def test_cli_flags_end_in_one_of_three_states(command, data):
+    """Exit 0, exit 2, or exit 1 with exactly one error: line and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        files, records = _cli_inputs(tmp_path)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(records["--scenario"]))
+        argv, flags = _flag_run(command, tmp_path, files, str(scenario))
+        for flag in data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2,
+                                       unique=True), label="flags"):
+            argv[argv.index(flag) + 1] = data.draw(_FLAG_VALUES, label=flag)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_dispatch(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), code
+        assert not caught, [str(w.message) for w in caught]     # would print on stderr
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert "Traceback" not in err

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lissscan import modulated
-from lissscan import (ROI_A, ROI_B, Assignment, ModulatedParams, OptimizeOptions,
+from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, OptimizeOptions,
                       SampledPattern, ScannerConfig, WeightMap,
-                      default_tone_indices, design_unmodulated, gradient,
+                      default_tone_indices, design_unmodulated, fill_factor, gradient,
                       initial_params, objective, optimize, polar_coefficients,
                       positive_region_density, project_absolute, project_rms,
-                      reference_pattern, roi_density, sample_unmodulated, synthesize_modulated,
-                      transfer_amplitude)
+                      reference_pattern, roi_density, sample_unmodulated, simulate_drift_control,
+                      synthesize_modulated, transfer_amplitude)
+from lissscan.coverage import MAX_ITERS, MAX_SAMPLES
 from lissscan.errors import DomainError, InvalidParams, OptimizationFailed
 
 F = Fraction
@@ -525,11 +526,55 @@ def test_optimize_input_validation():
 @pytest.mark.parametrize("options", [
     {"n_samples": 1}, {"n_samples": 0}, {"step": 0.0}, {"step": -1.0}, {"step": math.nan},
     {"step": math.inf}, {"threshold": math.nan}, {"threshold": math.inf}, {"max_iters": -1},
-    {"patience": 0},
+    {"patience": 0}, {"max_iters": MAX_ITERS + 1}, {"n_samples": MAX_SAMPLES + 1},
 ], ids=lambda options: "-".join(f"{k}={v}" for k, v in options.items()))
 def test_optimize_options_check_their_own_fields(options):
     with pytest.raises(DomainError, match=next(iter(options))):
         OptimizeOptions(**options)
+
+
+def _params_with_nx(first):
+    p = initial_params(2, n_tones=3)                 # nx = (26, 28, 30)
+    return ModulatedParams(p.alpha, p.gamma, p.beta, p.delta, nx=(first, 28, 30), ny=p.ny,
+                           L=p.L, m=p.m, config=p.config)
+
+
+_DRIFT = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4)
+_COUNT_ARGUMENTS = [   # (name, call with the count, an integral float it accepts, error)
+    ("n_samples", lambda v: sample_unmodulated(design_unmodulated(F(3, 2), 7),
+                                               ScannerConfig.normalized(1.5), 0, v), 50.0,
+     DomainError),
+    ("n_samples", lambda v: synthesize_modulated(initial_params(2), v), 50.0, DomainError),
+    ("frames", lambda v: synthesize_modulated(initial_params(2), 50, v), 2.0, DomainError),
+    ("n_grid", lambda v: fill_factor(reference_pattern(2, n_samples=50), v), 8.0, DomainError),
+    ("nx", _params_with_nx, 26.0, InvalidParams),
+    ("max_iters", lambda v: OptimizeOptions(max_iters=v), 500.0, DomainError),
+    ("patience", lambda v: OptimizeOptions(patience=v), 3.0, DomainError),
+    ("seed", lambda v: simulate_drift_control(_DRIFT, ScannerConfig(2.0), "x", 2.0, 64.0, v), 3.0,
+     DomainError),
+]
+
+
+@pytest.mark.parametrize("name, call, whole, error", _COUNT_ARGUMENTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_COUNT_ARGUMENTS)])
+def test_count_arguments_refuse_a_bool_or_a_fraction(name, call, whole, error):
+    # each of these truncated 2.5 to 2, read True as 1, or failed later with
+    # an IndexError or TypeError
+    for value in (2.5, True):
+        with pytest.raises(error, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+    call(whole)                                      # an integral float reads as its integer
+
+
+@pytest.mark.filterwarnings("error")      # numpy warns nothing on the way to the error
+@pytest.mark.parametrize("call", [
+    lambda w: objective(synthesize_modulated(initial_params(2)), w, 0.1),
+    lambda w: gradient(initial_params(2), w, 200, 0.1),
+], ids=["objective", "gradient"])
+def test_objective_and_gradient_refuse_a_non_finite_result(call):
+    # both returned inf or nan (with overflow warnings) for weights near the float maximum
+    with pytest.raises(DomainError, match="not finite"):
+        call(WeightMap(np.full((8, 8), 1e308)))
 
 
 @pytest.mark.filterwarnings("error")      # no numpy overflow warning reaches stderr

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lissscan import (DriftScenario, MultitoneState, QuadraturePair,
                       ScannerConfig, plant_phase_lag, quadrature_phase,
@@ -164,12 +164,22 @@ def test_drift_scenario_validation():
 CFG2 = ScannerConfig.normalized(2.0)
 
 
-def test_zero_drift_means_zero_error():
+@settings(max_examples=150, deadline=None)
+@given(f_drive=st.floats(1e-3, 1e3), f_res=st.floats(1e-3, 1e3), q=st.floats(1.0, 1e4),
+       frames=st.integers(1, 300), control=st.booleans())
+@example(f_drive=2.0, f_res=2.0, q=20.0, frames=100, control=False)       # on resonance
+@example(f_drive=0.643, f_res=0.558, q=20.0, frames=100, control=False)   # detuned
+@example(f_drive=0.643, f_res=0.558, q=20.0, frames=100, control=True)
+def test_zero_drift_means_zero_error(f_drive, f_res, q, frames, control):
+    """With no drift every frame's error and correction is exactly 0.0 (not
+    -0.0), with the loop off and with it on at zero read noise."""
     scenario = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4,
-                             control_enabled=False)
-    trace = simulate_drift_control(scenario, CFG2, "x", 2.0, 640.0)
-    assert trace.max_abs_error() == 0.0
-    np.testing.assert_array_equal(trace.correction_deg, np.zeros(len(trace.t)))
+                             control_enabled=control)
+    trace = simulate_drift_control(scenario, ScannerConfig(fx_res=f_res, qx=q), "x", f_drive,
+                                   6.4 * frames)
+    zeros = np.zeros(len(trace.t)).tobytes()
+    assert trace.phase_error_deg.tobytes() == zeros
+    assert trace.correction_deg.tobytes() == zeros
 
 
 def test_open_loop_error_tracks_a_linear_drift():
