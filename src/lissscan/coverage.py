@@ -11,10 +11,12 @@ responses, i.e. the fraction of the full field of view actually reached.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -30,6 +32,7 @@ MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is bu
 MAX_GRID = 2048           # fill_factor's n_grid x n_grid bound array stays at 32 MB
 MAX_SAMPLES = 2**21       # a pattern's stacked (n_samples, 2) KD-tree input stays at 32 MB
 MAX_ITERS = 10**6         # optimize's loss and norm trace lists stay near 32 MB each
+POOL_CHUNK = 8            # distinct geometries per process-pool task in sweep_designs
 
 
 @dataclass(eq=False)
@@ -79,12 +82,14 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     """Sample one frame of a single-tone pattern.
 
     n_samples uniform timestamps cover [frame_index*m, (frame_index+1)*m)
-    with the endpoint excluded. Amplitudes default to the plant response at
-    each tone; pass amp_x / amp_y to override (e.g. 0 to silence an axis).
+    with the endpoint excluded; frame_index is an integer of either sign.
+    Amplitudes default to the plant response at each tone; pass amp_x /
+    amp_y to override (e.g. 0 to silence an axis).
     """
     ax = _response(config, "x", design.fx) if amp_x is None else float(amp_x)
     ay = _response(config, "y", design.fy) if amp_y is None else float(amp_y)
     m = design.m
+    frame_index = count_value(frame_index, "frame_index", -math.inf)
     if not abs(frame_index * m) <= sys.float_info.max:
         raise DomainError(f"frame_index {frame_index} starts the frame outside float range")
     t = _sample_times(frame_index * m, m, n_samples)
@@ -109,8 +114,12 @@ def _sample_times(start, span, n_samples) -> np.ndarray:
     return start + np.arange(n_samples) * (span / n_samples)
 
 
+@lru_cache(maxsize=64)
 def _patch_centers(n: int) -> np.ndarray:
-    return -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    """Centers of n equal patches across [-1, 1]; cached per n, so read-only."""
+    centers = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    centers.flags.writeable = False
+    return centers
 
 
 def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> CoverageReport:
@@ -186,7 +195,10 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     rule errors come back flagged in the status column instead of being
     dropped. Each distinct geometry (fx, fy, phix, phiy, m) is scored once,
     at unit amplitude, which fill factor does not depend on. workers > 1
-    scores the geometries in a process pool; the rows do not depend on it.
+    scores the geometries in a process pool of at most that many processes,
+    fewer when the CPUs this process may run on or the pool's tasks
+    (POOL_CHUNK geometries each) are fewer, and serially when that leaves one;
+    the rows do not depend on it.
     """
     r_grid = list(dict.fromkeys(as_fraction(r) for r in r_grid))
     m_set = list(dict.fromkeys(int(m) for m in m_set))
@@ -207,11 +219,12 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
         geometry = (design.fx, design.fy, design.phix, design.phiy, design.m)
         jobs.setdefault(geometry, (design, cell_config, n_samples, n_grid))
         cells.append((r, m, rule, geometry, reach))
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, _usable_cpus(), math.ceil(len(jobs) / POOL_CHUNK))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         import scipy.spatial  # noqa: F401  (imported once here, not in each forked worker)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=8)))
+            fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=POOL_CHUNK)))
     else:
         fills = {geometry: _score_geometry(args) for geometry, args in jobs.items()}
     rows = []
@@ -222,6 +235,13 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
         else:
             rows.append(SweepRow(r, m, rule, fill, outcome, "ok"))
     return rows
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep_workers_from_env() -> int | None:

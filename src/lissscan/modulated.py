@@ -33,6 +33,7 @@ from .scanner import ScannerConfig
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
+SEARCH_BLOCK = 2**14  # elements (128 KB) of one nearest-sample search block
 
 # Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
@@ -88,7 +89,7 @@ _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 @np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     """Root of one axis's summed squared coefficients."""
-    total = float(np.sum(cos_coef ** 2) + np.sum(sin_coef ** 2))
+    total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
     if total == math.inf:    # a square leaves the float range
         return math.hypot(*cos_coef, *sin_coef)
     return math.sqrt(total)
@@ -100,7 +101,7 @@ def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
     arrays = []
     for name, value in zip(_COEFFICIENTS, (alpha, gamma, beta, delta)):
         arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        if arr.ndim != 1 or not np.isfinite(arr).all():
             raise InvalidParams(f"{name} must be a finite 1-D array")
         arrays.append(arr)
     for axis, rms in (("x", _rms(*arrays[:2])), ("y", _rms(*arrays[2:]))):
@@ -139,7 +140,9 @@ class ModulatedParams:
             raise InvalidParams("alpha/gamma length must match nx")
         if len(self.beta) != len(self.ny) or len(self.delta) != len(self.ny):
             raise InvalidParams("beta/delta length must match ny")
-        if self.L < 1 or self.m < 1 or self.L * self.m > sys.float_info.max:
+        self.L = count_value(self.L, "L", 1, error=InvalidParams)
+        self.m = count_value(self.m, "m", 1, error=InvalidParams)
+        if self.L * self.m > sys.float_info.max:
             raise InvalidParams("L and m must be positive integers with a float-sized product")
 
     @property
@@ -178,7 +181,7 @@ class ModulatedParams:
             coefficients = {name: [record_value(v, name) for v in data[name]]
                             for name in _COEFFICIENTS}
             return cls(**coefficients, nx=data["nx"], ny=data["ny"],
-                       L=record_value(data["L"], "L", int), m=record_value(data["m"], "m", int),
+                       L=data["L"], m=data["m"],
                        config=ScannerConfig.from_dict(data["scanner"]))
 
 
@@ -275,20 +278,32 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
             threshold: float) -> tuple[float, Assignment]:
     size = wmap.size
     centers = _patch_centers(size)
-    dx2 = (centers[:, None] - x[None, :]) ** 2   # (M, N)
-    dy2 = (centers[:, None] - y[None, :]) ** 2
     positive = wmap.w > 0
+    rows = positive.any(axis=1).nonzero()[0]      # rows and columns holding a positive patch
+    cols = positive.any(axis=0).nonzero()[0]
+    box = positive[rows][:, cols]
+    dx2 = (centers[rows, None] - x) ** 2          # (rows, N)
+    dy2 = (centers[cols, None] - y) ** 2          # (cols, N)
+    # a run of consecutive rows with the same positive columns is searched
+    # as (rows, columns, N) blocks of at most SEARCH_BLOCK elements (or one row)
+    cuts = (box[1:] != box[:-1]).any(axis=1).nonzero()[0] + 1
+    bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else []
+    found = []                                    # nearest samples, in row-major patch order
+    for a, b in zip(bounds, bounds[1:]):
+        dy2_run = dy2[box[a]]
+        step = max(1, SEARCH_BLOCK // dy2_run.size)
+        for s in range(a, b, step):
+            d2 = dx2[s:min(s + step, b), None, :] + dy2_run
+            found.append(d2.argmin(axis=2))           # ties go to the smaller index
+    r, c = box.nonzero()
+    nearest = np.concatenate(found, axis=None) if found else np.zeros(0, dtype=np.intp)
     n_idx = np.zeros((size, size), dtype=np.intp)
     best = np.zeros((size, size))
-    for ix in np.flatnonzero(positive.any(axis=1)):   # row loop keeps memory flat
-        iy = np.flatnonzero(positive[ix])
-        d2 = dx2[ix][None, :] + dy2[iy]
-        idx = np.argmin(d2, axis=1)                   # ties go to the smaller index
-        n_idx[ix, iy] = idx
-        best[ix, iy] = d2[np.arange(len(iy)), idx]
+    n_idx[rows[r], cols[c]] = nearest
+    best[rows[r], cols[c]] = dx2[r, nearest] + dy2[c, nearest]   # the searched sums, recomputed
     occupied = positive & (best < threshold * threshold)
     wbar = np.where(occupied, 0.0, wmap.w)
-    return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
+    return float(np.add.reduce(wbar * best, axis=None)), Assignment(n_idx=n_idx, occupied=occupied)
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite loss raises instead
@@ -307,11 +322,10 @@ def objective(pattern: SampledPattern, wmap: WeightMap,
 def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, asg: Assignment) -> float:
     """Objective with assignment and occupancy frozen (the surrogate the
     gradient differentiates)."""
-    size = wmap.size
-    centers = _patch_centers(size)
-    d2 = (centers[:, None] - x[asg.n_idx]) ** 2 + (centers[None, :] - y[asg.n_idx]) ** 2
+    centers = _patch_centers(wmap.size)
+    d2 = (centers[:, None] - x.take(asg.n_idx)) ** 2 + (centers - y.take(asg.n_idx)) ** 2
     wbar = np.where(asg.occupied, 0.0, wmap.w)
-    return float(np.sum(wbar * d2))
+    return float(np.add.reduce(wbar * d2, axis=None))
 
 
 @dataclass(eq=False)
@@ -325,7 +339,7 @@ class ModulatedGradient:
 
     def is_finite(self) -> bool:
         """Whether every component is finite."""
-        return all(np.all(np.isfinite(g)) for g in (self.alpha, self.gamma, self.beta, self.delta))
+        return all(np.isfinite(g).all() for g in (self.alpha, self.gamma, self.beta, self.delta))
 
 
 def _gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys) -> ModulatedGradient:
