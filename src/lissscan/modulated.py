@@ -300,7 +300,7 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
     n_idx = np.zeros((size, size), dtype=np.intp)
     best = np.zeros((size, size))
     n_idx[rows[r], cols[c]] = nearest
-    best[rows[r], cols[c]] = dx2[r, nearest] + dy2[c, nearest]   # the searched sums, recomputed
+    best[rows[r], cols[c]] = dx2[r, nearest] + dy2[c, nearest]   # the same sums the search compared
     occupied = positive & (best < threshold * threshold)
     wbar = np.where(occupied, 0.0, wmap.w)
     return float(np.add.reduce(wbar * best, axis=None)), Assignment(n_idx=n_idx, occupied=occupied)

@@ -1,5 +1,6 @@
 """Fill-factor / scanning-range metrics and the (r, m) design sweep."""
 
+import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -32,6 +33,15 @@ def test_sampling_layout():
     assert pattern.frame_len == 7.0
     shifted = sample_unmodulated(P2, CFG, 3, 1000)
     assert shifted.t[0] == pytest.approx(21.0)
+
+
+def test_sampling_takes_a_frame_index_of_either_sign():
+    before = sample_unmodulated(P2, CFG, -2, 100)
+    assert before.t[0] == -14.0
+    assert np.array_equal(before.x, sample_unmodulated(P2, CFG, -2.0, 100).x)
+    for index in (1.5, True, math.nan):     # 1.5 started the frame half a frame late
+        with pytest.raises(DomainError, match="^frame_index must be an integer"):
+            sample_unmodulated(P2, CFG, index, 100)
 
 
 def test_sample_values_at_t0():
@@ -212,6 +222,57 @@ def test_sweep_parallel_equals_serial():
     parallel = sweep_designs([F(3, 2), F(2)], [6, 7], n_samples=300, n_grid=32, workers=2)
     assert serial == parallel
     assert sweep_designs(REPEAT_GRID, [7], workers=2) == sweep_designs(REPEAT_GRID, [7])
+
+
+# 20 ratios x m in 6..9: 59 distinct geometries, so 8 pool tasks of POOL_CHUNK
+POOL_GRID = ([F(k, 20) for k in range(21, 41)], [6, 7, 8, 9])
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps serially."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, cpus, grid, expected", [
+    (10**6, 4, POOL_GRID, 4),          # the usable CPUs bound it
+    (3, 64, POOL_GRID, 3),             # LISSSCAN_THREADS bounds it
+    (10**6, 64, POOL_GRID, 8),         # the task count bounds it
+    (10**6, 1, POOL_GRID, None),       # one CPU: serial
+    (8, 64, ([F(3, 2), F(2)], [6, 7]), None),   # at most 8 geometries make one task: serial
+], ids=["cpus", "variable", "tasks", "one-cpu", "one-task"])
+def test_sweep_pool_is_bounded_before_it_starts(workers, cpus, grid, expected, monkeypatch):
+    monkeypatch.setattr(_PoolRecorder, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(coverage.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    rows = sweep_designs(*grid, n_samples=100, n_grid=16, workers=workers)
+    assert _PoolRecorder.made == ([] if expected is None else [expected])
+    assert rows == sweep_designs(*grid, n_samples=100, n_grid=16)
+
+
+def test_sweep_pool_of_two_processes_equals_serial(monkeypatch):
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: made.append(max_workers) or real(max_workers))
+    monkeypatch.setattr(coverage.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = sweep_designs(*POOL_GRID, n_samples=100, n_grid=16)
+    assert sweep_designs(*POOL_GRID, n_samples=100, n_grid=16, workers=2) == serial
+    assert made == [2]
 
 
 @settings(max_examples=30, deadline=None)

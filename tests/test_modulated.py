@@ -2,11 +2,13 @@
 projected-descent optimizer."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lissscan import modulated
 from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, OptimizeOptions,
@@ -16,7 +18,7 @@ from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, 
                       positive_region_density, project_absolute, project_rms,
                       reference_pattern, roi_density, sample_unmodulated, simulate_drift_control,
                       synthesize_modulated, transfer_amplitude)
-from lissscan.coverage import MAX_ITERS, MAX_SAMPLES
+from lissscan.coverage import MAX_ITERS, MAX_SAMPLES, _patch_centers
 from lissscan.errors import DomainError, InvalidParams, OptimizationFailed
 
 F = Fraction
@@ -263,6 +265,118 @@ def test_objective_searches_weighted_patches_like_a_full_brute_force(problem):
                 assert not asg.occupied[i, j]
     occupied = best < threshold ** 2
     assert loss == float(np.sum(np.where(occupied, 0.0, wmap.w) * best))
+
+
+def _row_loop_assign(x, y, wmap, threshold):
+    """The nearest-sample search as a loop over the rows holding a positive
+    patch, one (patches, N) array per row: the reference for _assign."""
+    size = wmap.size
+    centers = -1.0 + (2.0 * np.arange(size) + 1.0) / size
+    dx2 = (centers[:, None] - x[None, :]) ** 2
+    dy2 = (centers[:, None] - y[None, :]) ** 2
+    positive = wmap.w > 0
+    n_idx = np.zeros((size, size), dtype=np.intp)
+    best = np.zeros((size, size))
+    for ix in np.flatnonzero(positive.any(axis=1)):
+        iy = np.flatnonzero(positive[ix])
+        d2 = dx2[ix][None, :] + dy2[iy]
+        idx = np.argmin(d2, axis=1)
+        n_idx[ix, iy] = idx
+        best[ix, iy] = d2[np.arange(len(iy)), idx]
+    occupied = positive & (best < threshold * threshold)
+    wbar = np.where(occupied, 0.0, wmap.w)
+    return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
+
+
+def _span(draw, low, high):
+    """A non-empty index range inside [low, high)."""
+    start = draw(st.integers(low, high - 1))
+    return slice(start, draw(st.integers(start + 1, high)))
+
+
+@st.composite
+def _roi_maps(draw):
+    """Weight maps shaped like regions of interest: one rectangle, two
+    rectangles on disjoint rows, a disc, a random mask, a uniform map or a
+    single patch, with random positive weights."""
+    size = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["rectangle", "two rectangles", "disc", "random", "uniform",
+                                  "single patch"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((size, size), dtype=bool)
+    if shape == "rectangle" or (shape == "two rectangles" and size == 1):
+        mask[_span(draw, 0, size), _span(draw, 0, size)] = True
+    elif shape == "two rectangles":
+        split = draw(st.integers(1, size - 1))
+        mask[_span(draw, 0, split), _span(draw, 0, size)] = True
+        mask[_span(draw, split, size), _span(draw, 0, size)] = True
+    elif shape == "disc":
+        centers = _patch_centers(size)
+        cx, cy = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+        mask = (centers[:, None] - cx) ** 2 + (centers - cy) ** 2 <= draw(st.floats(0, 1.5)) ** 2
+    elif shape == "random":
+        mask = rng.uniform(size=(size, size)) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+    elif shape == "uniform":
+        mask[:] = True
+    else:
+        mask[draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))] = True
+    return WeightMap(np.where(mask, rng.uniform(0.1, 2.0, (size, size)), 0.0))
+
+
+@st.composite
+def _search_problems(draw):
+    """A weight map, samples with exact repeats (a pattern that retraces
+    itself) and pairs mirrored about a patch center (equidistant from it), a
+    threshold and a search block size."""
+    wmap = draw(_roi_maps())
+    coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 16), st.floats(-1.5, 1.5))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    if draw(st.booleans()):
+        cx = _patch_centers(wmap.size)[draw(st.integers(0, wmap.size - 1))]
+        points += [(2.0 * cx - u, v) for u, v in points]
+    points *= draw(st.integers(2, 4))                 # every lap repeats the samples exactly
+    x, y = np.array(points).T
+    threshold = draw(st.sampled_from([0.0, 1.0 / wmap.size, 0.3]))
+    block = draw(st.sampled_from([modulated.SEARCH_BLOCK, 1, 1000]))
+    return x, y, wmap, threshold, block
+
+
+def _roi_problem(size):
+    """ROI_B's map and a 500-sample pattern: the optimizer's own search, in
+    several blocks at the module's block size."""
+    pattern = synthesize_modulated(initial_params(2), 500)
+    return (pattern.x, pattern.y, WeightMap.from_rectangles([ROI_B], size), 1.0 / size,
+            modulated.SEARCH_BLOCK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_search_problems())
+@example(problem=_roi_problem(32))
+@example(problem=_roi_problem(64))
+def test_assign_is_bit_identical_to_the_row_loop(problem):
+    x, y, wmap, threshold, block = problem
+    with mock.patch.object(modulated, "SEARCH_BLOCK", block):
+        loss, asg = modulated._assign(x, y, wmap, threshold)
+    ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert asg.n_idx.dtype == ref.n_idx.dtype and np.array_equal(asg.n_idx, ref.n_idx)
+    assert np.array_equal(asg.occupied, ref.occupied)
+
+
+def test_a_nan_sample_makes_the_objective_raise():
+    pattern = synthesize_modulated(initial_params(2), 200)
+    pattern.x[17] = math.nan
+    wmap = WeightMap.from_rectangles([ROI_B], 32)
+    with pytest.raises(DomainError, match="^objective is not finite: nan$"):
+        objective(pattern, wmap, 1 / 32)
+    assert math.isnan(_row_loop_assign(pattern.x, pattern.y, wmap, 1 / 32)[0])
+
+
+def test_patch_centers_are_shared_and_read_only():
+    centers = _patch_centers(16)
+    assert _patch_centers(16) is centers
+    with pytest.raises(ValueError, match="read-only"):
+        centers[0] = 0.0
 
 
 def test_occupied_patches_pay_nothing():
@@ -551,6 +665,11 @@ _COUNT_ARGUMENTS = [   # (name, call with the count, an integral float it accept
     ("max_iters", lambda v: OptimizeOptions(max_iters=v), 500.0, DomainError),
     ("patience", lambda v: OptimizeOptions(patience=v), 3.0, DomainError),
     ("seed", lambda v: simulate_drift_control(_DRIFT, ScannerConfig(2.0), "x", 2.0, 64.0, v), 3.0,
+     DomainError),
+    ("L", lambda v: replace(initial_params(2, n_tones=3), L=v), 2.0, InvalidParams),
+    ("m", lambda v: replace(initial_params(2, n_tones=3), m=v), 7.0, InvalidParams),
+    ("frame_index", lambda v: sample_unmodulated(design_unmodulated(F(3, 2), 7),
+                                                 ScannerConfig.normalized(1.5), v, 50), 1.0,
      DomainError),
 ]
 
