@@ -24,8 +24,7 @@ import numpy as np
 
 from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, UnmodulatedDesign, as_fraction,
                      baseline_repeating_design, design_unmodulated)
-from .errors import (DegeneratePattern, DomainError, LissscanError, count_value, record_errors,
-                     record_value)
+from .errors import DegeneratePattern, DomainError, LissscanError, number_value
 from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
@@ -53,14 +52,13 @@ class SampledPattern:
             raise DomainError("t, x, y must be one-dimensional arrays")
         if not (len(self.t) == len(self.x) == len(self.y)) or len(self.t) < 2:
             raise DomainError("t, x, y must share a length of at least 2")
+        if not all(np.isfinite(a).all() for a in (self.t, self.x, self.y)):
+            raise DomainError("t, x, y must be finite")
         steps = np.diff(self.t)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise DomainError("timestamps must be strictly increasing and uniform")
-        with record_errors("pattern record", DomainError):
-            self.frame_len = record_value(self.frame_len, "frame_len")
-            self.frames = record_value(self.frames, "frames", int)
-        if not 0.0 < self.frame_len < np.inf or self.frames < 1:
-            raise DomainError("frame_len must be positive and finite, and frames >= 1")
+        self.frame_len = number_value(self.frame_len, "frame_len", positive=True)
+        self.frames = number_value(self.frames, "frames", 1, convert=int)
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,7 @@ def _response(config: ScannerConfig, axis: str, f) -> float:
     return transfer_amplitude(config, axis, float(f) * config.fy_res)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # non-finite samples raise instead
 def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
                        frame_index: int = 0, n_samples: int = N_SAMPLES_DEFAULT,
                        amp_x: float | None = None, amp_y: float | None = None) -> SampledPattern:
@@ -86,10 +85,10 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     Amplitudes default to the plant response at each tone; pass amp_x /
     amp_y to override (e.g. 0 to silence an axis).
     """
-    ax = _response(config, "x", design.fx) if amp_x is None else float(amp_x)
-    ay = _response(config, "y", design.fy) if amp_y is None else float(amp_y)
+    ax = _response(config, "x", design.fx) if amp_x is None else number_value(amp_x, "amp_x", 0)
+    ay = _response(config, "y", design.fy) if amp_y is None else number_value(amp_y, "amp_y", 0)
     m = design.m
-    frame_index = count_value(frame_index, "frame_index", -math.inf)
+    frame_index = number_value(frame_index, "frame_index", convert=int)
     if not abs(frame_index * m) <= sys.float_info.max:
         raise DomainError(f"frame_index {frame_index} starts the frame outside float range")
     t = _sample_times(frame_index * m, m, n_samples)
@@ -100,12 +99,12 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
 
 def _sample_count(n_samples) -> int:
     """n_samples as an integer in [2, MAX_SAMPLES]; DomainError otherwise."""
-    return count_value(n_samples, "n_samples", 2, MAX_SAMPLES)
+    return number_value(n_samples, "n_samples", 2, MAX_SAMPLES, int)
 
 
 def _grid_count(n_grid) -> int:
     """n_grid as an integer in [2, MAX_GRID]; DomainError otherwise."""
-    return count_value(n_grid, "n_grid", 2, MAX_GRID)
+    return number_value(n_grid, "n_grid", 2, MAX_GRID, int)
 
 
 def _sample_times(start, span, n_samples) -> np.ndarray:
@@ -201,7 +200,8 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     the rows do not depend on it.
     """
     r_grid = list(dict.fromkeys(as_fraction(r) for r in r_grid))
-    m_set = list(dict.fromkeys(int(m) for m in m_set))
+    m_set = list(dict.fromkeys(number_value(m, "m", convert=int) for m in m_set))
+    workers = 1 if workers is None else number_value(workers, "workers", 1, convert=int)
     if not r_grid or not m_set:
         raise DomainError("sweep grids must be non-empty")
     qx, qy = (config.qx, config.qy) if config is not None else (20.0, 20.0)
@@ -219,7 +219,7 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
         geometry = (design.fx, design.fy, design.phix, design.phiy, design.m)
         jobs.setdefault(geometry, (design, cell_config, n_samples, n_grid))
         cells.append((r, m, rule, geometry, reach))
-    workers = min(workers or 1, _usable_cpus(), math.ceil(len(jobs) / POOL_CHUNK))
+    workers = min(workers, _usable_cpus(), math.ceil(len(jobs) / POOL_CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         import scipy.spatial  # noqa: F401  (imported once here, not in each forked worker)
@@ -247,15 +247,7 @@ def _usable_cpus() -> int:
 def sweep_workers_from_env() -> int | None:
     """Worker cap from the LISSSCAN_THREADS environment variable, if set."""
     raw = os.environ.get("LISSSCAN_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"LISSSCAN_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"LISSSCAN_THREADS must be >= 1, got {value}")
-    return value
+    return None if raw is None else number_value(raw, "LISSSCAN_THREADS", 1, convert=int)
 
 
 def phase_tolerance_sweep(design: UnmodulatedDesign, config: ScannerConfig,
@@ -264,7 +256,8 @@ def phase_tolerance_sweep(design: UnmodulatedDesign, config: ScannerConfig,
     over the first frame at the default sample count and grid."""
     out = []
     for delta in deltas:
-        shifted = UnmodulatedDesign(fx=design.fx, phix=design.phix + float(delta),
+        delta = number_value(delta, "delta")
+        shifted = UnmodulatedDesign(fx=design.fx, phix=design.phix + delta,
                                     m=design.m, fy=design.fy, phiy=design.phiy)
-        out.append((float(delta), fill_factor(sample_unmodulated(shifted, config)).fill_factor))
+        out.append((delta, fill_factor(sample_unmodulated(shifted, config)).fill_factor))
     return out

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, NoFeasibleDesign, record_errors, record_value
+from .errors import DomainError, NoFeasibleDesign, number_value, record_errors, record_value
 
 # Beyond half a unit of resonance ratio the off-resonance attenuation makes
 # any design useless, so the search gives up there.
@@ -58,16 +58,11 @@ def _prescribed(case: DesignCase, k: int, m: int) -> tuple[Fraction, float]:
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '41/28' or '1.5', floats and Fractions."""
     try:
-        frac = Fraction(value)
+        frac = record_value(value, "ratio", Fraction)    # a boolean is not 1 or 0
         float(frac)                 # patterns are sampled in floats
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"expected a rational number in float range, got {value!r}") from exc
     return frac
-
-
-def _validate_m(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not M_MIN <= m <= M_MAX:
-        raise DomainError(f"frame time m must be an integer in [{M_MIN}, {M_MAX}], got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,15 @@ class UnmodulatedDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fx", as_fraction(self.fx))
         object.__setattr__(self, "fy", as_fraction(self.fy))
-        _validate_m(self.m)
-        if self.fx <= 0 or self.fy <= 0 or not all(map(math.isfinite, (self.phix, self.phiy))):
-            raise DomainError("tone frequencies must be positive and phases finite")
+        for name in ("phix", "phiy"):
+            object.__setattr__(self, name, number_value(getattr(self, name), name))
+        object.__setattr__(self, "m", number_value(self.m, "m", M_MIN, M_MAX, int))
+        if self.fx <= 0 or self.fy <= 0:
+            raise DomainError("tone frequencies must be positive")
         if (self.case is None) != (self.k is None):
             raise DomainError("case and k must be set together")
         if self.case is not None:
+            object.__setattr__(self, "k", number_value(self.k, "k", 1, convert=int))
             self._check_case()
 
     def _check_case(self) -> None:
@@ -115,16 +113,9 @@ class UnmodulatedDesign:
     def from_dict(cls, data: dict) -> "UnmodulatedDesign":
         with record_errors("design record", DomainError):
             case = data.get("case")
-            return cls(
-                fx=record_value(data["fx"], "fx", as_fraction),
-                phix=record_value(data["phix"], "phix"),
-                m=record_value(data["m"], "m", int),
-                fy=record_value(data.get("fy", 1), "fy", as_fraction),
-                phiy=record_value(data.get("phiy", 0.0), "phiy"),
-                case=None if case is None else DesignCase(case),
-                k=None if data.get("k") is None else record_value(data["k"], "k", int),
-                note=data.get("note"),
-            )
+            return cls(fx=data["fx"], phix=data["phix"], m=data["m"], fy=data.get("fy", 1),
+                       phiy=data.get("phiy", 0.0), case=None if case is None else DesignCase(case),
+                       k=data.get("k"), note=data.get("note"))
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,8 @@ def case1_criterion(k: int, m: int) -> bool:
     the trajectory comes back onto itself around mid-frame, collapsing the
     covered area even though the nominal period is fine.
     """
-    _validate_m(m)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    m = number_value(m, "m", M_MIN, M_MAX, int)
+    k = number_value(k, "k", 1, convert=int)
     q = 4 * m
     if math.gcd(k, q) != 1:
         raise DomainError(f"case1_criterion requires gcd(k, 4m) == 1, got gcd({k}, {q}) = {math.gcd(k, q)}")
@@ -189,7 +179,8 @@ def design_unmodulated(r, m: int, *, search_cap: Fraction = SEARCH_CAP) -> Unmod
     the search cap qualifies.
     """
     r = as_fraction(r)
-    _validate_m(m)
+    m = number_value(m, "m", M_MIN, M_MAX, int)
+    search_cap = as_fraction(search_cap)
     if not R_MIN <= r <= R_MAX:
         raise DomainError(f"resonance ratio must lie in [{R_MIN}, {R_MAX}], got {float(r)}")
     denom = 4 * m
@@ -217,7 +208,7 @@ def baseline_repeating_design(r, m: int) -> UnmodulatedDesign:
     the x axis, and that forced symmetry costs fill-factor.
     """
     r = as_fraction(r)
-    _validate_m(m)
+    m = number_value(m, "m", M_MIN, M_MAX, int)
     if r <= 0:
         raise DomainError(f"resonance ratio must be positive, got {float(r)}")
     k = next(k for group in _tie_groups(r * m)      # k = 1 is coprime with every m
@@ -240,12 +231,13 @@ def repeat_period(fx, fy, phix: float = 0.0, phiy: float = 0.0) -> PeriodReport:
     """
     fx = as_fraction(fx)
     fy = as_fraction(fy)
-    if fx <= 0 or fy <= 0 or not all(map(math.isfinite, (float(phix), float(phiy)))):
-        raise DomainError("tone frequencies must be positive and phases finite")
+    phix, phiy = number_value(phix, "phix"), number_value(phiy, "phiy")
+    if fx <= 0 or fy <= 0:
+        raise DomainError("tone frequencies must be positive")
     signal = Fraction(math.lcm(fx.denominator, fy.denominator),
                       math.gcd(fx.numerator, fy.numerator))
     p, q = (fx / fy).as_integer_ratio()
-    offset = q * (float(phix) / math.pi) - p * (float(phiy) / math.pi)
-    if abs(offset - round(offset)) < q * 1e-9:
+    offset = (q * Fraction(phix) - p * Fraction(phiy)) / Fraction(math.pi)  # q can pass float range
+    if abs(offset - round(offset)) * 10**9 < q:
         return PeriodReport(signal, signal / 2)
     return PeriodReport(signal, signal)

@@ -69,32 +69,27 @@ def record_value(value, name: str, convert=float):
     return convert(value)
 
 
-def count_value(value, name: str, low: int, high: float = math.inf,
-                error: type[LissscanError] = DomainError) -> int:
-    """value as an int in [low, high]; error otherwise. As record_value does
-    for an int field, a boolean or a non-integral number is refused rather
-    than truncated (7.0 reads as 7)."""
+def number_value(value, name: str, low=-math.inf, high=math.inf, convert=float, *,
+                 positive: bool = False, error: type[LissscanError] = DomainError):
+    """convert(value), a float or an int, which must be finite and in [low, high],
+    or in (0, high] when positive; error otherwise. As record_value does, a
+    boolean is refused, and so is a non-integral number for an int (7.0 reads
+    as 7)."""
     try:
-        count = record_value(value, name, int)
-    except (TypeError, ValueError):
-        raise error(f"{name} must be an integer, got {value!r}") from None
-    if not low <= count <= high:
-        limit = f"at least {low}" if high == math.inf else f"between {low} and {high}"
-        raise error(f"{name} must be {limit}, got {count}")
-    return count
-
-
-def finite_non_negative(value, name: str) -> float:
-    """float(value), which must be finite and non-negative; DomainError otherwise."""
-    value = float(value)
-    if not 0.0 <= value < math.inf:
-        raise DomainError(f"{name} must be finite and non-negative, got {value}")
-    return value
-
-
-def positive_finite(value, name: str) -> float:
-    """float(value), which must be positive and finite; DomainError otherwise."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return value
+        number = record_value(value, name, convert)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise error(f"{name} must be {kind}, got {value!r}") from None
+    if (0 < number if positive else low <= number) and number <= high and abs(number) < math.inf:
+        return number
+    if positive:
+        limit = "positive and finite"
+    elif high < math.inf:
+        limit = f"between {low} and {high}"
+    elif convert is int:
+        limit = f"at least {low}"
+    elif low == 0:
+        limit = "finite and non-negative"
+    else:
+        limit = "finite" if low == -math.inf else f"finite and at least {low}"
+    raise error(f"{name} must be {limit}, got {number}")

@@ -211,7 +211,8 @@ def import_pattern(path) -> SampledPattern:
     data = read_json(path, DomainError)
     with record_errors(f"pattern record {path}", DomainError):
         t, x, y = ([record_value(v, key) for v in data[key]] for key in ("t", "x", "y"))
-        return SampledPattern(t=t, x=x, y=y, frame_len=data["frame_len"], frames=data["frames"])
+        return SampledPattern(t=t, x=x, y=y, frame_len=record_value(data["frame_len"], "frame_len"),
+                              frames=record_value(data["frames"], "frames", int))
 
 
 # ------------------------------------------------------- configs and designs

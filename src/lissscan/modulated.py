@@ -23,17 +23,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coverage import (MAX_ITERS, SampledPattern, _patch_centers, _response, _sample_count,
-                       _sample_times, sample_unmodulated)
+from .coverage import (MAX_GRID, MAX_ITERS, SampledPattern, _patch_centers, _response,
+                       _sample_count, _sample_times, sample_unmodulated)
 from .design import as_fraction, design_unmodulated
-from .errors import (DomainError, InvalidParams, OptimizationFailed, count_value,
-                     finite_non_negative, positive_finite, record_errors, record_value)
+from .errors import (DomainError, InvalidParams, OptimizationFailed, number_value, record_errors,
+                     record_value)
 from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 SEARCH_BLOCK = 2**14  # elements (128 KB) of one nearest-sample search block
+MAX_SEARCH = 2**22    # map side x n_samples: each (rows, n_samples) search array stays at 32 MB
 
 # Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
@@ -44,6 +45,14 @@ ROI_B = (0.2, 0.9, 0.2, 0.8)
 # n / (L*m) grid with L = 2 frames per coefficient period.
 _TONE_STEPS = {5: range(12, 17), 3: range(13, 16)}
 _L = 2
+
+
+def _rectangle(rect) -> tuple:
+    """rect as the finite edges (xmin, xmax, ymin, ymax) of a closed rectangle."""
+    edges = tuple(number_value(edge, "rectangle edge") for edge in rect)
+    if len(edges) != 4 or edges[0] > edges[1] or edges[2] > edges[3]:
+        raise DomainError(f"malformed rectangle {edges}")
+    return edges
 
 
 @dataclass(eq=False)
@@ -69,14 +78,16 @@ class WeightMap:
 
     @classmethod
     def uniform(cls, size: int = 32, value: float = 1.0) -> "WeightMap":
-        return cls(np.full((size, size), float(value)))
+        size = number_value(size, "size", 1, MAX_GRID, int)
+        return cls(np.full((size, size), number_value(value, "value", 0)))
 
     @classmethod
     def from_rectangles(cls, rois, size: int = 32) -> "WeightMap":
         """Binary map: weight 1 on patches whose center falls in any rectangle."""
+        size = number_value(size, "size", 1, MAX_GRID, int)
         centers = _patch_centers(size)
         w = np.zeros((size, size))
-        for xmin, xmax, ymin, ymax in rois:
+        for xmin, xmax, ymin, ymax in map(_rectangle, rois):
             in_x = (centers >= xmin) & (centers <= xmax)
             in_y = (centers >= ymin) & (centers <= ymax)
             w[np.ix_(in_x, in_y)] = 1.0
@@ -132,7 +143,8 @@ class ModulatedParams:
         self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
             self.alpha, self.gamma, self.beta, self.delta)
         for name in ("nx", "ny"):
-            tones = tuple(count_value(n, name, 1, error=InvalidParams) for n in getattr(self, name))
+            tones = tuple(number_value(n, name, 1, convert=int, error=InvalidParams)
+                          for n in getattr(self, name))
             if not tones or list(tones) != sorted(set(tones)):
                 raise InvalidParams(f"{name} must be distinct positive integers in ascending order")
             setattr(self, name, tones)
@@ -140,8 +152,8 @@ class ModulatedParams:
             raise InvalidParams("alpha/gamma length must match nx")
         if len(self.beta) != len(self.ny) or len(self.delta) != len(self.ny):
             raise InvalidParams("beta/delta length must match ny")
-        self.L = count_value(self.L, "L", 1, error=InvalidParams)
-        self.m = count_value(self.m, "m", 1, error=InvalidParams)
+        self.L = number_value(self.L, "L", 1, convert=int, error=InvalidParams)
+        self.m = number_value(self.m, "m", 1, convert=int, error=InvalidParams)
         if self.L * self.m > sys.float_info.max:
             raise InvalidParams("L and m must be positive integers with a float-sized product")
 
@@ -185,8 +197,10 @@ class ModulatedParams:
                        config=ScannerConfig.from_dict(data["scanner"]))
 
 
+@np.errstate(invalid="ignore")
 def polar_coefficients(amplitudes, phases_rad) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine/sine coefficients of sum_i A_i cos(2 pi f_i t + phi_i)."""
+    """Cosine/sine coefficients of sum_i A_i cos(2 pi f_i t + phi_i). Unchecked
+    array helper: a NaN or infinite input gives NaN or infinite coefficients."""
     amps = np.asarray(amplitudes, dtype=np.float64)
     phases = np.asarray(phases_rad, dtype=np.float64)
     return amps * np.cos(phases), -amps * np.sin(phases)
@@ -201,6 +215,7 @@ def default_tone_indices(r, n_tones: int = 5, m: int = 7) -> tuple[int, ...]:
     """
     if n_tones not in _TONE_STEPS:
         raise InvalidParams(f"n_tones must be one of {sorted(_TONE_STEPS)}, got {n_tones}")
+    m = number_value(m, "m", 1, convert=int, error=InvalidParams)
     r = as_fraction(r)
     if r <= 0:
         raise InvalidParams("resonance ratio must be positive")
@@ -239,7 +254,7 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
 def _bases(params: ModulatedParams, n_samples: int, frames: int = 1):
     """Sample times over [0, frames*m), endpoint excluded, and the plant-weighted
     cosine/sine bases (bxc, bxs, byc, bys), each of shape (n_samples, tones)."""
-    frames = count_value(frames, "frames", 1)
+    frames = number_value(frames, "frames", 1, convert=int)
     t = _sample_times(0, frames * params.m, n_samples)
     hx = np.array([_response(params.config, "x", f) for f in params.fx_tones])
     hy = np.array([_response(params.config, "y", f) for f in params.fy_tones])
@@ -253,6 +268,7 @@ def _positions(bases, alpha, gamma, beta, delta) -> tuple[np.ndarray, np.ndarray
     return bases[0] @ alpha + bases[1] @ gamma, bases[2] @ beta + bases[3] @ delta
 
 
+@np.errstate(over="ignore", invalid="ignore")    # non-finite samples raise instead
 def synthesize_modulated(params: ModulatedParams, n_samples: int = 500,
                          frames: int = 1) -> SampledPattern:
     """n_samples uniform samples of the two-axis sum over t in [0, frames*m),
@@ -272,6 +288,13 @@ class Assignment:
 
     n_idx: np.ndarray     # (M, M) int, flat sample index per patch
     occupied: np.ndarray  # (M, M) bool, nearest sample closer than threshold
+
+
+def _check_search(wmap: WeightMap, n_samples: int) -> None:
+    """Refuse a search whose (map side, n_samples) arrays would pass MAX_SEARCH."""
+    if wmap.size * n_samples > MAX_SEARCH:
+        raise DomainError(f"search of map side {wmap.size} x {n_samples} samples exceeds "
+                          f"{MAX_SEARCH}")
 
 
 def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
@@ -313,7 +336,8 @@ def objective(pattern: SampledPattern, wmap: WeightMap,
     nearest sample, plus the assignment that produced it (searched on the
     positive-weight patches only; see Assignment). DomainError if the loss
     is not finite."""
-    loss, asg = _assign(pattern.x, pattern.y, wmap, finite_non_negative(threshold, "threshold"))
+    _check_search(wmap, len(pattern.x))
+    loss, asg = _assign(pattern.x, pattern.y, wmap, number_value(threshold, "threshold", 0))
     if not math.isfinite(loss):
         raise DomainError(f"objective is not finite: {loss}")
     return loss, asg
@@ -361,9 +385,10 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
              threshold: float) -> ModulatedGradient:
     """Exact objective gradient in coefficient space with the current
     patch-to-sample assignment held fixed; DomainError if it is not finite."""
+    _check_search(wmap, _sample_count(n_samples))
     _, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
-    _, asg = _assign(x, y, wmap, finite_non_negative(threshold, "threshold"))
+    _, asg = _assign(x, y, wmap, number_value(threshold, "threshold", 0))
     grad = _gradient_fixed(x, y, wmap, asg, *bases)
     if not grad.is_finite():
         raise DomainError("gradient is not finite")
@@ -413,12 +438,12 @@ class OptimizeOptions:
     patience: int = 10
 
     def __post_init__(self) -> None:
-        positive_finite(self.step, "step")
+        self.step = number_value(self.step, "step", positive=True)
         self.n_samples = _sample_count(self.n_samples)
         if self.threshold is not None:
-            finite_non_negative(self.threshold, "threshold")
-        self.max_iters = count_value(self.max_iters, "max_iters", 0, MAX_ITERS)
-        self.patience = count_value(self.patience, "patience", 1)
+            self.threshold = number_value(self.threshold, "threshold", 0)
+        self.max_iters = number_value(self.max_iters, "max_iters", 0, MAX_ITERS, int)
+        self.patience = number_value(self.patience, "patience", 1, convert=int)
         if self.constraint not in _PROJECTIONS:
             raise DomainError(f"constraint must be one of {sorted(_PROJECTIONS)}, "
                               f"got {self.constraint!r}")
@@ -456,7 +481,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     opts = opts or OptimizeOptions()
     if not np.any(wmap.w > 0):
         raise InvalidParams("weight map has no positive entries")
-    threshold = (1.0 / wmap.size) if opts.threshold is None else float(opts.threshold)
+    _check_search(wmap, opts.n_samples)
+    threshold = (1.0 / wmap.size) if opts.threshold is None else opts.threshold
     project = _PROJECTIONS[opts.constraint]
 
     _, bases = _bases(init, opts.n_samples)
@@ -510,9 +536,7 @@ def roi_density(pattern: SampledPattern, rois) -> int:
     """Number of samples inside the union of closed rectangles
     (xmin, xmax, ymin, ymax)."""
     inside = np.zeros(len(pattern.x), dtype=bool)
-    for xmin, xmax, ymin, ymax in rois:
-        if xmin > xmax or ymin > ymax:
-            raise DomainError(f"malformed rectangle {(xmin, xmax, ymin, ymax)}")
+    for xmin, xmax, ymin, ymax in map(_rectangle, rois):
         inside |= ((pattern.x >= xmin) & (pattern.x <= xmax)
                    & (pattern.y >= ymin) & (pattern.y <= ymax))
     return int(np.count_nonzero(inside))

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, IllConditioned, UndefinedPhase, count_value,
-                     finite_non_negative, positive_finite)
+from .errors import DomainError, IllConditioned, UndefinedPhase, number_value
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -28,8 +27,10 @@ MAX_FRAMES = 10**6   # bounds the drift simulation's arrays (8 MB each)
 _TWO_PI = 2.0 * math.pi
 
 
+@np.errstate(invalid="ignore")
 def wrap_phase(theta):
-    """Wrap radians into (-pi, pi]; works on scalars and arrays."""
+    """Wrap radians into (-pi, pi]; works on scalars and arrays. Unchecked
+    helper: a NaN or infinite theta gives NaN."""
     wrapped = np.mod(np.asarray(theta, dtype=np.float64) + np.pi, _TWO_PI) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.isscalar(theta) or np.ndim(theta) == 0 else wrapped
@@ -41,6 +42,10 @@ class QuadraturePair:
 
     x: float
     xq: float
+
+    def __post_init__(self) -> None:
+        for name in ("x", "xq"):
+            object.__setattr__(self, name, number_value(getattr(self, name), name))
 
 
 def quadrature_phase(pair: QuadraturePair) -> float:
@@ -60,19 +65,20 @@ class MultitoneState:
     phases: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        self.omegas = tuple(float(w) for w in self.omegas)
-        self.amps = tuple(float(a) for a in self.amps)
-        self.phases = tuple(wrap_phase(float(p)) for p in self.phases)
+        self.omegas = tuple(number_value(w, "omegas") for w in self.omegas)
+        self.amps = tuple(number_value(a, "amps", 0) for a in self.amps)
+        self.phases = tuple(wrap_phase(number_value(p, "phases")) for p in self.phases)
         if len(self.omegas) != 3 or len(self.amps) != 3 or len(self.phases) != 3:
             raise DomainError("state must carry exactly three tones")
         if len(set(self.omegas)) != 3:
             raise DomainError("tone frequencies must be distinct")
-        if any(a < 0 for a in self.amps):
-            raise DomainError("amplitudes must be non-negative")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_quadrature(state: MultitoneState, t) -> tuple[np.ndarray, np.ndarray]:
-    """x(t) = sum A_i cos(w_i t + phi_i) and its quadrature copy with sin."""
+    """x(t) = sum A_i cos(w_i t + phi_i) and its quadrature copy with sin.
+    Unchecked array helper: a NaN or infinite t, or one so large that w_i t
+    overflows, gives NaN samples."""
     t = np.asarray(t, dtype=np.float64)
     w = np.array(state.omegas)
     a = np.array(state.amps)
@@ -112,7 +118,7 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
         raise DomainError("samples and frequencies must be finite")
     if len(set(w.tolist())) != 3:
         raise DomainError("tone frequencies must be distinct")
-    frame_time = positive_finite(frame_time, "frame_time")
+    frame_time = number_value(frame_time, "frame_time", positive=True)
     if not math.isfinite(float(np.abs(w).max()) * frame_time):
         raise DomainError("omegas * frame_time must stay within float range")
     ts = np.array([0.0, frame_time / 2.0, frame_time])
@@ -132,9 +138,9 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
 
 def plant_phase_lag(f_drive: float, f_res: float, q: float) -> float:
     """Steady-state phase lag of a driven harmonic oscillator, in (0, pi)."""
-    f_drive = positive_finite(f_drive, "drive frequency")
-    f_res = positive_finite(f_res, "resonant frequency")
-    q = positive_finite(q, "quality factor")
+    f_drive = number_value(f_drive, "drive frequency", positive=True)
+    f_res = number_value(f_res, "resonant frequency", positive=True)
+    q = number_value(q, "quality factor", positive=True)
     return math.atan2(f_drive * f_res / q, f_res * f_res - f_drive * f_drive)
 
 
@@ -147,7 +153,7 @@ def resonance_offset_for_phase_shift(f_drive: float, f_res: float, q: float,
     positive; it is taken in the form that does not cancel.
     """
     base = plant_phase_lag(f_drive, f_res, q)
-    target = base + math.radians(delta_deg)
+    target = base + math.radians(number_value(delta_deg, "delta_deg"))
     if not 0.0 < target < math.pi:
         raise DomainError(f"target phase {math.degrees(target):.1f} deg leaves (0, 180)")
     a, b = q * math.sin(target), f_drive * math.cos(target)
@@ -170,9 +176,9 @@ class DriftScenario:
     measurement_noise_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        self.frame_time = positive_finite(self.frame_time, "frame_time")
-        self.measurement_noise_deg = finite_non_negative(self.measurement_noise_deg,
-                                                         "measurement_noise_deg")
+        self.frame_time = number_value(self.frame_time, "frame_time", positive=True)
+        self.measurement_noise_deg = number_value(self.measurement_noise_deg,
+                                                  "measurement_noise_deg", 0)
         if not isinstance(self.control_enabled, bool):
             raise DomainError(f"control_enabled must be a bool, got {self.control_enabled!r}")
 
@@ -212,8 +218,9 @@ def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis:
     reported per-frame error is the post-correction one.
     """
     f_res, q = config.axis(axis)
-    f_drive = positive_finite(f_drive, "drive frequency")
-    seed = count_value(seed, "seed", 0)
+    f_drive = number_value(f_drive, "drive frequency", positive=True)
+    duration = number_value(duration, "duration")
+    seed = number_value(seed, "seed", 0, convert=int)
     if not scenario.frame_time <= duration < MAX_FRAMES * scenario.frame_time:
         raise DomainError(f"duration must cover 1 to {MAX_FRAMES} frames, got {duration}")
     n_frames = int(math.floor(duration / scenario.frame_time)) + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, positive_finite, record_errors, record_value
+from .errors import ConfigError, DomainError, number_value, record_errors
 
 AXES = ("x", "y")
 
@@ -27,22 +27,14 @@ class ScannerConfig:
     qy: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("fx_res", "fy_res", "qx", "qy"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.fx_res <= 0.0 or self.fy_res <= 0.0:
-            raise ConfigError("resonant frequencies must be positive")
-        if self.qx < 1.0 or self.qy < 1.0:
-            raise ConfigError("quality factors must be >= 1")
+        for name, low in (("fx_res", 0), ("fy_res", 0), ("qx", 1), ("qy", 1)):   # f > 0, Q >= 1
+            object.__setattr__(self, name, number_value(getattr(self, name), name, low,
+                                                        positive=not low, error=ConfigError))
 
     @classmethod
     def normalized(cls, r: float, qx: float = 20.0, qy: float = 20.0) -> "ScannerConfig":
         """Config in normalized units: y resonance fixed at 1, x at r in [1, 3]."""
-        r = float(r)
-        if not 1.0 <= r <= 3.0:
-            raise ConfigError(f"normalized resonance ratio must lie in [1, 3], got {r}")
+        r = number_value(r, "normalized resonance ratio", 1, 3, error=ConfigError)
         return cls(fx_res=r, fy_res=1.0, qx=qx, qy=qy)
 
     def axis(self, axis: str) -> tuple[float, float]:
@@ -59,10 +51,8 @@ class ScannerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScannerConfig":
         with record_errors("scanner config", ConfigError):
-            return cls(fx_res=record_value(data["fx_res"], "fx_res"),
-                       fy_res=record_value(data.get("fy_res", 1.0), "fy_res"),
-                       qx=record_value(data.get("qx", 20.0), "qx"),
-                       qy=record_value(data.get("qy", 20.0), "qy"))
+            return cls(fx_res=data["fx_res"], fy_res=data.get("fy_res", 1.0),
+                       qx=data.get("qx", 20.0), qy=data.get("qy", 20.0))
 
 
 def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:
@@ -72,7 +62,7 @@ def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:
     is 1/Q.
     """
     f_res, q = config.axis(axis)
-    u = positive_finite(f, "drive frequency") / f_res
+    u = number_value(f, "drive frequency", positive=True) / f_res
     try:
         return 1.0 / (q * math.sqrt((u * u - 1.0) ** 2 + (u / q) ** 2))
     except (OverflowError, ZeroDivisionError):    # a square leaves the float range

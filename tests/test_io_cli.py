@@ -567,7 +567,7 @@ def test_json_reader_rejects_non_finite_numbers(tmp_path):
         with pytest.raises(ConfigError, match="not a finite number"):
             load_scanner(path)
     path.write_text('{"fx_res": 1e-400, "qx": 1' + "0" * 300 + '}')
-    with pytest.raises(ConfigError, match="resonant frequencies must be positive"):
+    with pytest.raises(ConfigError, match="^fx_res must be positive and finite, got 0.0$"):
         load_scanner(path)                          # underflow to 0 is finite
 
 

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from lissscan import modulated
 from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, OptimizeOptions,
-                      SampledPattern, ScannerConfig, WeightMap,
+                      SampledPattern, ScannerConfig, WeightMap, case1_criterion,
                       default_tone_indices, design_unmodulated, fill_factor, gradient,
                       initial_params, objective, optimize, polar_coefficients,
                       positive_region_density, project_absolute, project_rms,
                       reference_pattern, roi_density, sample_unmodulated, simulate_drift_control,
-                      synthesize_modulated, transfer_amplitude)
-from lissscan.coverage import MAX_ITERS, MAX_SAMPLES, _patch_centers
+                      sweep_designs, synthesize_modulated, transfer_amplitude)
+from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, _patch_centers
 from lissscan.errors import DomainError, InvalidParams, OptimizationFailed
 
 F = Fraction
@@ -671,6 +671,11 @@ _COUNT_ARGUMENTS = [   # (name, call with the count, an integral float it accept
     ("frame_index", lambda v: sample_unmodulated(design_unmodulated(F(3, 2), 7),
                                                  ScannerConfig.normalized(1.5), v, 50), 1.0,
      DomainError),
+    ("size", WeightMap.uniform, 8.0, DomainError),
+    ("m", lambda v: sweep_designs([F(3, 2)], [v], n_samples=50, n_grid=8), 7.0, DomainError),
+    ("m", lambda v: design_unmodulated(F(3, 2), v), 7.0, DomainError),
+    ("m", lambda v: design_unmodulated(F(3, 2), v), np.int64(7), DomainError),
+    ("k", lambda v: case1_criterion(v, 7), 41.0, DomainError),
 ]
 
 
@@ -682,7 +687,40 @@ def test_count_arguments_refuse_a_bool_or_a_fraction(name, call, whole, error):
     for value in (2.5, True):
         with pytest.raises(error, match=f"^{name} must be an integer, got {value!r}$"):
             call(value)
-    call(whole)                                      # an integral float reads as its integer
+    call(whole)               # an integral float (or a numpy integer) reads as its integer
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("allocated before the bound was checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: WeightMap.uniform(MAX_GRID + 1),
+    lambda: WeightMap.from_rectangles([ROI_B], MAX_GRID + 1),
+], ids=["uniform", "from_rectangles"])
+def test_weight_map_size_is_bounded_before_allocating(call, monkeypatch):
+    monkeypatch.setattr(modulated.np, "full", _fail)
+    monkeypatch.setattr(modulated.np, "zeros", _fail)
+    with pytest.raises(DomainError, match=f"^size must be between 1 and {MAX_GRID}, got "):
+        call()
+
+
+_WIDE = WeightMap.from_rectangles([ROI_B], 64)
+_LONG = modulated.MAX_SEARCH // 64 + 1           # samples that take a 64-side search past the bound
+
+
+@pytest.mark.parametrize("call", [
+    lambda: objective(SampledPattern(t=np.arange(_LONG), x=np.zeros(_LONG), y=np.zeros(_LONG),
+                                     frame_len=_LONG), _WIDE, 0.1),
+    lambda: gradient(initial_params(2, n_tones=3), _WIDE, _LONG, 0.1),
+    lambda: optimize(initial_params(2, n_tones=3), _WIDE, OptimizeOptions(n_samples=_LONG)),
+], ids=["objective", "gradient", "optimize"])
+def test_search_size_is_bounded_before_the_search(call, monkeypatch):
+    monkeypatch.setattr(modulated, "_assign", _fail)
+    monkeypatch.setattr(modulated, "_bases", _fail)
+    with pytest.raises(DomainError, match=f"64 x {_LONG} samples exceeds {modulated.MAX_SEARCH}"):
+        call()
+    assert 64 * 500 * 100 < modulated.MAX_SEARCH      # the optimize benchmark's 64-side map
 
 
 @pytest.mark.filterwarnings("error")      # numpy warns nothing on the way to the error

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lissscan import (DriftScenario, MultitoneState, QuadraturePair,
-                      ScannerConfig, plant_phase_lag, quadrature_phase,
-                      resonance_offset_for_phase_shift, simulate_drift_control,
-                      solve_multitone, synthesize_quadrature, transfer_amplitude,
-                      wrap_phase)
-from lissscan.errors import DomainError, IllConditioned, UndefinedPhase
+from lissscan import (ROI_B, DriftScenario, MultitoneState, OptimizeOptions, QuadraturePair,
+                      ScannerConfig, WeightMap, design_unmodulated, plant_phase_lag,
+                      quadrature_phase, resonance_offset_for_phase_shift, roi_density,
+                      sample_unmodulated, simulate_drift_control, solve_multitone,
+                      synthesize_quadrature, transfer_amplitude, wrap_phase)
+from lissscan.errors import ConfigError, DomainError, IllConditioned, UndefinedPhase
 from lissscan.phase import MAX_FRAMES
 
 OMEGAS = tuple(2.0 * math.pi * f for f in (13 / 14, 1.0, 15 / 14))
@@ -295,14 +295,56 @@ def test_solve_multitone_rejects_a_non_finite_frame_time(value):
             solve_multitone(x, xq, OMEGAS, value)
 
 
-@pytest.mark.parametrize("call, name, value", [
-    (lambda: DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=-6.4), "frame_time", -6.4),
-    (lambda: simulate_drift_control(DriftScenario(lambda t: 0.0 * t, 6.4), CFG2, "x", 0.0, 64.0),
-     "drive frequency", 0.0),
-    (lambda: solve_multitone([1, 0, 0], [0, 1, 0], OMEGAS, math.nan), "frame_time", math.nan),
-    (lambda: transfer_amplitude(CFG2, "y", -math.inf), "drive frequency", -math.inf),
-], ids=["scenario", "drift-simulation", "multitone", "transfer-amplitude"])
-def test_positive_finite_checks_share_one_message(call, name, value):
-    with pytest.raises(DomainError) as err:
-        call()
-    assert str(err.value) == f"{name} must be positive and finite, got {value}"
+_SCENARIO = DriftScenario(lambda t: 0.0 * t, 6.4)
+_PATTERN = sample_unmodulated(design_unmodulated(1.5, 7), CFG2, 0, 50)
+_REAL_ARGUMENTS = {   # id: (name, call with the value, its range, a value outside it, error)
+    "scenario": ("frame_time", lambda v: DriftScenario(lambda t: 0.0 * t, v),
+                 "positive and finite", -6.4, DomainError),
+    "drift-simulation": ("drive frequency",
+                         lambda v: simulate_drift_control(_SCENARIO, CFG2, "x", v, 64.0),
+                         "positive and finite", 0.0, DomainError),
+    "multitone": ("frame_time", lambda v: solve_multitone([1, 0, 0], [0, 1, 0], OMEGAS, v),
+                  "positive and finite", 0.0, DomainError),
+    "transfer-amplitude": ("drive frequency", lambda v: transfer_amplitude(CFG2, "y", v),
+                           "positive and finite", -math.inf, DomainError),
+    "noise": ("measurement_noise_deg", lambda v: DriftScenario(lambda t: 0.0 * t, 6.4,
+                                                                measurement_noise_deg=v),
+              "finite and non-negative", -1.0, DomainError),
+    "duration": ("duration", lambda v: simulate_drift_control(_SCENARIO, CFG2, "x", 2.0, v),
+                 "finite", math.inf, DomainError),
+    "step": ("step", lambda v: OptimizeOptions(step=v), "positive and finite", 0.0, DomainError),
+    "threshold": ("threshold", lambda v: OptimizeOptions(threshold=v),
+                  "finite and non-negative", -0.1, DomainError),
+    "amp_x": ("amp_x", lambda v: sample_unmodulated(design_unmodulated(1.5, 7), CFG2, amp_x=v),
+              "finite and non-negative", -1.0, DomainError),
+    "fx_res": ("fx_res", lambda v: ScannerConfig(fx_res=v), "positive and finite", 0.0,
+               ConfigError),
+    "fy_res": ("fy_res", lambda v: ScannerConfig(1.5, fy_res=v), "positive and finite", -1.0,
+               ConfigError),
+    "qx": ("qx", lambda v: ScannerConfig(1.5, qx=v), "finite and at least 1", 0.5, ConfigError),
+    "qy": ("qy", lambda v: ScannerConfig(1.5, qy=v), "finite and at least 1", math.inf,
+           ConfigError),
+    "omegas": ("omegas", lambda v: MultitoneState((v, 2.0, 3.0), (1, 1, 1), (0, 0, 0)),
+               "finite", math.inf, DomainError),
+    "amps": ("amps", lambda v: MultitoneState((1.0, 2.0, 3.0), (1, v, 1), (0, 0, 0)),
+             "finite and non-negative", -1.0, DomainError),
+    "phases": ("phases", lambda v: MultitoneState((1.0, 2.0, 3.0), (1, 1, 1), (0, 0, v)),
+               "finite", -math.inf, DomainError),
+    "quadrature": ("xq", lambda v: quadrature_phase(QuadraturePair(1.0, v)), "finite", math.inf,
+                   DomainError),
+    "roi-density": ("rectangle edge", lambda v: roi_density(_PATTERN, [(v, 0.9, 0.2, 0.8)]),
+                    "finite", -math.inf, DomainError),
+    "from-rectangles": ("rectangle edge",
+                        lambda v: WeightMap.from_rectangles([ROI_B[:3] + (v,)], 8),
+                        "finite", math.inf, DomainError),
+}
+
+
+@pytest.mark.parametrize("name, call, limit, outside, error", _REAL_ARGUMENTS.values(),
+                         ids=_REAL_ARGUMENTS)
+def test_positive_finite_checks_share_one_message(name, call, limit, outside, error):
+    # True read as 1.0 and nan passed through at most of these
+    for value, message in ((True, "a number"), (math.nan, limit), (outside, limit)):
+        with pytest.raises(error) as err:
+            call(value)
+        assert str(err.value) == f"{name} must be {message}, got {value}"
