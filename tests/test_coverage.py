@@ -74,6 +74,10 @@ def test_sampled_pattern_validation():
     for bookkeeping in ({"frame_len": True}, {"frames": 1.9}, {"frame_len": math.nan}):
         with pytest.raises(DomainError, match="frame"):    # were read as 1.0, 1 and nan
             SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1], **{"frame_len": 1.0, **bookkeeping})
+    with pytest.raises(DomainError, match="^t, x, y must be finite$"):
+        SampledPattern(t=[0, 1], x=[0, math.nan], y=[0, 1], frame_len=1.0)
+    with pytest.raises(DomainError, match="^t, x, y must be finite$"):   # the x phase overflows
+        sample_unmodulated(UnmodulatedDesign(fx=1e308, phix=0.0, m=7), CFG, 0, 50)
     with pytest.raises(DomainError):
         sample_unmodulated(P2, CFG, 0, 1)
 
