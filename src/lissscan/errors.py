@@ -60,10 +60,10 @@ def record_errors(record: str, error: type[LissscanError]):
 
 
 def record_value(value, name: str, convert=float):
-    """convert(value) for a numeric record field. A boolean is refused, and so
-    is a non-integral number for an int field, which int() would truncate."""
-    if isinstance(value, bool) or (convert is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    """convert(value) for a numeric record field. A boolean, numpy's too, is
+    refused, as is a non-integral number for an int field (int() truncates)."""
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool or (
+            convert is int and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return convert(value)

@@ -28,7 +28,7 @@ from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, Opt
                       wrap_phase)
 from lissscan.errors import LissscanError
 
-EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, 2.5]
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5]
 
 CFG = ScannerConfig.normalized(1.5)
 DESIGN = design_unmodulated(F(3, 2), 7)
@@ -184,4 +184,10 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
         result = SITES[site](value)
     except LissscanError:
         return
-    assert site in PASS_THROUGH or _checked(result), f"{site}({value!r}) returned {result!r}"
+    if site in PASS_THROUGH:
+        return
+    assert _checked(result), f"{site}({value!r}) returned {result!r}"
+    # a boolean is never a number; a sweep flags the cells it could not score instead
+    assert not isinstance(value, (bool, np.bool_)) or (
+        site.startswith("sweep_designs.") and all(row.status != "ok" for row in result)), \
+        f"{site} read {value!r} as a number"
