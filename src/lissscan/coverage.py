@@ -28,10 +28,12 @@ from .errors import DegeneratePattern, DomainError, LissscanError, number_value
 from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
-MAX_GRID = 2048           # fill_factor's n_grid x n_grid bound array stays at 32 MB
+MAX_GRID = 2048           # each of fill_factor's n_grid x n_grid bound arrays stays at 32 MB
 MAX_SAMPLES = 2**21       # a pattern's stacked (n_samples, 2) KD-tree input stays at 32 MB
 MAX_ITERS = 10**6         # optimize's loss and norm trace lists stay near 32 MB each
 POOL_CHUNK = 8            # distinct geometries per process-pool task in sweep_designs
+_BOUND_ROWS = 6           # rows searched on either side of a patch center by _cell_bound
+_REFINE_SHARE = 32        # fill_factor tightens its bounds when over 1/32 of the centers remain
 
 
 @dataclass(eq=False)
@@ -126,12 +128,14 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
 
     Each axis is rescaled by its own max |value| (origin preserved); r_max
     is the largest nearest-sample distance over an n_grid x n_grid grid of
-    patch centers. The search is exact but queries few centers: the worst
-    distance at every 4th center per axis (the probes) is a lower bound on
-    r_max; by the triangle inequality a center's distance is at most its
-    nearest probe's distance plus its offset from that probe, and only the
-    centers whose bound reaches the lower bound are queried as well. r_max
-    is bit-identical to the maximum over all centers.
+    patch centers. The search is exact but queries few centers. Each center
+    gets an upper bound on its distance from the grid cells that hold a
+    sample (_cell_bound); the center with the largest bound is queried, and
+    its distance is a lower bound on r_max. Only the centers whose bound
+    reaches that lower bound are queried as well. When more than
+    1/_REFINE_SHARE of the centers do, the bounds are first tightened down
+    each column (_column_bound). r_max is bit-identical to the maximum over
+    all centers.
     """
     from scipy.spatial import cKDTree   # deferred: most commands never need it
     n_grid = _grid_count(n_grid)
@@ -141,19 +145,85 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
         raise DomainError("pattern samples must be finite")
     if sx == 0.0 or sy == 0.0:
         raise DegeneratePattern("pattern has zero extent on at least one axis")
-    tree = cKDTree(np.column_stack([pattern.x / sx, pattern.y / sy]))
+    x, y = pattern.x / sx, pattern.y / sy
+    tree = cKDTree(np.column_stack([x, y]))
     centers = _patch_centers(n_grid)
-    probes = np.arange(min(2, n_grid - 1), n_grid, 4)      # each mid-block
-    px, py = np.meshgrid(centers[probes], centers[probes], indexing="ij")
-    probe_dist = tree.query(np.column_stack([px.ravel(), py.ravel()]))[0].reshape(px.shape)
-    rank = np.clip((np.arange(n_grid) - probes[0] + 2) // 4, 0, len(probes) - 1)
-    offset = np.abs(centers - centers[probes[rank]])
-    bound = probe_dist[np.ix_(rank, rank)] + np.hypot(offset[:, None], offset[None, :])
-    # 1e-9 dwarfs the few-ulp rounding of these O(1) distances; the probe
-    # attaining the lower bound has bound == lower bound, so it is kept
-    ix, iy = np.nonzero(bound >= probe_dist.max() - 1e-9)
+
+    def deepest(bound) -> float:
+        """Nearest-sample distance of the center with the largest bound."""
+        row, column = np.unravel_index(np.argmax(bound), bound.shape)
+        return tree.query([centers[column], centers[row]])[0]
+
+    def reached(bound, lower):
+        """Centers whose squared bound, in units of 1/n_grid, reaches lower.
+        1e-9 dwarfs the few-ulp rounding of the cells and of these O(1)
+        distances, so a center at distance r_max is never dropped."""
+        reach = max(lower - 1e-9, 0.0) * n_grid
+        return bound >= reach * reach
+
+    bound = _cell_bound(x, y, n_grid)
+    lower = deepest(bound)
+    near = reached(bound, lower)
+    if np.count_nonzero(near) * _REFINE_SHARE > n_grid * n_grid:
+        bound = _column_bound(bound)
+        lower = max(lower, deepest(bound))
+        near = reached(bound, lower)
+    iy, ix = np.nonzero(near)
     r_max = float(tree.query(np.column_stack([centers[ix], centers[iy]]))[0].max())
     return CoverageReport(fill_factor=2.0 - r_max, r_max=r_max)
+
+
+def _cell_bound(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """(n d)^2 for an upper bound d on each patch center's distance to its
+    nearest sample, as int32 indexed [y cell, x cell].
+
+    A sample lies in cell min(floor((v + 1) n / 2), n - 1) per axis, so a
+    center that sees an occupied cell di columns and dj rows away is within
+    sqrt((2|di| + 1)^2 + (2|dj| + 1)^2) / n of a sample. A running max and
+    min along each row find the nearest occupied column; a min over the
+    _BOUND_ROWS rows on either side of a center then gives its bound. A
+    center with no occupied cell in those rows gets at least (4n + 1)^2,
+    more than the field's squared diagonal, 8 n^2.
+    """
+    cx = np.minimum(((x + 1.0) * (n / 2)).astype(np.intp), n - 1)
+    cy = np.minimum(((y + 1.0) * (n / 2)).astype(np.intp), n - 1)
+    columns = np.arange(n, dtype=np.int32)
+    left = np.full((n, n), -2 * n, dtype=np.int32)
+    left[cy, cx] = cx
+    np.maximum.accumulate(left, axis=1, out=left)      # nearest occupied column at or left
+    right = np.full((n, n), 3 * n, dtype=np.int32)
+    right[cy, cx] = cx
+    np.minimum.accumulate(right[:, ::-1], axis=1, out=right[:, ::-1])    # ... at or right
+    np.subtract(columns, left, out=left)
+    np.subtract(right, columns, out=right)
+    gap = np.minimum(left, right, out=left)             # at least 2n in an empty row
+    gap *= 2
+    gap += 1
+    np.square(gap, out=gap)
+    bound = gap + 1
+    scratch = right
+    for dj in range(1, _BOUND_ROWS + 1):
+        step = (2 * dj + 1) ** 2
+        np.add(gap[dj:], step, out=scratch[:-dj])        # the row dj above
+        np.minimum(bound[:-dj], scratch[:-dj], out=bound[:-dj])
+        np.add(gap[:-dj], step, out=scratch[dj:])        # the row dj below
+        np.minimum(bound[dj:], scratch[dj:], out=bound[dj:])
+    return bound
+
+
+def _column_bound(squared: np.ndarray) -> np.ndarray:
+    """_cell_bound's squared bound tightened down each column: a center is at
+    most one center spacing, 2/n, farther from its nearest sample than its
+    neighbor is, so d[j] <= d[j'] + 2|j - j'| in units of 1/n. Float64, and
+    still squared."""
+    bound = np.sqrt(squared)
+    offset = 2.0 * np.arange(len(bound))[:, None]
+    bound -= offset
+    np.minimum.accumulate(bound, axis=0, out=bound)     # from the rows below
+    bound += 2.0 * offset
+    np.minimum.accumulate(bound[::-1], axis=0, out=bound[::-1])     # ... and above
+    bound -= offset
+    return np.square(bound, out=bound)
 
 
 def scanning_range(design: UnmodulatedDesign, config: ScannerConfig) -> float:

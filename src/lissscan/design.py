@@ -93,6 +93,10 @@ class UnmodulatedDesign:
         if (self.case is None) != (self.k is None):
             raise DomainError("case and k must be set together")
         if self.case is not None:
+            try:
+                object.__setattr__(self, "case", DesignCase(self.case))
+            except (TypeError, ValueError):
+                raise DomainError(f"unknown design case {self.case!r}") from None
             object.__setattr__(self, "k", number_value(self.k, "k", 1, convert=int))
             self._check_case()
 
@@ -112,10 +116,9 @@ class UnmodulatedDesign:
     @classmethod
     def from_dict(cls, data: dict) -> "UnmodulatedDesign":
         with record_errors("design record", DomainError):
-            case = data.get("case")
             return cls(fx=data["fx"], phix=data["phix"], m=data["m"], fy=data.get("fy", 1),
-                       phiy=data.get("phiy", 0.0), case=None if case is None else DesignCase(case),
-                       k=data.get("k"), note=data.get("note"))
+                       phiy=data.get("phiy", 0.0), case=data.get("case"), k=data.get("k"),
+                       note=data.get("note"))
 
 
 @dataclass(frozen=True)

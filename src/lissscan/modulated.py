@@ -47,9 +47,14 @@ _TONE_STEPS = {5: range(12, 17), 3: range(13, 16)}
 _L = 2
 
 
+def _rectangles(rois) -> list:
+    """Each of rois as the finite edges (xmin, xmax, ymin, ymax) of a closed rectangle."""
+    return [_rectangle(rect) for rect in (rois if np.iterable(rois) else [rois])]
+
+
 def _rectangle(rect) -> tuple:
-    """rect as the finite edges (xmin, xmax, ymin, ymax) of a closed rectangle."""
-    edges = tuple(number_value(edge, "rectangle edge") for edge in rect)
+    edges = tuple(number_value(edge, "rectangle edge")
+                  for edge in (rect if np.iterable(rect) else [rect]))
     if len(edges) != 4 or edges[0] > edges[1] or edges[2] > edges[3]:
         raise DomainError(f"malformed rectangle {edges}")
     return edges
@@ -87,7 +92,7 @@ class WeightMap:
         size = number_value(size, "size", 1, MAX_GRID, int)
         centers = _patch_centers(size)
         w = np.zeros((size, size))
-        for xmin, xmax, ymin, ymax in map(_rectangle, rois):
+        for xmin, xmax, ymin, ymax in _rectangles(rois):
             in_x = (centers >= xmin) & (centers <= xmax)
             in_y = (centers >= ymin) & (centers <= ymax)
             w[np.ix_(in_x, in_y)] = 1.0
@@ -143,7 +148,7 @@ class ModulatedParams:
         self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
             self.alpha, self.gamma, self.beta, self.delta)
         for name in ("nx", "ny"):
-            tones = tuple(number_value(n, name, 1, convert=int, error=InvalidParams)
+            tones = tuple(number_value(n, name, 1, sys.float_info.max, int, error=InvalidParams)
                           for n in getattr(self, name))
             if not tones or list(tones) != sorted(set(tones)):
                 raise InvalidParams(f"{name} must be distinct positive integers in ascending order")
@@ -536,7 +541,7 @@ def roi_density(pattern: SampledPattern, rois) -> int:
     """Number of samples inside the union of closed rectangles
     (xmin, xmax, ymin, ymax)."""
     inside = np.zeros(len(pattern.x), dtype=bool)
-    for xmin, xmax, ymin, ymax in map(_rectangle, rois):
+    for xmin, xmax, ymin, ymax in _rectangles(rois):
         inside |= ((pattern.x >= xmin) & (pattern.x <= xmax)
                    & (pattern.y >= ymin) & (pattern.y <= ymax))
     return int(np.count_nonzero(inside))

@@ -10,6 +10,7 @@ valid; their checks have tests of their own.
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,7 +27,8 @@ from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, Opt
                       simulate_drift_control, solve_multitone, sweep_designs,
                       synthesize_modulated, synthesize_quadrature, transfer_amplitude,
                       wrap_phase)
-from lissscan.errors import LissscanError
+from lissscan.design import DesignCase
+from lissscan.errors import DomainError, InvalidParams, LissscanError
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5]
 
@@ -191,3 +193,30 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
     assert not isinstance(value, (bool, np.bool_)) or (
         site.startswith("sweep_designs.") and all(row.status != "ok" for row in result)), \
         f"{site} read {value!r} as a number"
+
+
+# non-numeric or out-of-float-range arguments that reached a raw exception
+MALFORMED = {
+    "UnmodulatedDesign.case": (lambda: UnmodulatedDesign(fx=F(41, 28), phix=0.0, m=7,
+                                                         case="bogus", k=41), DomainError),
+    "roi_density.rect": (lambda: roi_density(PATTERN, [5.0]), DomainError),
+    "roi_density.rois": (lambda: roi_density(PATTERN, 5.0), DomainError),
+    "WeightMap.from_rectangles.rect": (lambda: WeightMap.from_rectangles([5.0], 32), DomainError),
+    "WeightMap.from_rectangles.rois": (lambda: WeightMap.from_rectangles(None), DomainError),
+    "ModulatedParams.nx": (lambda: _params(nx=(10**400, 10**401, 10**402)), InvalidParams),
+    "ModulatedParams.ny": (lambda: _params(ny=(13, 14, 2**1024)), InvalidParams),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MALFORMED))
+def test_a_malformed_argument_raises_the_sites_error(site):
+    call, error = MALFORMED[site]
+    with pytest.raises(error):
+        call()
+
+
+def test_the_largest_tone_index_and_a_case_name_are_taken():
+    largest = _params(nx=(26, 28, int(sys.float_info.max)))
+    assert np.isfinite(largest.fx_tones).all()
+    design = UnmodulatedDesign(fx=F(41, 28), phix=0.0, m=7, case="Case1", k=41)
+    assert design.case is DesignCase.CASE1 and design.to_dict()["case"] == "Case1"

@@ -128,7 +128,7 @@ def test_sample_and_grid_bounds_raise_before_anything_is_allocated(monkeypatch):
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the bound was checked")
-    for name in ("arange", "meshgrid", "outer", "empty", "zeros"):
+    for name in ("arange", "meshgrid", "outer", "empty", "zeros", "full"):
         monkeypatch.setattr(np, name, no_allocation)
     with pytest.raises(DomainError, match=f"n_grid must be between 2 and {MAX_GRID}, got"):
         fill_factor(pattern, MAX_GRID + 1)
@@ -161,7 +161,9 @@ def _r_max_over_every_center(pattern, n_grid):
 
 @st.composite
 def _point_sets(draw):
-    kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "lissajous"]))
+    """A pattern and the grid it is scored on."""
+    n_grid = draw(st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.integers(2, 160)))
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "lissajous", "cell edges"]))
     n = draw(st.integers(2, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
@@ -173,19 +175,63 @@ def _point_sets(draw):
     elif kind == "lattice":                          # many samples repeat a point
         ticks = np.linspace(-1.0, 1.0, int(rng.integers(2, 12)))
         x, y = ticks[rng.integers(0, len(ticks), (2, n))]
+    elif kind == "cell edges":     # on multiples of 2 / n_grid, +-1.0 too, or one ulp either side
+        edges = -1.0 + 2.0 * rng.integers(0, n_grid + 1, (2, n)) / n_grid
+        x, y = np.clip(np.nextafter(edges, edges + rng.integers(-1, 2, (2, n))), -1.0, 1.0)
     else:
         t = np.arange(n) * (float(rng.integers(1, 10)) / n)
         x = np.cos(2.0 * np.pi * rng.uniform(0.5, 3.0) * t + rng.uniform(0.0, 2.0 * np.pi))
         y = np.cos(2.0 * np.pi * t)
     assume(np.max(np.abs(x)) > 0.0 and np.max(np.abs(y)) > 0.0)
-    return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y, frame_len=1.0)
+    return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y, frame_len=1.0), n_grid
 
 
-@settings(max_examples=150, deadline=None)
-@given(pattern=_point_sets(),
-       n_grid=st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.integers(2, 160)))
-def test_fill_factor_r_max_is_exactly_the_every_center_maximum(pattern, n_grid):
+@settings(max_examples=200, deadline=None)
+@given(case=_point_sets())
+def test_fill_factor_r_max_is_exactly_the_every_center_maximum(case):
+    pattern, n_grid = case
     assert fill_factor(pattern, n_grid).r_max == _r_max_over_every_center(pattern, n_grid)
+
+
+@pytest.fixture
+def queried(monkeypatch):
+    """Points queried per KD-tree, one entry per fill_factor call."""
+    import scipy.spatial
+    counts = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(0)
+
+        def query(self, x, *args, **kwargs):
+            counts[-1] += len(np.atleast_2d(x))
+            return super().query(x, *args, **kwargs)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    return counts
+
+
+def test_fill_factor_queries_few_centers_on_the_acceptance_grid(queried):
+    # exact however loose its bound, so only a count shows a bound that went
+    # infinite everywhere: that would query all 16,384 centers at grid 128
+    r_grid = [F(100 + 5 * i, 100) for i in range(41)]
+    assert all(row.status == "ok" for row in sweep_designs(r_grid, [6, 7, 8, 9]))
+    assert len(queried) == 126                        # one call per distinct geometry
+    assert np.median(queried) < 1024 / 4              # a quarter of the former 1,024 probes
+
+
+def test_fill_factor_tightens_the_bound_down_columns_on_a_fine_grid(queried, monkeypatch):
+    # at grid 512 this pattern's holes are tens of rows deep, beyond the
+    # rows _cell_bound searches, so only the column bound prunes them
+    pattern = sample_unmodulated(P2, CFG, 0, 1000)
+    tightened = []
+    column_bound = coverage._column_bound
+    monkeypatch.setattr(coverage, "_column_bound",
+                        lambda squared: tightened.append(1) or column_bound(squared))
+    r_max = fill_factor(pattern, 512).r_max
+    assert tightened == [1]
+    assert queried[0] < 512 * 512 // 16              # fewer than every 4th center per axis
+    assert r_max == _r_max_over_every_center(pattern, 512)
 
 
 def test_scanning_range_pinned():
