@@ -215,13 +215,16 @@ def _column_bound(squared: np.ndarray) -> np.ndarray:
     """_cell_bound's squared bound tightened down each column: a center is at
     most one center spacing, 2/n, farther from its nearest sample than its
     neighbor is, so d[j] <= d[j'] + 2|j - j'| in units of 1/n. Float64, and
-    still squared."""
+    still squared. The running minima go row by row, a whole row per call,
+    because numpy's accumulate down a column is several times slower."""
     bound = np.sqrt(squared)
     offset = 2.0 * np.arange(len(bound))[:, None]
     bound -= offset
-    np.minimum.accumulate(bound, axis=0, out=bound)     # from the rows below
+    for j in range(1, len(bound)):                       # from the rows below
+        np.minimum(bound[j], bound[j - 1], out=bound[j])
     bound += 2.0 * offset
-    np.minimum.accumulate(bound[::-1], axis=0, out=bound[::-1])     # ... and above
+    for j in range(len(bound) - 2, -1, -1):              # ... and above
+        np.minimum(bound[j], bound[j + 1], out=bound[j])
     bound -= offset
     return np.square(bound, out=bound)
 

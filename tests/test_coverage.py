@@ -149,14 +149,18 @@ def test_fill_factor_rejects_non_finite_samples(axis, bad):
         fill_factor(pattern)
 
 
-def _r_max_over_every_center(pattern, n_grid):
-    """Reference: query the nearest sample at every patch center."""
+def _every_center_distance(pattern, n_grid):
+    """Reference: the nearest-sample distance of every patch center, [y, x]."""
     from scipy.spatial import cKDTree
     tree = cKDTree(np.column_stack([pattern.x / np.max(np.abs(pattern.x)),
                                     pattern.y / np.max(np.abs(pattern.y))]))
     centers = -1.0 + (2.0 * np.arange(n_grid) + 1.0) / n_grid
-    cx, cy = np.meshgrid(centers, centers, indexing="ij")
-    return float(tree.query(np.column_stack([cx.ravel(), cy.ravel()]))[0].max())
+    cy, cx = np.meshgrid(centers, centers, indexing="ij")
+    return tree.query(np.column_stack([cx.ravel(), cy.ravel()]))[0].reshape(n_grid, n_grid)
+
+
+def _r_max_over_every_center(pattern, n_grid):
+    return float(_every_center_distance(pattern, n_grid).max())
 
 
 @st.composite
@@ -190,7 +194,13 @@ def _point_sets(draw):
 @given(case=_point_sets())
 def test_fill_factor_r_max_is_exactly_the_every_center_maximum(case):
     pattern, n_grid = case
-    assert fill_factor(pattern, n_grid).r_max == _r_max_over_every_center(pattern, n_grid)
+    distance = _every_center_distance(pattern, n_grid)
+    assert fill_factor(pattern, n_grid).r_max == distance.max()
+    # both bounds hold at every center, not only where they decide r_max
+    squared = coverage._cell_bound(pattern.x / np.max(np.abs(pattern.x)),
+                                   pattern.y / np.max(np.abs(pattern.y)), n_grid)
+    for bound in (squared, coverage._column_bound(squared)):
+        assert np.all(np.sqrt(bound) / n_grid >= distance - 1e-12)
 
 
 @pytest.fixture
