@@ -48,11 +48,12 @@ _L = 2
 
 
 def _rectangles(rois) -> list:
-    """Each of rois as the finite edges (xmin, xmax, ymin, ymax) of a closed rectangle."""
+    """Each of rois through _rectangle; a lone number is a malformed rectangle."""
     return [_rectangle(rect) for rect in (rois if np.iterable(rois) else [rois])]
 
 
 def _rectangle(rect) -> tuple:
+    """rect as the finite edges (xmin, xmax, ymin, ymax) of a closed rectangle."""
     edges = tuple(number_value(edge, "rectangle edge")
                   for edge in (rect if np.iterable(rect) else [rect]))
     if len(edges) != 4 or edges[0] > edges[1] or edges[2] > edges[3]:
