@@ -18,7 +18,7 @@ _EXPORTS = {
     "design": """DesignCase PeriodReport UnmodulatedDesign as_fraction baseline_repeating_design
         case1_criterion design_unmodulated repeat_period""",
     "errors": """ConfigError DegeneratePattern DomainError IllConditioned InvalidParams
-        LissscanError NoFeasibleDesign OptimizationFailed UndefinedPhase WeightMapError""",
+        LissscanError OptimizationFailed UndefinedPhase WeightMapError""",
     "io": """export_pattern import_pattern load_design load_scanner load_weight_map save_design
         save_scanner""",
     "modulated": """ROI_A ROI_B Assignment ModulatedGradient ModulatedParams OptimizeOptions

@@ -19,15 +19,15 @@ from .errors import DomainError, InvalidParams, LissscanError, record_errors, re
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    """Write payload to the --out file, or to stdout when --out is absent or empty."""
+    """Write payload to the --out file, or to stdout when --out is absent."""
     if out:
         lio.write_text(out, lio.json_text(payload))
     else:
         sys.stdout.write(lio.json_text(payload))
 
 
-def _required_path(text: str) -> str:
-    """argparse type for a required file flag: an empty path is a usage error."""
+def _path(text: str) -> str:
+    """argparse type of every file flag: an empty path is a usage error."""
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
@@ -194,16 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, type=int, help="frame time in y cycles")
     p.add_argument("--baseline", action="store_true",
                    help="use the every-frame repeating rule instead")
-    p.add_argument("--out", help="write JSON here instead of stdout")
+    p.add_argument("--out", type=_path, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("metrics", help="fill-factor and scanning range of a design")
-    p.add_argument("--design", required=True, help="design JSON (from the design command)")
-    p.add_argument("--scanner", required=True, type=_required_path, help="scanner config JSON")
+    p.add_argument("--design", required=True, type=_path,
+                   help="design JSON (from the design command)")
+    p.add_argument("--scanner", required=True, type=_path, help="scanner config JSON")
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--n-samples", type=int, default=N_SAMPLES_DEFAULT)
     p.add_argument("--grid", type=int, default=N_GRID_DEFAULT)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("sweep", help="evaluate both rules over an (r, m) grid")
@@ -211,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", required=True)
     p.add_argument("--r-step", required=True)
     p.add_argument("--m", required=True, help="comma-separated frame times")
-    p.add_argument("--scanner", help="scanner config JSON (quality factors)")
+    p.add_argument("--scanner", type=_path, help="scanner config JSON (quality factors)")
     p.add_argument("--n-samples", type=int, default=N_SAMPLES_DEFAULT)
     p.add_argument("--grid", type=int, default=N_GRID_DEFAULT)
-    p.add_argument("--out", required=True, type=_required_path, help="output CSV")
+    p.add_argument("--out", required=True, type=_path, help="output CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="focus a multi-tone pattern on a weighted region")
-    p.add_argument("--scanner", required=True, type=_required_path)
-    p.add_argument("--roi", required=True, help="weight map (PGM or CSV)")
+    p.add_argument("--scanner", required=True, type=_path)
+    p.add_argument("--roi", required=True, type=_path, help="weight map (PGM or CSV)")
     p.add_argument("--tones", type=int, default=5, choices=(3, 5))
     p.add_argument("--m", type=int, default=7)
     p.add_argument("--n-samples", type=int, default=500)
@@ -228,22 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--constraint", default="rms", choices=("rms", "absolute"))
     p.add_argument("--y-single-tone", action="store_true")
-    p.add_argument("--init", help="warm-start params JSON")
-    p.add_argument("--out", required=True, type=_required_path, help="output params JSON")
-    p.add_argument("--trace", help="optional loss trace CSV")
+    p.add_argument("--init", type=_path, help="warm-start params JSON")
+    p.add_argument("--out", required=True, type=_path, help="output params JSON")
+    p.add_argument("--trace", type=_path, help="optional loss trace CSV")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("phase-sim", help="simulate drift of the oscillator phase")
-    p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--scanner", required=True, type=_required_path)
+    p.add_argument("--scenario", required=True, type=_path, help="scenario JSON")
+    p.add_argument("--scanner", required=True, type=_path)
     p.add_argument("--duration", required=True, type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, type=_required_path, help="output trace CSV")
+    p.add_argument("--out", required=True, type=_path, help="output trace CSV")
     p.set_defaults(func=cmd_phase_sim)
 
     p = sub.add_parser("phase-solve", help="recover 3-tone amplitudes and phases")
-    p.add_argument("--samples", required=True, help="quadrature samples JSON")
-    p.add_argument("--out")
+    p.add_argument("--samples", required=True, type=_path, help="quadrature samples JSON")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_phase_solve)
 
     return parser

@@ -17,11 +17,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, NoFeasibleDesign, number_value, record_errors, record_value
+from .errors import DomainError, number_value, record_errors, record_value, value_text
 
-# Beyond half a unit of resonance ratio the off-resonance attenuation makes
-# any design useless, so the search gives up there.
-SEARCH_CAP = Fraction(1, 2)
 M_MIN, M_MAX = 2, 64
 R_MIN, R_MAX = Fraction(1), Fraction(3)
 # Coverage's sampling defaults live here, without numpy, for the CLI parser.
@@ -61,7 +58,8 @@ def as_fraction(value) -> Fraction:
         frac = record_value(value, "ratio", Fraction)    # a boolean is not 1 or 0
         float(frac)                 # patterns are sampled in floats
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise DomainError(f"expected a rational number in float range, got {value!r}") from exc
+        raise DomainError(f"expected a rational number in float range, "
+                          f"got {value_text(value)}") from exc
     return frac
 
 
@@ -171,35 +169,28 @@ _INTEGER_R_NOTE = (
 )
 
 
-def design_unmodulated(r, m: int, *, search_cap: Fraction = SEARCH_CAP) -> UnmodulatedDesign:
+def design_unmodulated(r, m: int) -> UnmodulatedDesign:
     """Pick the x tone k/(4m) closest to r whose pattern keeps covering new
     ground for a whole frame.
 
     Candidates are visited by increasing |k/(4m) - r| (ties to the smaller k)
     and the first one falling in an acceptable class, keyed to gcd(k, 4m),
     wins: gcd 1 passing the mid-frame criterion (phase 0), gcd 2 (phase 0),
-    or gcd 4 (phase pi/(2m)). Raises NoFeasibleDesign when nothing within
-    the search cap qualifies.
+    or gcd 4 (phase pi/(2m)). The search always ends within |fx - r| <= 1/2:
+    the integers within 2m of r*4m include 4m consecutive ones, so one of them
+    is k = 2 (mod 4m), which has gcd 2.
     """
     r = as_fraction(r)
     m = number_value(m, "m", M_MIN, M_MAX, int)
-    search_cap = as_fraction(search_cap)
     if not R_MIN <= r <= R_MAX:
         raise DomainError(f"resonance ratio must lie in [{R_MIN}, {R_MAX}], got {float(r)}")
     denom = 4 * m
     note = _INTEGER_R_NOTE if r.denominator == 1 else None
-    center, cap = r * denom, search_cap * denom
-    k_min, k_max = math.ceil(center - cap), math.floor(center + cap)
-    for group in _tie_groups(center):
-        if not k_min <= group[0] <= k_max:
-            break
-        for k in group:     # k = 2 always qualifies (gcd 2), so no k < 1 is reached
+    for group in _tie_groups(r * denom):
+        for k in group:     # every k visited is within 2m of r*4m >= 4m, so k >= 2m
             case = _PROPOSED_BY_GCD.get(math.gcd(k, denom))
             if case is not None and (case is not DesignCase.CASE1 or case1_criterion(k, m)):
                 return UnmodulatedDesign(*_prescribed(case, k, m), m, case=case, k=k, note=note)
-    raise NoFeasibleDesign(
-        f"no acceptable tone with |k/(4m) - r| <= {search_cap} for r = {float(r)}, m = {m}"
-    )
 
 
 def baseline_repeating_design(r, m: int) -> UnmodulatedDesign:

@@ -16,10 +16,6 @@ class ConfigError(DomainError):
     """Malformed scanner configuration."""
 
 
-class NoFeasibleDesign(LissscanError):
-    """Frequency search exhausted its window without a feasible candidate."""
-
-
 class DegeneratePattern(LissscanError):
     """Sampled pattern has zero extent on at least one axis."""
 
@@ -59,13 +55,25 @@ def record_errors(record: str, error: type[LissscanError]):
         raise error(f"malformed {record}: {exc}") from exc
 
 
+_SHOWN = 64    # characters of a refused value that its message shows
+
+
+def value_text(value) -> str:
+    """repr(value) for a message, cut after _SHOWN characters with a marker."""
+    try:
+        text = repr(value)
+    except ValueError:      # an int past the interpreter's digit limit for str()
+        return f"an integer of {value.bit_length()} bits"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
 def record_value(value, name: str, convert=float):
     """convert(value) for a numeric record field. A boolean, numpy's too, is
     refused, as is a non-integral number for an int field (int() truncates)."""
     if isinstance(value, bool) or getattr(value, "dtype", None) == bool or (
             convert is int and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise ValueError(f"{name} must be {kind}, got {value_text(value)}")
     return convert(value)
 
 
@@ -79,7 +87,7 @@ def number_value(value, name: str, low=-math.inf, high=math.inf, convert=float, 
         number = record_value(value, name, convert)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if convert is int else "a number"
-        raise error(f"{name} must be {kind}, got {value!r}") from None
+        raise error(f"{name} must be {kind}, got {value_text(value)}") from None
     if (0 < number if positive else low <= number) and number <= high and abs(number) < math.inf:
         return number
     if positive:
@@ -92,4 +100,4 @@ def number_value(value, name: str, low=-math.inf, high=math.inf, convert=float, 
         limit = "finite and non-negative"
     else:
         limit = "finite" if low == -math.inf else f"finite and at least {low}"
-    raise error(f"{name} must be {limit}, got {number}")
+    raise error(f"{name} must be {limit}, got {value_text(number)}")

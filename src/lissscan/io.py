@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -93,20 +94,14 @@ def write_csv(path, header: list[str], rows) -> Path:
 
 # ---------------------------------------------------------------- weight maps
 
+# one header token: the whitespace and # comments before it, then a run of
+# non-space bytes (a # inside it included); the group is empty only at the end
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _pgm_tokens(data: bytes):
-    """Header tokens of a PGM file, skipping whitespace and # comments."""
-    pos = 0
-    while pos < len(data):
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            yield data[start:pos], pos
+    """Header tokens of a PGM file, each with the offset just past it."""
+    return ((m[1], m.end()) for m in _PGM_TOKEN.finditer(data) if m[1])
 
 
 def _read_pgm(path: Path) -> np.ndarray:

@@ -83,9 +83,9 @@ class WeightMap:
         return self.w.shape[0]
 
     @classmethod
-    def uniform(cls, size: int = 32, value: float = 1.0) -> "WeightMap":
+    def uniform(cls, size: int = 32) -> "WeightMap":
         size = number_value(size, "size", 1, MAX_GRID, int)
-        return cls(np.full((size, size), number_value(value, "value", 0)))
+        return cls(np.full((size, size), 1.0))
 
     @classmethod
     def from_rectangles(cls, rois, size: int = 32) -> "WeightMap":
@@ -257,11 +257,10 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
                            nx=nx, ny=ny, L=_L, m=m, config=config)
 
 
-def _bases(params: ModulatedParams, n_samples: int, frames: int = 1):
-    """Sample times over [0, frames*m), endpoint excluded, and the plant-weighted
+def _bases(params: ModulatedParams, n_samples: int):
+    """Sample times over one frame [0, m), endpoint excluded, and the plant-weighted
     cosine/sine bases (bxc, bxs, byc, bys), each of shape (n_samples, tones)."""
-    frames = number_value(frames, "frames", 1, convert=int)
-    t = _sample_times(0, frames * params.m, n_samples)
+    t = _sample_times(0, params.m, n_samples)
     hx = np.array([_response(params.config, "x", f) for f in params.fx_tones])
     hy = np.array([_response(params.config, "y", f) for f in params.fy_tones])
     ax = 2.0 * np.pi * np.outer(t, params.fx_tones)
@@ -275,14 +274,13 @@ def _positions(bases, alpha, gamma, beta, delta) -> tuple[np.ndarray, np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")    # non-finite samples raise instead
-def synthesize_modulated(params: ModulatedParams, n_samples: int = 500,
-                         frames: int = 1) -> SampledPattern:
-    """n_samples uniform samples of the two-axis sum over t in [0, frames*m),
+def synthesize_modulated(params: ModulatedParams, n_samples: int = 500) -> SampledPattern:
+    """n_samples uniform samples of the two-axis sum over t in [0, m),
     endpoint excluded.  One frame is the evaluation window everywhere; the
     full coefficient period spans L frames."""
-    t, bases = _bases(params, n_samples, frames)
+    t, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
-    return SampledPattern(t=t, x=x, y=y, frame_len=float(params.m), frames=frames)
+    return SampledPattern(t=t, x=x, y=y, frame_len=float(params.m), frames=1)
 
 
 @dataclass(eq=False)
@@ -496,30 +494,26 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     # delta); only the returned iterate becomes a ModulatedParams
     coef = (init.alpha, init.gamma, init.beta, init.delta)
     x, y = _positions(bases, *coef)
-    loss, asg = _assign(x, y, wmap, threshold)
-    if not math.isfinite(loss):
-        raise OptimizationFailed("objective is non-finite at the start", trace=np.array([loss]))
-    trace = [loss]
-    norms = [_constraint_norm(*coef, opts.constraint)]
-    best_coef, best_loss = coef, loss
+    trace, norms = [], []
+    best_loss = before = math.inf      # before: best loss patience iterations ago
     converged = False
-    iterations = 0
 
-    for iterations in range(1, opts.max_iters + 1):
-        grad = _gradient_fixed(x, y, wmap, asg, *bases)
-        if not grad.is_finite():
-            raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
-        step = opts.step
-        for _ in range(MAX_BACKTRACKS + 1):
-            a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
-            b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
-            x, y = _positions(bases, a, g, b, d)
-            if _loss_fixed(x, y, wmap, asg) <= trace[-1]:
-                break
-            step *= 0.5
-            # the last halved candidate is taken even if it still increases;
-            # best-seen tracking protects the returned iterate
-        coef = _checked_coefficients(a, g, b, d)
+    for iteration in range(opts.max_iters + 1):
+        if iteration:                  # iterate 0 is init itself
+            grad = _gradient_fixed(x, y, wmap, asg, *bases)
+            if not grad.is_finite():
+                raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
+            step = opts.step
+            for _ in range(MAX_BACKTRACKS + 1):
+                a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
+                b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
+                x, y = _positions(bases, a, g, b, d)
+                if _loss_fixed(x, y, wmap, asg) <= trace[-1]:
+                    break
+                step *= 0.5
+                # the last halved candidate is taken even if it still increases;
+                # best-seen tracking protects the returned iterate
+            coef = _checked_coefficients(a, g, b, d)
         loss, asg = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
@@ -527,15 +521,15 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         norms.append(_constraint_norm(*coef, opts.constraint))
         if loss < best_loss:
             best_loss, best_coef = loss, coef
-        if iterations >= opts.patience:
-            before = min(trace[:-opts.patience])    # best loss patience iterations ago
+        if iteration >= opts.patience:
+            before = min(before, trace[iteration - opts.patience])
             if before - best_loss <= REL_TOL * max(before, 1e-12):
                 converged = True
                 break
 
     return OptimizeResult(params=init.with_coefficients(*best_coef), loss=best_loss,
                           loss_trace=np.array(trace), norm_trace=np.array(norms),
-                          iterations=iterations, converged=converged)
+                          iterations=iteration, converged=converged)
 
 
 def roi_density(pattern: SampledPattern, rois) -> int:

@@ -32,10 +32,10 @@ class ScannerConfig:
                                                         positive=not low, error=ConfigError))
 
     @classmethod
-    def normalized(cls, r: float, qx: float = 20.0, qy: float = 20.0) -> "ScannerConfig":
-        """Config in normalized units: y resonance fixed at 1, x at r in [1, 3]."""
-        r = number_value(r, "normalized resonance ratio", 1, 3, error=ConfigError)
-        return cls(fx_res=r, fy_res=1.0, qx=qx, qy=qy)
+    def normalized(cls, r: float) -> "ScannerConfig":
+        """Config in normalized units: y resonance fixed at 1, x at r in [1, 3],
+        Q 20 on both axes."""
+        return cls(fx_res=number_value(r, "normalized resonance ratio", 1, 3, error=ConfigError))
 
     def axis(self, axis: str) -> tuple[float, float]:
         """(resonant frequency, quality factor) of one axis."""

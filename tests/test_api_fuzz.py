@@ -9,6 +9,8 @@ valid; their checks have tests of their own.
 """
 
 import dataclasses
+import enum
+import inspect
 import math
 import sys
 from fractions import Fraction as F
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lissscan
 from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, OptimizeOptions,
                       QuadraturePair, SampledPattern, ScannerConfig, UnmodulatedDesign, WeightMap,
                       as_fraction, baseline_repeating_design, case1_criterion,
@@ -54,7 +57,6 @@ SITES = {
     "ScannerConfig.qx": lambda v: ScannerConfig(1.5, qx=v),
     "ScannerConfig.qy": lambda v: ScannerConfig(1.5, qy=v),
     "ScannerConfig.normalized.r": lambda v: ScannerConfig.normalized(v),
-    "ScannerConfig.normalized.qx": lambda v: ScannerConfig.normalized(1.5, qx=v),
     "transfer_amplitude.f": lambda v: transfer_amplitude(CFG, "x", v),
     "as_fraction": as_fraction,
     "UnmodulatedDesign.fx": lambda v: UnmodulatedDesign(fx=v, phix=0.0, m=7),
@@ -67,7 +69,6 @@ SITES = {
     "case1_criterion.m": lambda v: case1_criterion(41, v),
     "design_unmodulated.r": lambda v: design_unmodulated(v, 7),
     "design_unmodulated.m": lambda v: design_unmodulated(F(3, 2), v),
-    "design_unmodulated.search_cap": lambda v: design_unmodulated(F(3, 2), 7, search_cap=v),
     "baseline_repeating_design.r": lambda v: baseline_repeating_design(v, 7),
     "baseline_repeating_design.m": lambda v: baseline_repeating_design(F(3, 2), v),
     "repeat_period.fx": lambda v: repeat_period(v, 1),
@@ -91,7 +92,6 @@ SITES = {
                                                      workers=v),   # one task: never a pool
     "phase_tolerance_sweep.delta": lambda v: phase_tolerance_sweep(DESIGN, CFG, [v]),
     "WeightMap.uniform.size": lambda v: WeightMap.uniform(v),
-    "WeightMap.uniform.value": lambda v: WeightMap.uniform(8, v),
     "WeightMap.from_rectangles.size": lambda v: WeightMap.from_rectangles([ROI_B], v),
     "WeightMap.from_rectangles.xmin": lambda v: WeightMap.from_rectangles([(v, 0.9, 0.2, 0.8)]),
     "WeightMap.from_rectangles.ymax": lambda v: WeightMap.from_rectangles([(0.2, 0.9, 0.2, v)]),
@@ -108,7 +108,6 @@ SITES = {
     "initial_params.qx": lambda v: initial_params(2, n_tones=3, qx=v),
     "initial_params.qy": lambda v: initial_params(2, n_tones=3, qy=v),
     "synthesize_modulated.n_samples": lambda v: synthesize_modulated(PARAMS, v),
-    "synthesize_modulated.frames": lambda v: synthesize_modulated(PARAMS, 50, v),
     "objective.threshold": lambda v: objective(PATTERN, WMAP, v),
     "gradient.n_samples": lambda v: gradient(PARAMS, WMAP, v, 0.1),
     "gradient.threshold": lambda v: gradient(PARAMS, WMAP, 50, v),
@@ -161,6 +160,35 @@ SITES = {
 # array helpers that pass a NaN through, as their docstrings say
 PASS_THROUGH = {"wrap_phase", "polar_coefficients.amplitudes", "polar_coefficients.phases_rad",
                 "synthesize_quadrature.t"}
+
+# Every argument that is not one scalar number, so has no site: these
+# names (the package's records, paths, axis names) wherever they appear,
+# and the arrays, strings, flags and callables below. A site may fuzz one
+# element of an array argument or one field of a record argument (PART_SITES).
+NOT_SCALAR_NAMES = {"config", "design", "pattern", "wmap", "params", "init", "opts", "scenario",
+                    "state", "pair", "data", "path", "axis"}
+NOT_SCALAR = set("""
+    DriftScenario.drift_fn DriftScenario.control_enabled OptimizeOptions.constraint
+    UnmodulatedDesign.case UnmodulatedDesign.note initial_params.y_single_tone
+    ModulatedParams.alpha ModulatedParams.gamma ModulatedParams.beta ModulatedParams.delta
+    ModulatedParams.with_coefficients.alpha ModulatedParams.with_coefficients.gamma
+    ModulatedParams.with_coefficients.beta ModulatedParams.with_coefficients.delta
+    SampledPattern.t SampledPattern.x SampledPattern.y WeightMap.w WeightMap.from_rectangles.rois
+    roi_density.rois phase_tolerance_sweep.deltas sweep_designs.r_grid sweep_designs.m_set
+    project_rms.cos_coef project_rms.sin_coef project_absolute.cos_coef project_absolute.sin_coef
+    solve_multitone.x_samples solve_multitone.xq_samples solve_multitone.omegas
+""".split())
+PART_SITES = {
+    "sweep_designs.r": "sweep_designs.r_grid", "sweep_designs.m": "sweep_designs.m_set",
+    "phase_tolerance_sweep.delta": "phase_tolerance_sweep.deltas",
+    "roi_density.xmin": "roi_density.rois", "roi_density.ymax": "roi_density.rois",
+    "WeightMap.from_rectangles.xmin": "WeightMap.from_rectangles.rois",
+    "WeightMap.from_rectangles.ymax": "WeightMap.from_rectangles.rois",
+    "optimize.step": "optimize.opts", "optimize.threshold": "optimize.opts",
+}
+# result records the package builds itself (see the module docstring)
+RESULTS = {"Assignment", "CoverageReport", "DriftTrace", "ModulatedGradient", "OptimizeResult",
+           "PeriodReport", "SweepRow"}
 
 
 def _checked(value) -> bool:
@@ -220,3 +248,53 @@ def test_the_largest_tone_index_and_a_case_name_are_taken():
     assert np.isfinite(largest.fx_tones).all()
     design = UnmodulatedDesign(fx=F(41, 28), phix=0.0, m=7, case="Case1", k=41)
     assert design.case is DesignCase.CASE1 and design.to_dict()["case"] == "Case1"
+
+
+def _arguments() -> set[str]:
+    """"callable.argument" for every argument of an exported function, and
+    every field and public-method argument of an exported class that a
+    caller builds."""
+    found = set()
+    for name in lissscan.__all__:
+        obj = getattr(lissscan, name)
+        if not callable(obj) or name in RESULTS or (
+                inspect.isclass(obj) and issubclass(obj, (Exception, enum.Enum))):
+            continue
+        if not inspect.isclass(obj):
+            found |= {f"{name}.{arg}" for arg in inspect.signature(obj).parameters}
+            continue
+        found |= {f"{name}.{field.name}" for field in dataclasses.fields(obj)}
+        for method, fn in vars(obj).items():
+            fn = getattr(fn, "__func__", fn)        # a classmethod's function
+            if not method.startswith("_") and inspect.isfunction(fn):
+                args = list(inspect.signature(fn).parameters)[1:]     # past self or cls
+                found |= {f"{name}.{method}.{arg}" for arg in args}
+    return found
+
+
+def test_every_scalar_argument_has_a_site_and_every_site_an_argument():
+    arguments = _arguments()
+    # a site without a dot is a one-argument function and stands for that argument
+    sited = {site if "." in site else
+             f"{site}.{next(iter(inspect.signature(getattr(lissscan, site)).parameters))}"
+             for site in SITES}
+    unfuzzed = {arg for arg in arguments - sited - NOT_SCALAR
+                if arg.rsplit(".", 1)[1] not in NOT_SCALAR_NAMES}
+    assert not unfuzzed, f"scalar arguments with no site: {sorted(unfuzzed)}"
+    stale = {site for site in sited - arguments if PART_SITES.get(site) not in arguments}
+    assert not stale, f"sites of no argument: {sorted(stale)}"
+    assert NOT_SCALAR <= arguments, f"listed but gone: {sorted(NOT_SCALAR - arguments)}"
+
+
+def test_a_refused_number_of_any_length_gives_a_short_message():
+    # the tone index 10**400 printed all 401 digits; 10**5000 passed the
+    # interpreter's digit limit for str(), so the message raised ValueError
+    for huge in (10**400, 10**5000):
+        with pytest.raises(InvalidParams) as err:
+            _params(nx=(huge, 28, 30))
+        assert len(str(err.value)) < 160, str(err.value)
+    with pytest.raises(InvalidParams, match=r"got 1000000000\d*\.\.\. \(401 characters\)$"):
+        _params(nx=(10**400, 28, 30))
+    with pytest.raises(DomainError, match="^expected a rational number in float range, got an "
+                                          "integer of 16610 bits$"):
+        as_fraction(10**5000)

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from lissscan import (DesignCase, ScannerConfig, UnmodulatedDesign,
                       baseline_repeating_design, case1_criterion,
                       design_unmodulated, repeat_period, sample_unmodulated)
-from lissscan.errors import DomainError, NoFeasibleDesign
+from lissscan.errors import DomainError
 
 F = Fraction
 
@@ -99,17 +99,10 @@ def test_selection_agrees_with_naive_re_enumeration_everywhere():
 
 
 @settings(max_examples=300, deadline=None)
-@given(r=st.fractions(1, 3, max_denominator=400), m=st.integers(2, 64),
-       search_cap=st.fractions(F(1, 1000), 3, max_denominator=1000))
-def test_selection_agrees_with_brute_force_for_any_search_cap(r, m, search_cap):
-    # caps above r reach past k < 1, but k = 2 (gcd 2) is always accepted first
-    expected = _oracle_design(r, m, search_cap)
-    if expected is None:
-        with pytest.raises(NoFeasibleDesign):
-            design_unmodulated(r, m, search_cap=search_cap)
-    else:
-        d = design_unmodulated(r, m, search_cap=search_cap)
-        assert (d.fx, d.phix, d.case.value) == expected
+@given(r=st.fractions(1, 3, max_denominator=400), m=st.integers(2, 64))
+def test_selection_agrees_with_brute_force_on_random_ratios(r, m):
+    d = design_unmodulated(r, m)
+    assert (d.fx, d.phix, d.case.value) == _oracle_design(r, m)
 
 
 def _oracle_baseline(r, m):
@@ -138,10 +131,14 @@ def test_ratio_and_frame_time_bounds():
         baseline_repeating_design(F(-1, 2), 7)
 
 
-def test_search_cap_exhaustion_raises():
-    # a cap of 1/1000 around r = 2.01 excludes every candidate k
-    with pytest.raises(NoFeasibleDesign):
-        design_unmodulated(F(201, 100), 7, search_cap=F(1, 1000))
+def test_every_ratio_and_frame_time_has_a_design_within_half_a_unit():
+    # within 2m of r*4m lies some k = 2 (mod 4m), a gcd-2 design, so the
+    # search never has to look further; checked on a 1/(12m) grid of r
+    for m in range(2, 65):
+        for i in range(24 * m + 1):
+            r = 1 + F(i, 12 * m)
+            d = design_unmodulated(r, m)
+            assert abs(d.fx - r) <= F(1, 2), (r, m)
 
 
 @pytest.mark.parametrize("fx, phix, signal, coverage", [

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lissscan
 from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
@@ -27,6 +27,7 @@ from lissscan import cli
 from lissscan.cli import cli_dispatch
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
+from lissscan.io import _pgm_tokens
 
 F = Fraction
 CFG = ScannerConfig.normalized(1.5)
@@ -92,6 +93,39 @@ def test_pgm_rejects_malformed_files(tmp_path):
         load_weight_map(path)
     with pytest.raises(WeightMapError):
         load_weight_map(tmp_path / "missing.pgm")
+
+
+def _pgm_tokens_byte_loop(data: bytes):
+    """PGM header tokens and their end offsets, found one byte at a time: the
+    reference the regex tokenizer must agree with."""
+    pos = 0
+    while pos < len(data):
+        if data[pos:pos + 1].isspace():
+            pos += 1
+        elif data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            start = pos
+            while pos < len(data) and not data[pos:pos + 1].isspace():
+                pos += 1
+            yield data[start:pos], pos
+
+
+_PGM_PIECES = [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"#", b"# note", b"#1 2\r",
+               b"P2", b"P5", b"255", b"4", b"2#5", b"x#", b"\x00", b"\xff"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(st.binary(max_size=48),
+                      st.lists(st.sampled_from(_PGM_PIECES), max_size=16).map(b"".join)))
+@example(data=b"P2 # a comment\n4 4\n# another\n255\n1 2")      # comments between tokens
+@example(data=b"P2\n4#4 25#5\n")                                   # a # inside a token
+@example(data=b"P5\r# comment\r4\r4\r255\r")                       # \r line ends
+@example(data=b"P2 4 4 255 1 #final")                              # a final comment, no newline
+@example(data=b"#only a comment")
+def test_pgm_header_tokens_match_a_byte_loop(data):
+    assert list(_pgm_tokens(data)) == list(_pgm_tokens_byte_loop(data))
 
 
 def test_csv_weight_map(tmp_path):
@@ -200,24 +234,35 @@ def test_cli_error_paths(capsys):
     capsys.readouterr()
 
 
-# (command argv, index of a required --scanner / --out flag in it)
+_SWEEP = ["sweep", "--r-min", "1", "--r-max", "2", "--r-step", "1", "--m", "7", "--out", "o.csv"]
+_OPTIMIZE = ["optimize", "--scanner", "s.json", "--roi", "roi.csv", "--out", "o.json"]
+_PHASE_SIM = ["phase-sim", "--scenario", "c.json", "--scanner", "s.json", "--duration", "9",
+              "--out", "o.csv"]
+# (command argv, index of a required path flag in it)
 _REQUIRED_PATH_FLAGS = [
     (["metrics", "--design", "d.json", "--scanner", "s.json"], 3),
-    (["sweep", "--r-min", "1", "--r-max", "2", "--r-step", "1", "--m", "7", "--out", "o.csv"], 9),
-    (["optimize", "--scanner", "s.json", "--roi", "roi.csv", "--out", "o.json"], 1),
-    (["optimize", "--scanner", "s.json", "--roi", "roi.csv", "--out", "o.json"], 5),
-    (["phase-sim", "--scenario", "c.json", "--scanner", "s.json", "--duration", "9",
-      "--out", "o.csv"], 3),
-    (["phase-sim", "--scenario", "c.json", "--scanner", "s.json", "--duration", "9",
-      "--out", "o.csv"], 7),
+    (_SWEEP, 9), (_OPTIMIZE, 1), (_OPTIMIZE, 5), (_PHASE_SIM, 3), (_PHASE_SIM, 7),
+    (["metrics", "--design", "d.json", "--scanner", "s.json"], 1), (_OPTIMIZE, 3),
+    (_PHASE_SIM, 1), (["phase-solve", "--samples", "q.json"], 1),
+]
+# (command argv, index of an optional path flag in it)
+_OPTIONAL_PATH_FLAGS = [
+    (["design", "--r", "1.5", "--m", "7", "--out", "d.json"], 5),
+    (["metrics", "--design", "d.json", "--scanner", "s.json", "--out", "o.json"], 5),
+    (_SWEEP + ["--scanner", "s.json"], 11), (_OPTIMIZE + ["--init", "i.json"], 7),
+    (_OPTIMIZE + ["--trace", "t.csv"], 7),
+    (["phase-solve", "--samples", "q.json", "--out", "o.json"], 3),
 ]
 
 
-@pytest.mark.parametrize("argv, flag", _REQUIRED_PATH_FLAGS)
+@pytest.mark.parametrize("argv, flag", _REQUIRED_PATH_FLAGS + _OPTIONAL_PATH_FLAGS)
 def test_cli_required_path_flags_are_usage_errors(argv, flag, capsys):
-    dropped = argv[:flag] + argv[flag + 2:]
-    assert cli_dispatch(dropped) == 2
-    assert f"{argv[flag]}" in capsys.readouterr().err
+    # every path flag refuses an empty path (sweep --scanner "" scored with
+    # the default scanner, and --init "", --trace "" and --out "" were ignored)
+    if (argv, flag) in _REQUIRED_PATH_FLAGS:
+        dropped = argv[:flag] + argv[flag + 2:]
+        assert cli_dispatch(dropped) == 2
+        assert f"{argv[flag]}" in capsys.readouterr().err
     emptied = argv[:flag + 1] + [""] + argv[flag + 2:]
     assert cli_dispatch(emptied) == 2
     assert "must not be empty" in capsys.readouterr().err

@@ -35,7 +35,7 @@ def test_weight_map_validation():
         WeightMap(np.full((4, 4), -0.1))
     with pytest.raises(DomainError):
         WeightMap(np.full((4, 4), math.nan))
-    assert WeightMap.uniform(8, 0.5).w.shape == (8, 8)
+    assert np.array_equal(WeightMap.uniform(8).w, np.ones((8, 8)))
 
 
 def test_weight_map_from_rectangles():
@@ -184,13 +184,8 @@ def test_synthesis_window_and_bookkeeping():
     one = synthesize_modulated(params, 500)
     assert one.t[0] == 0.0 and one.t[-1] == pytest.approx(7.0 - 7.0 / 500.0)
     assert one.frame_len == 7.0 and one.frames == 1
-    two = synthesize_modulated(params, 500, frames=2)
-    assert two.t[-1] == pytest.approx(14.0 - 14.0 / 500.0)
-    assert two.frames == 2
     with pytest.raises(DomainError):
         synthesize_modulated(params, 1)
-    with pytest.raises(DomainError):
-        synthesize_modulated(params, 500, frames=0)
 
 
 def test_reference_pattern_is_the_single_tone_design():
@@ -583,6 +578,20 @@ def test_optimize_converges_early_when_nothing_improves():
     assert res.converged and res.iterations < 200
 
 
+@pytest.mark.parametrize("patience", [1, 3, 10])
+def test_optimize_stops_at_the_first_iterate_without_progress(patience):
+    # the rule in full: the best loss up to `patience` iterates ago, against
+    # the best loss so far, rescanned from the trace at every iterate
+    res = optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                   OptimizeOptions(max_iters=120, patience=patience))
+    trace = res.loss_trace.tolist()
+    stalled = [i for i in range(patience, len(trace))
+               if min(trace[:i - patience + 1]) - min(trace[:i + 1])
+               <= modulated.REL_TOL * max(min(trace[:i - patience + 1]), 1e-12)]
+    assert res.converged and stalled[0] == res.iterations == len(trace) - 1
+    assert res.loss == min(trace)
+
+
 def _full_search_assign(x, y, wmap, threshold):
     """Reference nearest-sample search over every patch, weighted or not."""
     size = wmap.size
@@ -659,7 +668,7 @@ _COUNT_ARGUMENTS = [   # (name, call with the count, an integral float it accept
                                                ScannerConfig.normalized(1.5), 0, v), 50.0,
      DomainError),
     ("n_samples", lambda v: synthesize_modulated(initial_params(2), v), 50.0, DomainError),
-    ("frames", lambda v: synthesize_modulated(initial_params(2), 50, v), 2.0, DomainError),
+    ("m", lambda v: default_tone_indices(2, 5, v), 7.0, InvalidParams),
     ("n_grid", lambda v: fill_factor(reference_pattern(2, n_samples=50), v), 8.0, DomainError),
     ("nx", _params_with_nx, 26.0, InvalidParams),
     ("max_iters", lambda v: OptimizeOptions(max_iters=v), 500.0, DomainError),
