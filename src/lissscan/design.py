@@ -94,7 +94,7 @@ class UnmodulatedDesign:
             try:
                 object.__setattr__(self, "case", DesignCase(self.case))
             except (TypeError, ValueError):
-                raise DomainError(f"unknown design case {self.case!r}") from None
+                raise DomainError(f"unknown design case {value_text(self.case)}") from None
             object.__setattr__(self, "k", number_value(self.k, "k", 1, convert=int))
             self._check_case()
 

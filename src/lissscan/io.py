@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .design import UnmodulatedDesign
 from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, record_errors,
-                     record_value)
+                     record_value, value_text)
 from .scanner import ScannerConfig
 
 if TYPE_CHECKING:      # numpy and the modules that need it load in the readers below
@@ -111,7 +111,7 @@ def _read_pgm(path: Path) -> np.ndarray:
     try:
         magic, _ = next(tokens)
         if magic not in (b"P2", b"P5"):
-            raise WeightMapError(f"{path}: not a PGM file (magic {magic!r})")
+            raise WeightMapError(f"{path}: not a PGM file (magic {value_text(magic)})")
         (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
         width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
     except (StopIteration, ValueError) as exc:

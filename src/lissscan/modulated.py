@@ -27,7 +27,7 @@ from .coverage import (MAX_GRID, MAX_ITERS, SampledPattern, _patch_centers, _res
                        _sample_count, _sample_times, sample_unmodulated)
 from .design import as_fraction, design_unmodulated
 from .errors import (DomainError, InvalidParams, OptimizationFailed, number_value, record_errors,
-                     record_value)
+                     record_value, value_text)
 from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
@@ -448,9 +448,9 @@ class OptimizeOptions:
             self.threshold = number_value(self.threshold, "threshold", 0)
         self.max_iters = number_value(self.max_iters, "max_iters", 0, MAX_ITERS, int)
         self.patience = number_value(self.patience, "patience", 1, convert=int)
-        if self.constraint not in _PROJECTIONS:
+        if not isinstance(self.constraint, str) or self.constraint not in _PROJECTIONS:
             raise DomainError(f"constraint must be one of {sorted(_PROJECTIONS)}, "
-                              f"got {self.constraint!r}")
+                              f"got {value_text(self.constraint)}")
 
 
 @dataclass(eq=False)
@@ -495,7 +495,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     coef = (init.alpha, init.gamma, init.beta, init.delta)
     x, y = _positions(bases, *coef)
     trace, norms = [], []
-    best_loss = before = math.inf      # before: best loss patience iterations ago
+    best_loss = before = math.inf      # before: best loss up to patience iterates ago
     converged = False
 
     for iteration in range(opts.max_iters + 1):

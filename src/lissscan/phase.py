@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, UndefinedPhase, number_value
+from .errors import DomainError, IllConditioned, UndefinedPhase, number_value, value_text
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -180,7 +180,8 @@ class DriftScenario:
         self.measurement_noise_deg = number_value(self.measurement_noise_deg,
                                                   "measurement_noise_deg", 0)
         if not isinstance(self.control_enabled, bool):
-            raise DomainError(f"control_enabled must be a bool, got {self.control_enabled!r}")
+            raise DomainError(f"control_enabled must be a bool, "
+                              f"got {value_text(self.control_enabled)}")
 
 
 @dataclass(eq=False)

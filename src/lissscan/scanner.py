@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, number_value, record_errors
+from .errors import ConfigError, DomainError, number_value, record_errors, value_text
 
 AXES = ("x", "y")
 
@@ -43,7 +43,7 @@ class ScannerConfig:
             return self.fx_res, self.qx
         if axis == "y":
             return self.fy_res, self.qy
-        raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
+        raise DomainError(f"axis must be 'x' or 'y', got {value_text(axis)}")
 
     def to_dict(self) -> dict:
         return {"fx_res": self.fx_res, "fy_res": self.fy_res, "qx": self.qx, "qy": self.qy}

@@ -66,6 +66,10 @@ def test_pgm_rejects_malformed_files(tmp_path):
     path.write_text("P3\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(WeightMapError):
         load_weight_map(path)                       # wrong magic
+    path.write_bytes(b"P" * 10**6)
+    with pytest.raises(WeightMapError) as err:
+        load_weight_map(path)                       # a megabyte of magic
+    assert len(str(err.value)) < len(str(path)) + 120
     path.write_text("P2\n2 2\n70000\n0 0 0 0\n")
     with pytest.raises(WeightMapError):
         load_weight_map(path)                       # not 8-bit
