@@ -29,11 +29,14 @@ from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
 MAX_GRID = 2048           # each of fill_factor's n_grid x n_grid bound arrays stays at 32 MB
-MAX_SAMPLES = 2**21       # a pattern's stacked (n_samples, 2) KD-tree input stays at 32 MB
+MAX_SAMPLES = 2**21       # a pattern's x and y stay at 16 MB each; fill_factor's search
+                          # adds one n_samples mask per group
 MAX_ITERS = 10**6         # optimize's loss and norm trace lists stay near 32 MB each
 POOL_CHUNK = 8            # distinct geometries per process-pool task in sweep_designs
 _BOUND_ROWS = 6           # rows searched on either side of a patch center by _cell_bound
 _REFINE_SHARE = 32        # fill_factor tightens its bounds when over 1/32 of the centers remain
+_BLOCK = 2**15            # elements per distance tile in _nearest_squared; a larger group splits
+_COARSE = 64              # stride of _nearest_squared's first pass over more than _BLOCK samples
 
 
 @dataclass(eq=False)
@@ -128,16 +131,16 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
 
     Each axis is rescaled by its own max |value| (origin preserved); r_max
     is the largest nearest-sample distance over an n_grid x n_grid grid of
-    patch centers. The search is exact but queries few centers. Each center
+    patch centers. The search is exact but measures few centers. Each center
     gets an upper bound on its distance from the grid cells that hold a
-    sample (_cell_bound); the center with the largest bound is queried, and
-    its distance is a lower bound on r_max. Only the centers whose bound
-    reaches that lower bound are queried as well. When more than
-    1/_REFINE_SHARE of the centers do, the bounds are first tightened down
-    each column (_column_bound). r_max is bit-identical to the maximum over
-    all centers.
+    sample (_cell_bound); the center with the largest bound is measured
+    against every sample, and its distance is a lower bound on r_max. Only
+    the centers whose bound reaches that lower bound are measured as well,
+    each against the samples within its bound (_nearest_squared). When more
+    than 1/_REFINE_SHARE of the centers do, the bounds are first tightened
+    down each column (_column_bound). r_max is bit-identical to the maximum
+    over all centers.
     """
-    from scipy.spatial import cKDTree   # deferred: most commands never need it
     n_grid = _grid_count(n_grid)
     sx = float(np.max(np.abs(pattern.x)))
     sy = float(np.max(np.abs(pattern.y)))
@@ -146,13 +149,12 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
     if sx == 0.0 or sy == 0.0:
         raise DegeneratePattern("pattern has zero extent on at least one axis")
     x, y = pattern.x / sx, pattern.y / sy
-    tree = cKDTree(np.column_stack([x, y]))
     centers = _patch_centers(n_grid)
 
     def deepest(bound) -> float:
         """Nearest-sample distance of the center with the largest bound."""
         row, column = np.unravel_index(np.argmax(bound), bound.shape)
-        return tree.query([centers[column], centers[row]])[0]
+        return math.sqrt(np.min((centers[column] - x) ** 2 + (centers[row] - y) ** 2))
 
     def reached(bound, lower):
         """Centers whose squared bound, in units of 1/n_grid, reaches lower.
@@ -169,8 +171,57 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
         lower = max(lower, deepest(bound))
         near = reached(bound, lower)
     iy, ix = np.nonzero(near)
-    r_max = float(tree.query(np.column_stack([centers[ix], centers[iy]]))[0].max())
+    reach = np.sqrt(bound[iy, ix]) / n_grid + 1e-9      # at least each center's distance
+    r_max = math.sqrt(_nearest_squared(x, y, centers[ix], centers[iy], reach).max())
     return CoverageReport(fill_factor=2.0 - r_max, r_max=r_max)
+
+
+def _nearest_squared(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                     reach: np.ndarray) -> np.ndarray:
+    """Squared distance from each candidate (cx, cy) to its nearest sample
+    (x, y), given reach, an upper bound on each candidate's distance.
+
+    Over more than _BLOCK samples, a first pass over every _COARSE-th one
+    tightens each reach. A group of candidates keeps the samples inside its
+    bounding box grown by its largest reach, which hold every member's
+    nearest sample. A group whose candidates times kept samples exceed
+    _BLOCK splits in two at the median of its box's longer side, and both
+    halves search what it kept if that is at most half of what it searched,
+    else what it searched: the arrays a waiting group holds shrink by half
+    from one to the next, so they stay within twice the samples however deep
+    the split. A final group sums (cx - x)**2 + (cy - y)**2 in tiles of at
+    most _BLOCK elements and keeps each row's minimum, the arithmetic of a
+    KD-tree's 2-D query, so the result is bit-identical to one. A box that
+    holds no sample, which only the coarse pass can meet, gives inf.
+    """
+    if len(x) > _BLOCK:
+        coarse = _nearest_squared(x[::_COARSE], y[::_COARSE], cx, cy, reach)
+        reach = np.minimum(reach, np.sqrt(coarse) + 1e-9)
+    out = np.empty(len(cx))
+    groups = [(np.arange(len(cx)), x, y)]
+    while groups:
+        index, sx, sy = groups.pop()
+        gx, gy, r = cx[index], cy[index], reach[index].max()
+        x0, x1, y0, y1 = gx.min(), gx.max(), gy.min(), gy.max()
+        inside = (sx >= x0 - r) & (sx <= x1 + r) & (sy >= y0 - r) & (sy <= y1 + r)
+        kx, ky = sx[inside], sy[inside]
+        if len(index) * len(kx) > _BLOCK and len(index) > 1:
+            half = len(index) // 2
+            along = np.argpartition(gx if x1 - x0 >= y1 - y0 else gy, half)
+            kept = (kx, ky) if 2 * len(kx) <= len(sx) else (sx, sy)
+            groups += [(index[along[:half]], *kept), (index[along[half:]], *kept)]
+            continue
+        rows = max(1, _BLOCK // max(len(kx), 1))
+        columns = _BLOCK // rows
+        for row in range(0, len(index), rows):
+            px, py = gx[row:row + rows, None], gy[row:row + rows, None]
+            best = np.full(len(px), np.inf)
+            for column in range(0, len(kx), columns):
+                part = slice(column, column + columns)
+                tile = (px - kx[part]) ** 2 + (py - ky[part]) ** 2
+                np.minimum(best, tile.min(axis=1), out=best)
+            out[index[row:row + rows]] = best
+    return out
 
 
 def _cell_bound(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -295,7 +346,6 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     workers = min(workers, _usable_cpus(), math.ceil(len(jobs) / POOL_CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        import scipy.spatial  # noqa: F401  (imported once here, not in each forked worker)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=POOL_CHUNK)))
     else:

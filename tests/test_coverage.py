@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_fill_factor_rejects_flat_patterns_and_tiny_grids():
 def test_sample_and_grid_bounds_raise_before_anything_is_allocated(monkeypatch):
     pattern = sample_unmodulated(P2, CFG, 0, 100)
     params = initial_params(2, n_tones=3)
-    fill_factor(pattern, 8)                          # scipy.spatial is loaded before the patch
+    fill_factor(pattern, 8)                          # scores at a valid grid
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the bound was checked")
@@ -203,21 +204,40 @@ def test_fill_factor_r_max_is_exactly_the_every_center_maximum(case):
         assert np.all(np.sqrt(bound) / n_grid >= distance - 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_point_sets(), seed=st.integers(0, 2**32 - 1), tied=st.sampled_from("xyb"),
+       everything=st.booleans())
+def test_nearest_squared_is_the_brute_force_minimum_bit_for_bit(case, seed, tied, everything):
+    pattern, _ = case
+    x = pattern.x / np.max(np.abs(pattern.x))
+    y = pattern.y / np.max(np.abs(pattern.y))
+    rng = np.random.default_rng(seed)
+    cx, cy = rng.uniform(-1.2, 1.2, (2, int(rng.integers(1, 80))))
+    share = rng.random(len(cx)) < rng.random()      # ties the median cannot split
+    if tied in "xb":
+        cx[share] = cx[0]
+    if tied in "yb":
+        cy[share] = cy[0]
+    brute = np.min((cx[:, None] - x) ** 2 + (cy[:, None] - y) ** 2, axis=1)
+    reach = np.sqrt(brute) + rng.uniform(1e-9, 1.0, len(cx)) ** 3
+    if everything:
+        reach[-1] = 3.0                              # a box holding every sample
+    # a small block, so groups split, tiles split and over 64 samples the coarse
+    # pass runs, where a short reach can leave a box without a coarse sample
+    with mock.patch.object(coverage, "_BLOCK", 64):
+        assert np.array_equal(coverage._nearest_squared(x, y, cx, cy, reach), brute)
+
+
 @pytest.fixture
 def queried(monkeypatch):
-    """Points queried per KD-tree, one entry per fill_factor call."""
-    import scipy.spatial
+    """Candidates passed to the exact search, one entry per fill_factor call."""
     counts = []
+    nearest_squared = coverage._nearest_squared
 
-    class CountingTree(scipy.spatial.cKDTree):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            counts.append(0)
-
-        def query(self, x, *args, **kwargs):
-            counts[-1] += len(np.atleast_2d(x))
-            return super().query(x, *args, **kwargs)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    def counting(x, y, cx, cy, reach):
+        counts.append(len(cx))
+        return nearest_squared(x, y, cx, cy, reach)
+    monkeypatch.setattr(coverage, "_nearest_squared", counting)
     return counts
 
 

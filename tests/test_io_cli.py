@@ -281,34 +281,40 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
-_METRICS_AND_SWEEP_ONLY = ("scipy", "concurrent.futures.process")
+_POOL_ONLY = ("concurrent.futures.process",)
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    ("design", ("numpy", "multiprocessing") + _METRICS_AND_SWEEP_ONLY),
-    ("phase-solve", _METRICS_AND_SWEEP_ONLY),
-    ("optimize", _METRICS_AND_SWEEP_ONLY),
+    ("design", ("numpy", "multiprocessing") + _POOL_ONLY),
+    ("phase-solve", _POOL_ONLY),
+    ("optimize", _POOL_ONLY),
+    ("metrics", _POOL_ONLY),
+    ("sweep", _POOL_ONLY),
 ])
 def test_a_cli_command_starts_with_only_the_modules_it_uses(command, unloaded, tmp_path):
     files, records = _cli_inputs(tmp_path)
-    scanner, _, roi = map(str, files)
+    scanner, design, roi = map(str, files)
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps(records["--samples"]))
     argv = {"design": ["design", "--r", "1.5", "--m", "7"],
             "phase-solve": ["phase-solve", "--samples", str(samples)],
             "optimize": ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
                          "--max-iters", "2", "--n-samples", "50",
-                         "--out", str(tmp_path / "params.json")]}[command]
+                         "--out", str(tmp_path / "params.json")],
+            "metrics": ["metrics", "--design", design, "--scanner", scanner],
+            "sweep": ["sweep", "--r-min", "1.4", "--r-max", "1.6", "--r-step", "0.1",
+                      "--m", "7", "--out", str(tmp_path / "sweep.csv")]}[command]
     src = str(Path(lissscan.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lissscan.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                          timeout=60)
+                          env=dict(os.environ, PYTHONPATH=src, LISSSCAN_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     # -X importtime logs every module the run imports: "import time: self | cumulative | name"
     loaded = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert "lissscan.design" in loaded       # cli runs as __main__; it imports design
     assert not [name for name in loaded if name.split(".")[0] in unloaded or name in unloaded]
+    assert not [name for name in loaded if name.split(".")[0] == "scipy"]
 
 
 def test_the_lazy_namespace_binds_each_exported_name_to_its_defining_object():
