@@ -49,6 +49,7 @@ class SampledPattern:
     frame_len: float
     frames: int = 1
 
+    @np.errstate(over="ignore", invalid="ignore")   # a step past the float range is refused
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=np.float64)
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -60,8 +61,11 @@ class SampledPattern:
         if not all(np.isfinite(a).all() for a in (self.t, self.x, self.y)):
             raise DomainError("t, x, y must be finite")
         steps = np.diff(self.t)
-        if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise DomainError("timestamps must be strictly increasing and uniform")
+        step = steps[0]
+        # np.allclose(steps, step, rtol=1e-9, atol=1e-12), for a finite step only
+        if not 0 < step < math.inf or not (np.abs(steps - step) <= 1e-12 + 1e-9 * step).all():
+            raise DomainError("timestamps must be strictly increasing and uniform, "
+                              "with a finite step")
         self.frame_len = number_value(self.frame_len, "frame_len", positive=True)
         self.frames = number_value(self.frames, "frames", 1, convert=int)
 

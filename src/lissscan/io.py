@@ -160,7 +160,7 @@ def load_weight_map(path) -> WeightMap:
     if image.shape[0] != image.shape[1]:
         raise WeightMapError(f"{path}: weight map must be square, got {image.shape}")
     # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
-    return WeightMap(image[::-1].T.copy())
+    return WeightMap(image[::-1].T)
 
 
 # ------------------------------------------------------------------- patterns

@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -61,26 +62,44 @@ def _rectangle(rect) -> tuple:
     return edges
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightMap:
     """Square per-patch importance map over the field of view.
 
     w[ix, iy] with ix increasing to the right (x from -1 to 1) and iy
-    increasing upward (y from -1 to 1).
+    increasing upward (y from -1 to 1). The map is immutable: w is a
+    read-only float64 copy of the weights it was built from, so the search
+    plan built from it on first use stays valid.
     """
 
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1] or self.w.shape[0] < 1:
-            raise DomainError(f"weight map must be square and 2-D, got shape {self.w.shape}")
-        if not np.all(np.isfinite(self.w)) or np.any(self.w < 0):
+        try:
+            raw = np.asarray(self.w)
+        except (TypeError, ValueError):     # e.g. rows of different lengths
+            raise DomainError("weights must be a square 2-D array of real numbers") from None
+        if raw.dtype.kind not in "biuf":
+            raise DomainError(f"weights must be real numbers, got dtype {raw.dtype}")
+        w = np.array(raw, dtype=np.float64, order="C")   # a copy, whatever the caller's layout
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
+            raise DomainError(f"weight map must be square and 2-D, got shape {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise DomainError("weights must be finite and non-negative")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__: read-only w, fresh plan
+        return type(self), (self.w,)
 
     @property
     def size(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def _plan(self) -> _SearchPlan:
+        return _SearchPlan(self.w)
 
     @classmethod
     def uniform(cls, size: int = 32) -> "WeightMap":
@@ -98,6 +117,30 @@ class WeightMap:
             in_y = (centers >= ymin) & (centers <= ymax)
             w[np.ix_(in_x, in_y)] = 1.0
         return cls(w)
+
+
+class _SearchPlan:
+    """What the nearest-sample search and the frozen-assignment loss take
+    from a weight map alone, built once per map: the positive patches, the
+    rows and columns holding them, and the runs of consecutive rows with
+    the same positive columns."""
+
+    def __init__(self, w: np.ndarray) -> None:
+        centers = _patch_centers(len(w))
+        positive = w > 0
+        rows = positive.any(axis=1).nonzero()[0]
+        cols = positive.any(axis=0).nonzero()[0]
+        box = positive[rows][:, cols]
+        cuts = (box[1:] != box[:-1]).any(axis=1).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else []
+        self.runs = [(a, b, box[a]) for a, b in zip(bounds, bounds[1:])]   # rows [a, b), their columns
+        self.row_centers = centers[rows, None]
+        self.col_centers = centers[cols, None]
+        self.r, self.c = box.nonzero()            # each positive patch, row-major, in rows x cols
+        self.flat = rows[self.r] * len(w) + cols[self.c]   # the same patches in the raveled map
+        self.positive = positive.ravel()
+        self.cx, self.cy = centers[rows[self.r]], centers[cols[self.c]]
+        self.w = w.take(self.flat)
 
 
 _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
@@ -304,33 +347,27 @@ def _check_search(wmap: WeightMap, n_samples: int) -> None:
 def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
             threshold: float) -> tuple[float, Assignment]:
     size = wmap.size
-    centers = _patch_centers(size)
-    positive = wmap.w > 0
-    rows = positive.any(axis=1).nonzero()[0]      # rows and columns holding a positive patch
-    cols = positive.any(axis=0).nonzero()[0]
-    box = positive[rows][:, cols]
-    dx2 = (centers[rows, None] - x) ** 2          # (rows, N)
-    dy2 = (centers[cols, None] - y) ** 2          # (cols, N)
-    # a run of consecutive rows with the same positive columns is searched
-    # as (rows, columns, N) blocks of at most SEARCH_BLOCK elements (or one row)
-    cuts = (box[1:] != box[:-1]).any(axis=1).nonzero()[0] + 1
-    bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else []
+    plan = wmap._plan
+    dx2 = (plan.row_centers - x) ** 2             # (rows, N)
+    dy2 = (plan.col_centers - y) ** 2             # (cols, N)
+    # a run of rows is searched as (rows, columns, N) blocks of at most
+    # SEARCH_BLOCK elements (or one row)
     found = []                                    # nearest samples, in row-major patch order
-    for a, b in zip(bounds, bounds[1:]):
-        dy2_run = dy2[box[a]]
+    for a, b, in_run in plan.runs:
+        dy2_run = dy2[in_run]
         step = max(1, SEARCH_BLOCK // dy2_run.size)
         for s in range(a, b, step):
             d2 = dx2[s:min(s + step, b), None, :] + dy2_run
             found.append(d2.argmin(axis=2))           # ties go to the smaller index
-    r, c = box.nonzero()
     nearest = np.concatenate(found, axis=None) if found else np.zeros(0, dtype=np.intp)
-    n_idx = np.zeros((size, size), dtype=np.intp)
-    best = np.zeros((size, size))
-    n_idx[rows[r], cols[c]] = nearest
-    best[rows[r], cols[c]] = dx2[r, nearest] + dy2[c, nearest]   # the same sums the search compared
-    occupied = positive & (best < threshold * threshold)
-    wbar = np.where(occupied, 0.0, wmap.w)
-    return float(np.add.reduce(wbar * best, axis=None)), Assignment(n_idx=n_idx, occupied=occupied)
+    n_idx = np.zeros(size * size, dtype=np.intp)  # raveled (size, size) maps
+    best = np.zeros(size * size)
+    n_idx[plan.flat] = nearest
+    best[plan.flat] = dx2[plan.r, nearest] + dy2[plan.c, nearest]   # the sums the search compared
+    occupied = plan.positive & (best < threshold * threshold)
+    wbar = np.where(occupied, 0.0, wmap.w.ravel())
+    return float(np.add.reduce(wbar * best)), Assignment(n_idx=n_idx.reshape(size, size),
+                                                         occupied=occupied.reshape(size, size))
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite loss raises instead
@@ -347,13 +384,25 @@ def objective(pattern: SampledPattern, wmap: WeightMap,
     return loss, asg
 
 
-def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, asg: Assignment) -> float:
-    """Objective with assignment and occupancy frozen (the surrogate the
-    gradient differentiates)."""
-    centers = _patch_centers(wmap.size)
-    d2 = (centers[:, None] - x.take(asg.n_idx)) ** 2 + (centers - y.take(asg.n_idx)) ** 2
-    wbar = np.where(asg.occupied, 0.0, wmap.w)
-    return float(np.add.reduce(wbar * d2, axis=None))
+def _frozen(wmap: WeightMap, asg: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest-sample index and the weight, 0 where occupied, of each
+    positive patch in row-major order: all of asg that the frozen-assignment
+    loss and gradient read."""
+    plan = wmap._plan
+    return asg.n_idx.take(plan.flat), np.where(asg.occupied.take(plan.flat), 0.0, plan.w)
+
+
+def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, idx: np.ndarray,
+                wbar: np.ndarray) -> float:
+    """Objective with assignment and occupancy frozen as _frozen's idx and
+    wbar (the surrogate the gradient differentiates)."""
+    plan = wmap._plan
+    d2 = (plan.cx - x.take(idx)) ** 2 + (plan.cy - y.take(idx)) ** 2
+    # summed over the whole raveled map, zeros included, as pairwise
+    # summation depends on where each term sits
+    terms = np.zeros(wmap.size * wmap.size)
+    terms[plan.flat] = wbar * d2
+    return float(np.add.reduce(terms))
 
 
 @dataclass(eq=False)
@@ -370,14 +419,14 @@ class ModulatedGradient:
         return all(np.isfinite(g).all() for g in (self.alpha, self.gamma, self.beta, self.delta))
 
 
-def _gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys) -> ModulatedGradient:
+def _gradient_fixed(x, y, wmap, idx, wbar, bxc, bxs, byc, bys) -> ModulatedGradient:
+    """Gradient of _loss_fixed; a zero-weight patch would only add 0.0 to
+    the per-sample sums, so the positive patches alone give the same sums."""
     n = len(x)
-    centers = _patch_centers(wmap.size)
-    wbar = np.where(asg.occupied, 0.0, wmap.w)
-    idx = asg.n_idx.ravel()
-    s1 = np.bincount(idx, weights=wbar.ravel(), minlength=n)
-    sx = np.bincount(idx, weights=(wbar * centers[:, None]).ravel(), minlength=n)
-    sy = np.bincount(idx, weights=(wbar * centers[None, :]).ravel(), minlength=n)
+    plan = wmap._plan
+    s1 = np.bincount(idx, weights=wbar, minlength=n)
+    sx = np.bincount(idx, weights=wbar * plan.cx, minlength=n)
+    sy = np.bincount(idx, weights=wbar * plan.cy, minlength=n)
     gx = 2.0 * (x * s1 - sx)         # dLoss / d(sample position)
     gy = 2.0 * (y * s1 - sy)
     return ModulatedGradient(alpha=bxc.T @ gx, gamma=bxs.T @ gx,
@@ -393,7 +442,7 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
     _, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
     _, asg = _assign(x, y, wmap, number_value(threshold, "threshold", 0))
-    grad = _gradient_fixed(x, y, wmap, asg, *bases)
+    grad = _gradient_fixed(x, y, wmap, *_frozen(wmap, asg), *bases)
     if not grad.is_finite():
         raise DomainError("gradient is not finite")
     return grad
@@ -483,7 +532,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     or its gradient is not finite.
     """
     opts = opts or OptimizeOptions()
-    if not np.any(wmap.w > 0):
+    if not wmap._plan.positive.any():
         raise InvalidParams("weight map has no positive entries")
     _check_search(wmap, opts.n_samples)
     threshold = (1.0 / wmap.size) if opts.threshold is None else opts.threshold
@@ -500,7 +549,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
 
     for iteration in range(opts.max_iters + 1):
         if iteration:                  # iterate 0 is init itself
-            grad = _gradient_fixed(x, y, wmap, asg, *bases)
+            grad = _gradient_fixed(x, y, wmap, *frozen, *bases)
             if not grad.is_finite():
                 raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
             step = opts.step
@@ -508,7 +557,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
                 b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
                 x, y = _positions(bases, a, g, b, d)
-                if _loss_fixed(x, y, wmap, asg) <= trace[-1]:
+                if _loss_fixed(x, y, wmap, *frozen) <= trace[-1]:
                     break
                 step *= 0.5
                 # the last halved candidate is taken even if it still increases;
@@ -517,6 +566,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         loss, asg = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
+        frozen = _frozen(wmap, asg)
         trace.append(loss)
         norms.append(_constraint_norm(*coef, opts.constraint))
         if loss < best_loss:

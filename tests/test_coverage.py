@@ -83,6 +83,30 @@ def test_sampled_pattern_validation():
         sample_unmodulated(P2, CFG, 0, 1)
 
 
+@pytest.mark.filterwarnings("error")      # the step overflows with no numpy warning
+@pytest.mark.parametrize("t", [[-1e308, 1e308], [0.0, 1e308, -1e308], [0.0, 1e308, 1.5e308]])
+def test_a_step_past_the_float_range_is_refused(t):
+    # [-1e308, 1e308] was accepted with an infinite step and an overflow warning
+    with pytest.raises(DomainError, match="^timestamps must be strictly increasing and uniform"):
+        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)), frame_len=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1e6, 1e6), step=st.floats(1e-13, 1e6),
+       jitter=st.lists(st.sampled_from([0.0, 1e-12, -2e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9]),
+                       min_size=1, max_size=5))
+def test_the_uniform_step_check_keeps_the_tolerances_of_np_allclose(start, step, jitter):
+    t = start + np.cumsum([0.0, step] + [step * (1.0 + j) + j for j in jitter])
+    steps = np.diff(t)
+    expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)
+    try:
+        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)), frame_len=1.0)
+    except DomainError:
+        assert not expected
+    else:
+        assert expected
+
+
 def test_fill_factor_pinned_reference_patterns():
     f0 = fill_factor(sample_unmodulated(P0, CFG))
     f1 = fill_factor(sample_unmodulated(P1, CFG))

@@ -1,7 +1,9 @@
 """Multi-tone parameterization, weighted-coverage objective, and the
 projected-descent optimizer."""
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -48,6 +50,54 @@ def test_weight_map_from_rectangles():
     cy = -1.0 + (2.0 * iy + 1.0) / 32
     assert cx.min() >= 0.2 and cx.max() <= 0.9
     assert cy.min() >= 0.2 and cy.max() <= 0.8
+
+
+def test_weight_map_keeps_a_read_only_copy_of_its_weights():
+    # the map used to keep the caller's array, so writing into it after
+    # construction left a validated map holding a negative weight and a NaN
+    a = np.ones((4, 4))
+    wmap = WeightMap(a)
+    a[0, 0], a[1, 1] = -5.0, math.nan
+    assert np.array_equal(wmap.w, np.ones((4, 4))) and wmap.w.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        wmap.w[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        wmap.w = np.zeros((4, 4))
+    for copied in (copy.copy(wmap), copy.deepcopy(wmap), pickle.loads(pickle.dumps(wmap))):
+        assert np.array_equal(copied.w, wmap.w) and not copied.w.flags.writeable
+    assert WeightMap(np.asfortranarray(wmap.w)).w.flags.c_contiguous   # one layout, one sum order
+    assert np.array_equal(WeightMap(np.eye(3, dtype=int)).w, np.eye(3))   # integers and booleans
+    assert np.array_equal(WeightMap(np.eye(3, dtype=bool)).w, np.eye(3))  # read as floats
+
+
+@pytest.mark.filterwarnings("error")      # no ComplexWarning on the way
+@pytest.mark.parametrize("weights", [
+    np.full((2, 2), 1 + 1j),                          # lost its imaginary part
+    np.full((2, 2), 1 + 0j),
+    [["1", "0"], ["0", "1"]],                         # raised a raw ValueError
+    np.array([[1.0, None], [0.0, 1.0]], dtype=object),
+    np.ones((2, 2), dtype=object),
+    [[1.0, 0.0], [1.0]],                              # rows of different lengths
+    [[10**400]],
+], ids=["complex", "complex-real", "strings", "none", "object", "ragged", "huge-int"])
+def test_weight_map_refuses_weights_that_are_not_real_numbers(weights):
+    with pytest.raises(DomainError, match="^weights must be"):
+        WeightMap(weights)
+
+
+def test_a_weight_maps_search_plan_is_its_own():
+    # the plan is built once per map, from the map's own copy of the weights
+    a = np.zeros((8, 8))
+    a[2:5, 3:6] = 1.0
+    first, second = WeightMap(a), WeightMap(a)
+    assert first._plan is first._plan and first._plan is not second._plan
+    assert not np.shares_memory(first.w, second.w) and not np.shares_memory(first.w, a)
+    a[:] = 1.0                                        # the caller's array changes afterwards
+    third = WeightMap(a)
+    assert len(first._plan.flat) == len(second._plan.flat) == 9
+    assert len(third._plan.flat) == 64
+    pattern = synthesize_modulated(initial_params(2), 200)
+    assert objective(pattern, first, 1 / 8)[0] < objective(pattern, third, 1 / 8)[0]
 
 
 # ------------------------------------------------------------------- parameters
@@ -356,6 +406,65 @@ def test_assign_is_bit_identical_to_the_row_loop(problem):
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert asg.n_idx.dtype == ref.n_idx.dtype and np.array_equal(asg.n_idx, ref.n_idx)
     assert np.array_equal(asg.occupied, ref.occupied)
+
+
+def _full_loss_fixed(x, y, wmap, asg):
+    """The frozen-assignment loss over every patch of the map: the
+    reference for _loss_fixed on the positive patches."""
+    centers = _patch_centers(wmap.size)
+    d2 = (centers[:, None] - x.take(asg.n_idx)) ** 2 + (centers - y.take(asg.n_idx)) ** 2
+    wbar = np.where(asg.occupied, 0.0, wmap.w)
+    return float(np.add.reduce(wbar * d2, axis=None))
+
+
+def _full_gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys):
+    """The frozen-assignment gradient over every patch of the map."""
+    centers = _patch_centers(wmap.size)
+    wbar = np.where(asg.occupied, 0.0, wmap.w)
+    idx = asg.n_idx.ravel()
+    s1 = np.bincount(idx, weights=wbar.ravel(), minlength=len(x))
+    sx = np.bincount(idx, weights=(wbar * centers[:, None]).ravel(), minlength=len(x))
+    sy = np.bincount(idx, weights=(wbar * centers[None, :]).ravel(), minlength=len(x))
+    gx = 2.0 * (x * s1 - sx)
+    gy = 2.0 * (y * s1 - sy)
+    return bxc.T @ gx, bxs.T @ gx, byc.T @ gy, bys.T @ gy
+
+
+@st.composite
+def _frozen_problems(draw):
+    """A region-of-interest map with zero-weight holes punched into it,
+    samples, plant-like bases, and either the search's own assignment or a
+    random one: every patch, weighted or not, on any sample and occupied or
+    not."""
+    wmap = draw(_roi_maps())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = wmap.size
+    holes = rng.uniform(size=(size, size)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    wmap = WeightMap(np.where(holes, 0.0, wmap.w))
+    n = draw(st.integers(2, 60))
+    x, y = rng.uniform(-1.5, 1.5, (2, n))
+    bases = tuple(rng.standard_normal((n, draw(st.integers(1, 5)))) for _ in range(4))
+    if draw(st.booleans()):
+        asg = modulated._assign(x, y, wmap, draw(st.sampled_from([0.0, 1.0 / size, 0.3])))[1]
+    else:
+        asg = Assignment(n_idx=rng.integers(0, n, (size, size)),
+                         occupied=rng.uniform(size=(size, size)) < 0.3)
+    return x, y, wmap, asg, bases
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_frozen_problems())
+def test_frozen_loss_and_gradient_on_positive_patches_match_the_full_map(problem):
+    # a zero-weight patch only ever adds 0.0 or -0.0, so skipping it changes no bit
+    x, y, wmap, asg, bases = problem
+    idx, wbar = modulated._frozen(wmap, asg)
+    assert len(idx) == len(wbar) == np.count_nonzero(wmap.w)
+    loss = modulated._loss_fixed(x, y, wmap, idx, wbar)
+    assert np.float64(loss).tobytes() == np.float64(_full_loss_fixed(x, y, wmap, asg)).tobytes()
+    grad = modulated._gradient_fixed(x, y, wmap, idx, wbar, *bases)
+    for got, want in zip((grad.alpha, grad.gamma, grad.beta, grad.delta),
+                         _full_gradient_fixed(x, y, wmap, asg, *bases)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_nan_sample_makes_the_objective_raise():
