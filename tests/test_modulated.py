@@ -74,12 +74,14 @@ def test_weight_map_keeps_a_read_only_copy_of_its_weights():
 @pytest.mark.parametrize("weights", [
     np.full((2, 2), 1 + 1j),                          # lost its imaginary part
     np.full((2, 2), 1 + 0j),
-    [["1", "0"], ["0", "1"]],                         # raised a raw ValueError
+    [["a", "b"], ["c", "d"]],                         # raised a raw ValueError
+    [["1", "0"], ["0", "1"]],                         # were read as numbers
+    np.array([[F(1, 2)]], dtype=object),              # was read as 0.5
     np.array([[1.0, None], [0.0, 1.0]], dtype=object),
-    np.ones((2, 2), dtype=object),
-    [[1.0, 0.0], [1.0]],                              # rows of different lengths
-    [[10**400]],
-], ids=["complex", "complex-real", "strings", "none", "object", "ragged", "huge-int"])
+    [[1.0, 0.0], [1.0]],                              # rows of different lengths: a raw ValueError
+    [[10**400]],                                      # a raw OverflowError
+], ids=["complex", "complex-real", "strings", "numeric-strings", "fraction-object", "none",
+        "ragged", "huge-int"])
 def test_weight_map_refuses_weights_that_are_not_real_numbers(weights):
     with pytest.raises(DomainError, match="^weights must be"):
         WeightMap(weights)
@@ -433,7 +435,7 @@ def _full_gradient_fixed(x, y, wmap, asg, bxc, bxs, byc, bys):
 @st.composite
 def _frozen_problems(draw):
     """A region-of-interest map with zero-weight holes punched into it,
-    samples, plant-like bases, and either the search's own assignment or a
+    samples, random bases, and either the search's own assignment or a
     random one: every patch, weighted or not, on any sample and occupied or
     not."""
     wmap = draw(_roi_maps())
