@@ -19,12 +19,11 @@ _EXPORTS = {
         case1_criterion design_unmodulated repeat_period""",
     "errors": """ConfigError DegeneratePattern DomainError IllConditioned InvalidParams
         LissscanError OptimizationFailed UndefinedPhase WeightMapError""",
-    "io": """export_pattern import_pattern load_design load_scanner load_weight_map save_design
-        save_scanner""",
+    "io": "load_design load_scanner load_weight_map save_design save_scanner",
     "modulated": """ROI_A ROI_B Assignment ModulatedGradient ModulatedParams OptimizeOptions
         OptimizeResult WeightMap default_tone_indices gradient initial_params objective optimize
-        polar_coefficients positive_region_density project_absolute project_rms
-        reference_pattern roi_density synthesize_modulated""",
+        positive_region_density project_absolute project_rms reference_pattern roi_density
+        synthesize_modulated""",
     "phase": """DriftScenario DriftTrace MultitoneState QuadraturePair plant_phase_lag
         quadrature_phase resonance_offset_for_phase_shift simulate_drift_control
         solve_multitone synthesize_quadrature wrap_phase""",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, UnmodulatedDesign, as_fraction,
                      baseline_repeating_design, design_unmodulated)
-from .errors import DegeneratePattern, DomainError, LissscanError, number_value
+from .errors import DegeneratePattern, DomainError, LissscanError, number_value, value_text
 from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
@@ -41,13 +41,11 @@ _COARSE = 64              # stride of _nearest_squared's first pass over more th
 
 @dataclass(eq=False)
 class SampledPattern:
-    """Uniformly timed trajectory samples plus frame bookkeeping."""
+    """Uniformly timed trajectory samples."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    frame_len: float
-    frames: int = 1
 
     @np.errstate(over="ignore", invalid="ignore")   # a step past the float range is refused
     def __post_init__(self) -> None:
@@ -66,8 +64,6 @@ class SampledPattern:
         if not 0 < step < math.inf or not (np.abs(steps - step) <= 1e-12 + 1e-9 * step).all():
             raise DomainError("timestamps must be strictly increasing and uniform, "
                               "with a finite step")
-        self.frame_len = number_value(self.frame_len, "frame_len", positive=True)
-        self.frames = number_value(self.frames, "frames", 1, convert=int)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     t = _sample_times(frame_index * m, m, n_samples)
     x = ax * np.cos(2.0 * np.pi * float(design.fx) * t + design.phix)
     y = ay * np.cos(2.0 * np.pi * float(design.fy) * t + design.phiy)
-    return SampledPattern(t=t, x=x, y=y, frame_len=m, frames=1)
+    return SampledPattern(t=t, x=x, y=y)
 
 
 def _sample_count(n_samples) -> int:
@@ -327,6 +323,11 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     (POOL_CHUNK geometries each) are fewer, and serially when that leaves one;
     the rows do not depend on it.
     """
+    try:
+        r_grid, m_set = iter(r_grid), iter(m_set)
+    except TypeError:
+        raise DomainError(f"sweep grids must be iterable, got r_grid {value_text(r_grid)} "
+                          f"and m_set {value_text(m_set)}") from None
     r_grid = list(dict.fromkeys(as_fraction(r) for r in r_grid))
     m_set = list(dict.fromkeys(number_value(m, "m", convert=int) for m in m_set))
     workers = 1 if workers is None else number_value(workers, "workers", 1, convert=int)

@@ -1,10 +1,9 @@
-"""File ingestion and export: weight maps, patterns, scanner configs, and
+"""File ingestion and export: weight maps, scanner configs, designs, and
 the writers every output file goes through (a failed write is a DomainError).
 
 Weight maps come from 8-bit PGM images (P2 ASCII or P5 binary) or from
 CSV grids; image row 0 is the top of the field of view (y = +1) and
-column 0 the left edge (x = -1). Patterns export to CSV (t, x, y with 12
-significant digits) or JSON (full precision, all fields).
+column 0 the left edge (x = -1).
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .design import UnmodulatedDesign
-from .errors import (ConfigError, DomainError, LissscanError, WeightMapError, record_errors,
-                     record_value, value_text)
+from .errors import ConfigError, DomainError, LissscanError, WeightMapError, value_text
 from .scanner import ScannerConfig
 
 if TYPE_CHECKING:      # numpy and the modules that need it load in the readers below
     import numpy as np
-    from .coverage import SampledPattern
     from .modulated import WeightMap
 
 
@@ -161,53 +158,6 @@ def load_weight_map(path) -> WeightMap:
         raise WeightMapError(f"{path}: weight map must be square, got {image.shape}")
     # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
     return WeightMap(image[::-1].T)
-
-
-# ------------------------------------------------------------------- patterns
-
-def _pattern_format(path) -> tuple[Path, str]:
-    path = _require_path(path)
-    fmt = path.suffix.lstrip(".").lower()
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"unsupported pattern format {fmt!r} (use csv or json)")
-    return path, fmt
-
-
-def export_pattern(pattern: SampledPattern, path) -> Path:
-    """Write a pattern to CSV (t, x, y) or JSON (all fields), by the path's
-    suffix."""
-    path, fmt = _pattern_format(path)
-    if fmt == "csv":
-        return write_csv(path, ["t", "x", "y"],
-                         ([f"{t:.12g}", f"{x:.12g}", f"{y:.12g}"]
-                          for t, x, y in zip(pattern.t, pattern.x, pattern.y)))
-    payload = {"t": pattern.t.tolist(), "x": pattern.x.tolist(), "y": pattern.y.tolist(),
-               "frame_len": pattern.frame_len, "frames": pattern.frames}
-    return write_text(path, json_text(payload))
-
-
-def import_pattern(path) -> SampledPattern:
-    """Read a pattern written by export_pattern, by the path's suffix. CSV
-    carries no frame bookkeeping, so frame_len falls back to the covered
-    time span."""
-    import numpy as np
-    from .coverage import SampledPattern
-    path, fmt = _pattern_format(path)
-    if fmt == "csv":
-        try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"could not read {path}: {exc}") from exc
-        if rows.shape[0] < 2 or rows.shape[1] != 3:
-            raise DomainError(f"{path}: expected 3 CSV columns and 2 rows, got {rows.shape}")
-        t = rows[:, 0]
-        span = (t[-1] - t[0]) + (t[1] - t[0])
-        return SampledPattern(t=t, x=rows[:, 1], y=rows[:, 2], frame_len=span, frames=1)
-    data = read_json(path, DomainError)
-    with record_errors(f"pattern record {path}", DomainError):
-        t, x, y = ([record_value(v, key) for v in data[key]] for key in ("t", "x", "y"))
-        return SampledPattern(t=t, x=x, y=y, frame_len=record_value(data["frame_len"], "frame_len"),
-                              frames=record_value(data["frames"], "frames", int))
 
 
 # ------------------------------------------------------- configs and designs

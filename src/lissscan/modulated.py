@@ -246,15 +246,6 @@ class ModulatedParams:
                        config=ScannerConfig.from_dict(data["scanner"]))
 
 
-@np.errstate(invalid="ignore")
-def polar_coefficients(amplitudes, phases_rad) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine/sine coefficients of sum_i A_i cos(2 pi f_i t + phi_i). Unchecked
-    array helper: a NaN or infinite input gives NaN or infinite coefficients."""
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    phases = np.asarray(phases_rad, dtype=np.float64)
-    return amps * np.cos(phases), -amps * np.sin(phases)
-
-
 def default_tone_indices(r, n_tones: int = 5, m: int = 7) -> tuple[int, ...]:
     """Tone indices for one axis with resonance ratio r, snapped to n/(2*m).
 
@@ -323,7 +314,7 @@ def synthesize_modulated(params: ModulatedParams, n_samples: int = 500) -> Sampl
     full coefficient period spans L frames."""
     t, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
-    return SampledPattern(t=t, x=x, y=y, frame_len=float(params.m), frames=1)
+    return SampledPattern(t=t, x=x, y=y)
 
 
 @dataclass(eq=False)
@@ -458,10 +449,15 @@ def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray,
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of non-negative v with sum(v) > 1 onto the
-    simplex {u >= 0, sum(u) = 1}."""
+    simplex {u >= 0, sum(u) = 1}; DomainError when no index passes the test,
+    as for a magnitude of about 2**53 or more, NaN or inf."""
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - 1.0))[0][-1]
+    passing = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - 1.0))[0]
+    if not len(passing):
+        raise DomainError("tone magnitudes too large to project, "
+                          f"largest {value_text(float(u[0]))}")
+    rho = passing[-1]
     theta = (cumulative[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

@@ -176,6 +176,8 @@ class DriftScenario:
     measurement_noise_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        if not callable(self.drift_fn):
+            raise DomainError(f"drift_fn must be callable, got {value_text(self.drift_fn)}")
         self.frame_time = number_value(self.frame_time, "frame_time", positive=True)
         self.measurement_noise_deg = number_value(self.measurement_noise_deg,
                                                   "measurement_noise_deg", 0)

@@ -24,13 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 import lissscan
 from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, OptimizeOptions,
-                      QuadraturePair, SampledPattern, ScannerConfig, UnmodulatedDesign, WeightMap,
-                      as_fraction, baseline_repeating_design, case1_criterion,
-                      default_tone_indices, design_unmodulated, fill_factor, gradient,
-                      initial_params, objective, optimize, phase_tolerance_sweep, plant_phase_lag,
-                      polar_coefficients, reference_pattern, repeat_period,
-                      resonance_offset_for_phase_shift, roi_density, sample_unmodulated,
-                      simulate_drift_control, solve_multitone, sweep_designs,
+                      QuadraturePair, ScannerConfig, UnmodulatedDesign, WeightMap, as_fraction,
+                      baseline_repeating_design, case1_criterion, default_tone_indices,
+                      design_unmodulated, fill_factor, gradient, initial_params, objective,
+                      optimize, phase_tolerance_sweep, plant_phase_lag, reference_pattern,
+                      repeat_period, resonance_offset_for_phase_shift, roi_density,
+                      sample_unmodulated, simulate_drift_control, solve_multitone, sweep_designs,
                       synthesize_modulated, synthesize_quadrature, transfer_amplitude,
                       wrap_phase)
 from lissscan.design import DesignCase
@@ -78,10 +77,6 @@ SITES = {
     "repeat_period.fy": lambda v: repeat_period(F(3, 2), v),
     "repeat_period.phix": lambda v: repeat_period(F(3, 2), 1, v),
     "repeat_period.phiy": lambda v: repeat_period(F(3, 2), 1, 0.0, v),
-    "SampledPattern.frame_len": lambda v: SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1],
-                                                         frame_len=v),
-    "SampledPattern.frames": lambda v: SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1],
-                                                      frame_len=2.0, frames=v),
     "sample_unmodulated.frame_index": lambda v: sample_unmodulated(DESIGN, CFG, v, 50),
     "sample_unmodulated.n_samples": lambda v: sample_unmodulated(DESIGN, CFG, 0, v),
     "sample_unmodulated.amp_x": lambda v: sample_unmodulated(DESIGN, CFG, 0, 50, amp_x=v),
@@ -123,8 +118,6 @@ SITES = {
                                                                        n_samples=50)),
     "optimize.threshold": lambda v: optimize(PARAMS, WMAP, OptimizeOptions(
         threshold=v, max_iters=2, n_samples=50)),
-    "polar_coefficients.amplitudes": lambda v: polar_coefficients(v, 0.3),
-    "polar_coefficients.phases_rad": lambda v: polar_coefficients(0.5, v),
     "roi_density.xmin": lambda v: roi_density(PATTERN, [(v, 0.9, 0.2, 0.8)]),
     "roi_density.ymax": lambda v: roi_density(PATTERN, [(0.2, 0.9, 0.2, v)]),
     "reference_pattern.r": lambda v: reference_pattern(v, n_samples=50),
@@ -161,8 +154,7 @@ SITES = {
                                                                     64.0, v),
 }
 # array helpers that pass a NaN through, as their docstrings say
-PASS_THROUGH = {"wrap_phase", "polar_coefficients.amplitudes", "polar_coefficients.phases_rad",
-                "synthesize_quadrature.t"}
+PASS_THROUGH = {"wrap_phase", "synthesize_quadrature.t"}
 
 # Every argument that is not one scalar number, so has no site: these
 # names (the package's records, paths, axis names) wherever they appear,
@@ -245,6 +237,11 @@ MALFORMED = {
     "OptimizeOptions.constraint.huge": (lambda: OptimizeOptions(constraint=10**5000), DomainError),
     "DriftScenario.control_enabled": (lambda: DriftScenario(lambda t: 0.0 * t, 6.4,
                                                             control_enabled=10**5000), DomainError),
+    # a non-callable drift_fn was accepted and raised TypeError once simulated, and a
+    # non-iterable sweep grid raised TypeError
+    "DriftScenario.drift_fn": (lambda: DriftScenario("x", 6.4), DomainError),
+    "sweep_designs.r_grid": (lambda: sweep_designs(None, [7]), DomainError),
+    "sweep_designs.m_set": (lambda: sweep_designs([F(3, 2)], 7), DomainError),
 }
 
 

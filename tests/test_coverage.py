@@ -31,7 +31,6 @@ def test_sampling_layout():
     assert len(pattern.t) == 1000
     assert pattern.t[0] == 0.0
     assert pattern.t[-1] == pytest.approx(7.0 - 7.0 / 1000.0)
-    assert pattern.frame_len == 7.0
     shifted = sample_unmodulated(P2, CFG, 3, 1000)
     assert shifted.t[0] == pytest.approx(21.0)
 
@@ -63,20 +62,15 @@ def test_amplitude_overrides():
 def test_sampled_pattern_validation():
     t = np.arange(10) * 0.1
     with pytest.raises(DomainError):
-        SampledPattern(t=t, x=np.zeros(9), y=np.zeros(10), frame_len=1.0)
+        SampledPattern(t=t, x=np.zeros(9), y=np.zeros(10))
     with pytest.raises(DomainError):
-        SampledPattern(t=np.array([0.0]), x=np.array([0.0]), y=np.array([0.0]), frame_len=1.0)
+        SampledPattern(t=np.array([0.0]), x=np.array([0.0]), y=np.array([0.0]))
     with pytest.raises(DomainError):
-        SampledPattern(t=np.array([0.0, 0.2, 0.5]), x=np.zeros(3), y=np.zeros(3), frame_len=1.0)
-    with pytest.raises(DomainError):
-        SampledPattern(t=t, x=np.zeros(10), y=np.zeros(10), frame_len=-1.0)
+        SampledPattern(t=np.array([0.0, 0.2, 0.5]), x=np.zeros(3), y=np.zeros(3))
     with pytest.raises(DomainError, match="one-dimensional"):
-        SampledPattern(t=t[None, :], x=np.zeros(10), y=np.zeros(10), frame_len=1.0)
-    for bookkeeping in ({"frame_len": True}, {"frames": 1.9}, {"frame_len": math.nan}):
-        with pytest.raises(DomainError, match="frame"):    # were read as 1.0, 1 and nan
-            SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1], **{"frame_len": 1.0, **bookkeeping})
+        SampledPattern(t=t[None, :], x=np.zeros(10), y=np.zeros(10))
     with pytest.raises(DomainError, match="^t, x, y must be finite$"):
-        SampledPattern(t=[0, 1], x=[0, math.nan], y=[0, 1], frame_len=1.0)
+        SampledPattern(t=[0, 1], x=[0, math.nan], y=[0, 1])
     with pytest.raises(DomainError, match="^t, x, y must be finite$"):   # the x phase overflows
         sample_unmodulated(UnmodulatedDesign(fx=1e308, phix=0.0, m=7), CFG, 0, 50)
     with pytest.raises(DomainError):
@@ -88,7 +82,7 @@ def test_sampled_pattern_validation():
 def test_a_step_past_the_float_range_is_refused(t):
     # [-1e308, 1e308] was accepted with an infinite step and an overflow warning
     with pytest.raises(DomainError, match="^timestamps must be strictly increasing and uniform"):
-        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)), frame_len=1.0)
+        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,7 +94,7 @@ def test_the_uniform_step_check_keeps_the_tolerances_of_np_allclose(start, step,
     steps = np.diff(t)
     expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)
     try:
-        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)), frame_len=1.0)
+        SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)))
     except DomainError:
         assert not expected
     else:
@@ -132,8 +126,7 @@ def test_fill_factor_matches_direct_min_distance_scan():
 
 def test_fill_factor_is_scale_invariant():
     pattern = sample_unmodulated(P2, CFG, 0, 500)
-    scaled = SampledPattern(t=pattern.t, x=3.0 * pattern.x, y=0.2 * pattern.y,
-                            frame_len=pattern.frame_len)
+    scaled = SampledPattern(t=pattern.t, x=3.0 * pattern.x, y=0.2 * pattern.y)
     a = fill_factor(pattern)
     b = fill_factor(scaled)
     assert b.r_max == pytest.approx(a.r_max, rel=1e-12)
@@ -212,7 +205,7 @@ def _point_sets(draw):
         x = np.cos(2.0 * np.pi * rng.uniform(0.5, 3.0) * t + rng.uniform(0.0, 2.0 * np.pi))
         y = np.cos(2.0 * np.pi * t)
     assume(np.max(np.abs(x)) > 0.0 and np.max(np.abs(y)) > 0.0)
-    return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y, frame_len=1.0), n_grid
+    return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y), n_grid
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lissscan
-from lissscan import (ScannerConfig, design_unmodulated, export_pattern,
-                      import_pattern, initial_params, load_design, load_scanner,
-                      load_weight_map, sample_unmodulated, save_design, save_scanner,
+from lissscan import (ScannerConfig, design_unmodulated, initial_params, load_design,
+                      load_scanner, load_weight_map, save_design, save_scanner,
                       synthesize_quadrature, MultitoneState)
 from lissscan import cli
 from lissscan.cli import cli_dispatch
@@ -30,7 +29,6 @@ from lissscan.errors import ConfigError, DomainError, WeightMapError
 from lissscan.io import _pgm_tokens
 
 F = Fraction
-CFG = ScannerConfig.normalized(1.5)
 
 
 # ------------------------------------------------------------------ weight maps
@@ -148,48 +146,6 @@ def test_csv_weight_map(tmp_path):
     path.write_text("a,b\nc,d\n")
     with pytest.raises(WeightMapError):
         load_weight_map(path)
-
-
-# -------------------------------------------------------------------- patterns
-
-def test_pattern_csv_round_trip(tmp_path):
-    pattern = sample_unmodulated(design_unmodulated(F(3, 2), 7), CFG, 0, 1000)
-    path = export_pattern(pattern, tmp_path / "p.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,y"
-    assert len(lines) == 1001                        # one frame = 1000 samples
-    back = import_pattern(path)
-    np.testing.assert_allclose(back.x, pattern.x, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(back.y, pattern.y, rtol=1e-9, atol=1e-11)
-    assert back.frame_len == pytest.approx(7.0, rel=1e-9)
-
-
-def test_pattern_json_round_trip(tmp_path):
-    pattern = sample_unmodulated(design_unmodulated(F(3, 2), 7), CFG, 0, 200)
-    path = export_pattern(pattern, tmp_path / "p.json")
-    assert list(json.loads(path.read_text())) == ["frame_len", "frames", "t", "x", "y"]  # sorted
-    back = import_pattern(path)
-    np.testing.assert_array_equal(back.x, pattern.x)   # full precision
-    np.testing.assert_array_equal(back.t, pattern.t)
-    assert back.frame_len == pattern.frame_len and back.frames == pattern.frames
-
-
-def test_pattern_format_errors(tmp_path):
-    pattern = sample_unmodulated(design_unmodulated(F(3, 2), 7), CFG, 0, 50)
-    with pytest.raises(DomainError):
-        export_pattern(pattern, tmp_path / "p.xml")
-    with pytest.raises(DomainError):
-        import_pattern(tmp_path / "nope.csv")
-    with pytest.raises(DomainError):
-        export_pattern(pattern, "")
-    with pytest.raises(DomainError, match="unsupported pattern format 'xml'"):
-        import_pattern(tmp_path / "p.xml")
-    for text in ("t,x\n0,1\n1,2\n", "t,x,y\n0,1,2\n"):       # 2 columns; 1 row
-        (tmp_path / "bad.csv").write_text(text)
-        with pytest.raises(DomainError, match="expected 3 CSV columns and 2 rows"):
-            import_pattern(tmp_path / "bad.csv")
-    with pytest.raises(DomainError, match="could not write"):
-        export_pattern(pattern, tmp_path / "missing" / "p.json")
 
 
 def test_scanner_and_design_files_round_trip(tmp_path):
@@ -585,35 +541,6 @@ def _assert_one_error(capsys, kind):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_import_pattern_reports_a_missing_field(tmp_path):
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({"t": [0.0, 1.0], "x": [0.0, 1.0], "frame_len": 2.0, "frames": 1}))
-    with pytest.raises(DomainError, match="missing field 'y'"):
-        import_pattern(path)
-    path.write_text(json.dumps({"t": [0.0, 1.0], "x": [0.0, 1.0], "y": [0.0, 1.0],
-                                "frame_len": None, "frames": 1}))
-    with pytest.raises(DomainError, match="malformed pattern record"):
-        import_pattern(path)
-    path.write_text("[1, 2]")
-    with pytest.raises(DomainError, match="expected a JSON object"):
-        import_pattern(path)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("t", [True, 1.0]), ("x", [0.0, True]), ("y", [False, 1.0]), ("frame_len", True),
-    ("frames", True), ("frames", 1.9),      # were read as 1.0 and truncated to 1
-    ("x", 0.5), ("y", [[0.0], [1.0]]),
-])
-def test_import_pattern_rejects_a_malformed_field(field, value, tmp_path):
-    record = {"t": [0.0, 1.0], "x": [0.0, 1.0], "y": [0.0, 1.0], "frame_len": 2.0, "frames": 1}
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(record))
-    assert import_pattern(path).frames == 1
-    path.write_text(json.dumps(dict(record, **{field: value})))
-    with pytest.raises(DomainError, match="malformed pattern record"):
-        import_pattern(path)
-
-
 def test_json_reader_rejects_non_finite_numbers(tmp_path):
     path = tmp_path / "s.json"
     for text in ('{"fx_res": NaN}', '{"fx_res": Infinity}', '{"fx_res": -Infinity}',
@@ -862,6 +789,12 @@ def _flag_run(command, tmp_path, files, scenario):
                       "--n-samples", "50", "--max-iters", "2", "--step", "0.05",
                       "--threshold", "0.1", "--out", out],
                      ["--tones", "--m", "--n-samples", "--max-iters", "--step", "--threshold"]),
+        "optimize-absolute": (["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
+                               "--m", "7", "--n-samples", "50", "--max-iters", "2",
+                               "--step", "0.05", "--threshold", "0.1", "--constraint",
+                               "absolute", "--out", out],
+                              ["--step", "--tones", "--m", "--n-samples", "--max-iters",
+                               "--threshold"]),
         "phase-sim": (["phase-sim", "--scenario", scenario, "--scanner", scanner,
                        "--duration", "64", "--seed", "0", "--out", out], ["--duration", "--seed"]),
     }[command]
@@ -882,6 +815,15 @@ def test_cli_sizing_flags_are_bounded_before_any_input_is_read(command, flag, va
         raise AssertionError("an input was read or an array allocated before the bound")
     monkeypatch.setattr("lissscan.io.read_json", refused_first)
     monkeypatch.setattr(np, "arange", refused_first)
+    assert cli_dispatch(argv) == 1
+    _assert_one_error(capsys, "DomainError")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_absolute_constraint_refuses_a_step_it_cannot_project(tmp_path, capsys):
+    files, _ = _cli_inputs(tmp_path)
+    argv, _ = _flag_run("optimize-absolute", tmp_path, files, scenario=None)
+    argv[argv.index("--step") + 1] = "1e300"     # printed an IndexError traceback
     assert cli_dispatch(argv) == 1
     _assert_one_error(capsys, "DomainError")
     assert not (tmp_path / "out").exists()
@@ -957,19 +899,23 @@ def test_cli_json_inputs_end_in_one_of_three_states(flag, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(["design", "metrics", "optimize", "phase-sim", "sweep"]),
-       data=st.data())
-def test_cli_flags_end_in_one_of_three_states(command, data):
-    """Exit 0, exit 2, or exit 1 with exactly one error: line and no traceback."""
+@given(command=st.sampled_from(["design", "metrics", "optimize", "optimize-absolute",
+                                "phase-sim", "sweep"]),
+       edits=st.lists(st.tuples(st.integers(0, 5), _FLAG_VALUES), min_size=1, max_size=2,
+                      unique_by=lambda edit: edit[0]))
+# the absolute projection indexed an empty array for a step this large
+@example(command="optimize-absolute", edits=[(0, "1e300")])
+def test_cli_flags_end_in_one_of_three_states(command, edits):
+    """Exit 0, exit 2, or exit 1 with exactly one error: line and no traceback.
+    Each edit sets the command's flag at its index (modulo the flag count)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         files, records = _cli_inputs(tmp_path)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(records["--scenario"]))
         argv, flags = _flag_run(command, tmp_path, files, str(scenario))
-        for flag in data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2,
-                                       unique=True), label="flags"):
-            argv[argv.index(flag) + 1] = data.draw(_FLAG_VALUES, label=flag)
+        for index, value in edits:
+            argv[argv.index(flags[index % len(flags)]) + 1] = value
         err, out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), \
                 warnings.catch_warnings(record=True) as caught:

@@ -16,7 +16,7 @@ from lissscan import modulated
 from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, OptimizeOptions,
                       SampledPattern, ScannerConfig, WeightMap, case1_criterion,
                       default_tone_indices, design_unmodulated, fill_factor, gradient,
-                      initial_params, objective, optimize, polar_coefficients,
+                      initial_params, objective, optimize,
                       positive_region_density, project_absolute, project_rms,
                       reference_pattern, roi_density, sample_unmodulated, simulate_drift_control,
                       sweep_designs, synthesize_modulated, transfer_amplitude)
@@ -210,15 +210,6 @@ def test_single_tone_synthesis_matches_closed_form():
                                atol=1e-12)
 
 
-def test_polar_coefficients_reproduce_a_phased_tone():
-    a, g = polar_coefficients([0.7], [0.5])
-    cfg = ScannerConfig.normalized(1.0)
-    params = ModulatedParams(alpha=a, gamma=g, beta=[0.1], delta=[0.0],
-                             nx=(14,), ny=(14,), L=2, m=7, config=cfg)
-    pattern = synthesize_modulated(params, 200)
-    np.testing.assert_allclose(pattern.x, 0.7 * np.cos(2 * np.pi * pattern.t + 0.5), atol=1e-12)
-
-
 def test_synthesis_is_linear_in_the_coefficients():
     rng = np.random.default_rng(11)
     base = initial_params(F(3, 2), n_tones=5)
@@ -235,7 +226,6 @@ def test_synthesis_window_and_bookkeeping():
     params = initial_params(2, n_tones=3)
     one = synthesize_modulated(params, 500)
     assert one.t[0] == 0.0 and one.t[-1] == pytest.approx(7.0 - 7.0 / 500.0)
-    assert one.frame_len == 7.0 and one.frames == 1
     with pytest.raises(DomainError):
         synthesize_modulated(params, 1)
 
@@ -257,7 +247,7 @@ def test_objective_matches_brute_force():
     rng = np.random.default_rng(5)
     n = 40
     pattern = SampledPattern(t=np.arange(n) * 0.1, x=rng.uniform(-1, 1, n),
-                             y=rng.uniform(-1, 1, n), frame_len=4.0)
+                             y=rng.uniform(-1, 1, n))
     wmap = WeightMap(rng.uniform(0, 1, (8, 8)))
     threshold = 0.15
     loss, asg = objective(pattern, wmap, threshold)
@@ -288,7 +278,7 @@ def _tied_problems(draw):
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
     picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=30))
     x, y = (np.array([points[i][axis] for i in picks]) for axis in (0, 1))
-    pattern = SampledPattern(t=np.arange(len(picks)) * 1.0, x=x, y=y, frame_len=float(len(picks)))
+    pattern = SampledPattern(t=np.arange(len(picks)) * 1.0, x=x, y=y)
     threshold = draw(st.sampled_from([0.0, 0.1, 1.0 / size, 0.5]))
     return pattern, WeightMap(np.reshape(w, (size, size))), threshold
 
@@ -487,7 +477,7 @@ def test_patch_centers_are_shared_and_read_only():
 
 def test_occupied_patches_pay_nothing():
     pattern = SampledPattern(t=np.array([0.0, 1.0]), x=np.array([-0.9375, 0.5]),
-                             y=np.array([-0.9375, 0.5]), frame_len=2.0)
+                             y=np.array([-0.9375, 0.5]))
     wmap = WeightMap.uniform(16)
     # first sample sits exactly on a patch center: occupied at any threshold > 0
     loss_tight, asg = objective(pattern, wmap, 1e-6)
@@ -499,7 +489,7 @@ def test_occupied_patches_pay_nothing():
 def test_raising_the_threshold_never_raises_the_loss():
     rng = np.random.default_rng(9)
     pattern = SampledPattern(t=np.arange(60) * 0.05, x=rng.uniform(-1, 1, 60),
-                             y=rng.uniform(-1, 1, 60), frame_len=3.0)
+                             y=rng.uniform(-1, 1, 60))
     wmap = WeightMap(rng.uniform(0, 1, (16, 16)))
     losses = [objective(pattern, wmap, thr)[0] for thr in (0.0, 0.05, 0.1, 0.2, 0.4)]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -526,7 +516,7 @@ def test_objective_gradient_and_options_refuse_a_threshold_alike(threshold):
 def test_roi_density_counting():
     pattern = SampledPattern(t=np.arange(4) * 1.0,
                              x=np.array([0.5, 0.5, -0.6, 0.2]),
-                             y=np.array([0.5, 0.7, 0.0, 0.81]), frame_len=4.0)
+                             y=np.array([0.5, 0.7, 0.0, 0.81]))
     assert roi_density(pattern, [ROI_B]) == 2      # boundary x = 0.2 is inside
     assert roi_density(pattern, [ROI_A]) == 1
     assert roi_density(pattern, [ROI_A, ROI_B]) == 3
@@ -539,7 +529,7 @@ def test_roi_density_counting():
 def test_positive_region_density_counts_samples_in_weighted_patches():
     pattern = SampledPattern(t=np.arange(5) * 1.0,
                              x=np.array([0.5, 0.5, -0.6, 0.2, 1.5]),
-                             y=np.array([0.5, 0.7, 0.0, -0.4, 1.5]), frame_len=5.0)
+                             y=np.array([0.5, 0.7, 0.0, -0.4, 1.5]))
     w = np.zeros((4, 4))
     w[3, 3] = 1.0                     # top-right patch [0.5, 1] x [0.5, 1]
     assert positive_region_density(pattern, WeightMap(w)) == 3   # (1.5, 1.5) clips into it
@@ -635,6 +625,17 @@ def test_absolute_projection_satisfies_the_simplex_conditions():
         # projecting again changes nothing
         qa, qb = project_absolute(pa, pb)
         np.testing.assert_allclose(qa, pa, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", [1e16, math.inf, math.nan])
+def test_absolute_projection_refuses_magnitudes_it_cannot_place_on_the_simplex(magnitude):
+    # no index passed the simplex test, and indexing the empty result raised IndexError
+    with pytest.raises(DomainError, match="tone magnitudes too large to project"):
+        project_absolute([magnitude, 1.0], [0.0, 0.0])
+    # the largest magnitudes it still projects: one tone takes the whole budget
+    qa, qb = project_absolute(np.array([2.0**52, 1.0]), np.zeros(2))
+    assert qa.tolist() == [1.0, 0.0] and qb.tolist() == [0.0, 0.0]
 
 
 # -------------------------------------------------------------------- optimizer
@@ -830,8 +831,8 @@ _LONG = modulated.MAX_SEARCH // 64 + 1           # samples that take a 64-side s
 
 
 @pytest.mark.parametrize("call", [
-    lambda: objective(SampledPattern(t=np.arange(_LONG), x=np.zeros(_LONG), y=np.zeros(_LONG),
-                                     frame_len=_LONG), _WIDE, 0.1),
+    lambda: objective(SampledPattern(t=np.arange(_LONG), x=np.zeros(_LONG), y=np.zeros(_LONG)),
+                      _WIDE, 0.1),
     lambda: gradient(initial_params(2, n_tones=3), _WIDE, _LONG, 0.1),
     lambda: optimize(initial_params(2, n_tones=3), _WIDE, OptimizeOptions(n_samples=_LONG)),
 ], ids=["objective", "gradient", "optimize"])
