@@ -1,4 +1,4 @@
-"""File formats (weight maps, patterns, configs) and the command-line front end."""
+"""File formats (weight maps, configs, designs) and the command-line front end."""
 
 import contextlib
 import dataclasses
