@@ -208,7 +208,10 @@ def _drift_offsets(drift_fn, times: np.ndarray) -> np.ndarray:
             return offsets
     except (TypeError, ValueError):
         pass
-    return np.array([float(drift_fn(t)) for t in times])
+    try:
+        return np.array([float(drift_fn(t)) for t in times])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"drift_fn must map a time to one number: {exc}") from exc
 
 
 def simulate_drift_control(scenario: DriftScenario, config: ScannerConfig, axis: str,

@@ -242,6 +242,14 @@ MALFORMED = {
     "DriftScenario.drift_fn": (lambda: DriftScenario("x", 6.4), DomainError),
     "sweep_designs.r_grid": (lambda: sweep_designs(None, [7]), DomainError),
     "sweep_designs.m_set": (lambda: sweep_designs([F(3, 2)], 7), DomainError),
+    # a drift_fn that is callable but does not map a time to one number raised
+    # TypeError or ValueError from the per-time retry
+    "DriftScenario.drift_fn.no_argument": (lambda: simulate_drift_control(
+        DriftScenario(lambda: 0.0, 6.4), CFG, "x", 1.5, 64.0), DomainError),
+    "DriftScenario.drift_fn.returns_text": (lambda: simulate_drift_control(
+        DriftScenario(lambda t: "a", 6.4), CFG, "x", 1.5, 64.0), DomainError),
+    "DriftScenario.drift_fn.returns_none": (lambda: simulate_drift_control(
+        DriftScenario(lambda t: None, 6.4), CFG, "x", 1.5, 64.0), DomainError),
 }
 
 

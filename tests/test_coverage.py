@@ -1,6 +1,7 @@
 """Fill-factor / scanning-range metrics and the (r, m) design sweep."""
 
 import concurrent.futures
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -57,6 +58,16 @@ def test_amplitude_overrides():
     assert np.max(np.abs(pattern.y)) <= 0.25 + 1e-12
     silent = sample_unmodulated(P2, CFG, 0, 100, amp_x=0.0)
     assert np.all(silent.x == 0.0)
+
+
+def test_sampled_pattern_holds_only_its_samples():
+    # frames and frame_len went with the pattern file format, their only reader
+    assert [field.name for field in dataclasses.fields(SampledPattern)] == ["t", "x", "y"]
+    with pytest.raises(TypeError, match="frame_len"):
+        SampledPattern(t=[0, 1], x=[0, 1], y=[0, 1], frame_len=1.0)
+    for pattern in (sample_unmodulated(P2, CFG, 0, 50),
+                    synthesize_modulated(initial_params(2), 50)):
+        assert sorted(vars(pattern)) == ["t", "x", "y"]
 
 
 def test_sampled_pattern_validation():

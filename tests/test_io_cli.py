@@ -284,6 +284,23 @@ def test_the_lazy_namespace_binds_each_exported_name_to_its_defining_object():
     assert set(lissscan.__all__) <= set(dir(lissscan))
 
 
+@pytest.mark.parametrize("name", ["export_pattern", "import_pattern", "polar_coefficients"])
+def test_a_removed_export_is_gone_from_the_namespace(name):
+    # the pattern file format and polar_coefficients had no caller and were removed
+    assert name not in lissscan.__all__ and name not in dir(lissscan)
+    with pytest.raises(AttributeError, match=name):
+        getattr(lissscan, name)
+    assert not hasattr(lissscan.io, name) and not hasattr(lissscan.modulated, name)
+
+
+@pytest.mark.parametrize("name", ["export_pattern", "import_pattern", "_pattern_format",
+                                  "polar_coefficients"])
+def test_a_removed_export_is_named_nowhere_in_the_sources_or_docs(name):
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "lissscan").glob("*.py"), *(root / "docs").glob("*.md")]
+    assert files and not [str(path) for path in files if name in path.read_text()]
+
+
 def test_the_lazy_namespace_reaches_submodules_and_refuses_unknown_names():
     for name in ("cli", "coverage", "design", "errors", "io", "modulated", "phase", "scanner"):
         assert getattr(lissscan, name) is importlib.import_module(f"lissscan.{name}")
