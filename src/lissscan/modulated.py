@@ -439,8 +439,17 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
     return grad
 
 
+def _same_shape(cos_coef, sin_coef) -> None:
+    """DomainError unless one axis's cosine and sine coefficients share a shape."""
+    if np.shape(cos_coef) != np.shape(sin_coef):
+        raise DomainError(f"cosine and sine coefficients must share a shape, "
+                          f"got {np.shape(cos_coef)} and {np.shape(sin_coef)}")
+
+
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radial projection of one axis onto the RMS unit ball."""
+    """Radial projection of one axis onto the RMS unit ball; the two
+    coefficient arrays must share a shape (DomainError)."""
+    _same_shape(cos_coef, sin_coef)
     norm = _rms(cos_coef, sin_coef)
     if norm <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
@@ -464,7 +473,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 def project_absolute(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto summed-tone-magnitude <= 1: per-tone radial shrink by
-    the simplex projection of the magnitude vector."""
+    the simplex projection of the magnitude vector. The two coefficient
+    arrays must share a shape (DomainError)."""
+    _same_shape(cos_coef, sin_coef)
     mags = np.hypot(cos_coef, sin_coef)
     if mags.sum() <= 1.0:
         return cos_coef.copy(), sin_coef.copy()

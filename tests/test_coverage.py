@@ -16,7 +16,7 @@ from lissscan import (ScannerConfig, SampledPattern, UnmodulatedDesign,
                       initial_params, phase_tolerance_sweep, sample_unmodulated, scanning_range,
                       sweep_designs, sweep_workers_from_env, synthesize_modulated)
 from lissscan.coverage import MAX_GRID, MAX_SAMPLES
-from lissscan.errors import DegeneratePattern, DomainError
+from lissscan.errors import DegeneratePattern, DomainError, number_value
 
 F = Fraction
 CFG = ScannerConfig.normalized(1.5)
@@ -250,9 +250,10 @@ def test_nearest_squared_is_the_brute_force_minimum_bit_for_bit(case, seed, tied
     reach = np.sqrt(brute) + rng.uniform(1e-9, 1.0, len(cx)) ** 3
     if everything:
         reach[-1] = 3.0                              # a box holding every sample
-    # a small block, so groups split, tiles split and over 64 samples the coarse
-    # pass runs, where a short reach can leave a box without a coarse sample
-    with mock.patch.object(coverage, "_BLOCK", 64):
+    # a small block, so groups split and over 64 samples the coarse pass runs,
+    # where a short reach can leave a box without a coarse sample; a smaller
+    # tile, so a final group's rows and columns split into several tiles
+    with mock.patch.object(coverage, "_BLOCK", 64), mock.patch.object(coverage, "_TILE", 16):
         assert np.array_equal(coverage._nearest_squared(x, y, cx, cy, reach), brute)
 
 
@@ -276,6 +277,19 @@ def test_fill_factor_queries_few_centers_on_the_acceptance_grid(queried):
     assert all(row.status == "ok" for row in sweep_designs(r_grid, [6, 7, 8, 9]))
     assert len(queried) == 126                        # one call per distinct geometry
     assert np.median(queried) < 1024 / 4              # a quarter of the former 1,024 probes
+
+
+def test_fill_factor_reuses_its_memory_from_call_to_call():
+    # distance tiles of 2**15 elements (256 KiB) were paged in afresh on every
+    # call: 373 minor faults per call on this geometry, 0 with 64 KiB tiles
+    resource = pytest.importorskip("resource")
+    pattern = sample_unmodulated(design_unmodulated(F(2), 8), CFG, 0, 1000, amp_x=1.0, amp_y=1.0)
+    for _ in range(3):
+        fill_factor(pattern, 128)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        fill_factor(pattern, 128)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20 <= 2
 
 
 def test_fill_factor_tightens_the_bound_down_columns_on_a_fine_grid(queried, monkeypatch):
@@ -447,6 +461,63 @@ def test_workers_env(monkeypatch):
     monkeypatch.setenv("LISSSCAN_THREADS", "many")
     with pytest.raises(DomainError):
         sweep_workers_from_env()
+
+
+def _phase_tolerance_afresh(design, config, deltas):
+    """phase_tolerance_sweep as one fresh sampling of each shifted design."""
+    out = []
+    for delta in deltas:
+        delta = number_value(delta, "delta")
+        shifted = UnmodulatedDesign(design.fx, design.phix + delta, design.m, design.fy,
+                                    design.phiy)
+        out.append((delta, coverage.fill_factor(
+            coverage.sample_unmodulated(shifted, config)).fill_factor))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(fx=st.fractions(F(1, 8), 4, max_denominator=256), fy=st.fractions(F(1, 4), 2, max_denominator=16),
+       phix=st.floats(-10.0, 10.0), phiy=st.floats(-10.0, 10.0), m=st.integers(2, 64),
+       r=st.floats(1.0, 3.0), deltas=st.lists(st.floats(-7.0, 7.0), max_size=4))
+def test_phase_tolerance_sweep_is_a_fresh_sampling_of_each_offset_bit_for_bit(
+        fx, fy, phix, phiy, m, r, deltas):
+    assume(fx > 0 and fy > 0)
+    design = UnmodulatedDesign(fx=fx, phix=phix, m=m, fy=fy, phiy=phiy)
+    config = ScannerConfig.normalized(r)
+    assert phase_tolerance_sweep(design, config, deltas) == \
+        _phase_tolerance_afresh(design, config, deltas)
+
+
+def test_phase_tolerance_sweep_samples_each_design_once(monkeypatch):
+    monkeypatch.setattr(coverage, "sample_unmodulated", mock.Mock(side_effect=AssertionError))
+    assert phase_tolerance_sweep(P2, CFG, []) == []
+    monkeypatch.setattr(coverage, "sample_unmodulated", mock.Mock(wraps=sample_unmodulated))
+    assert len(phase_tolerance_sweep(P2, CFG, [0.0, 0.1, 0.2])) == 3
+    assert coverage.sample_unmodulated.call_count == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_phase_tolerance_sweep_refuses_an_overflowing_phase_as_a_design_does(sign):
+    design = UnmodulatedDesign(fx=F(3, 2), phix=sign * 1e308, m=7)
+    with pytest.raises(DomainError) as fresh:
+        _phase_tolerance_afresh(design, CFG, [sign * 1e308])
+    with pytest.raises(DomainError) as swept:
+        phase_tolerance_sweep(design, CFG, [sign * 1e308])
+    assert str(swept.value) == str(fresh.value) == f"phix must be finite, got {sign * math.inf}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, "x", True, None])
+def test_phase_tolerance_sweep_raises_at_the_first_bad_offset(bad, monkeypatch):
+    calls = []
+    real = coverage.fill_factor
+    monkeypatch.setattr(coverage, "fill_factor", lambda *a: calls.append(1) or real(*a))
+    with pytest.raises(DomainError) as fresh:
+        _phase_tolerance_afresh(P2, CFG, [0.0, 0.1, bad, 0.2])
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(DomainError) as swept:
+        phase_tolerance_sweep(P2, CFG, [0.0, 0.1, bad, 0.2])
+    assert len(calls) == 2 and str(swept.value) == str(fresh.value)
 
 
 def test_phase_tolerance_sweep_pinned():

@@ -595,10 +595,20 @@ def test_rms_projection():
 
 @pytest.mark.filterwarnings("error")      # the squares overflow without a warning
 def test_rms_projection_of_a_large_finite_vector_is_its_direction():
-    qa, qb = project_rms(np.array([1e200, 0.0]), np.array([0.0]))
-    assert qa.tolist() == [1.0, 0.0] and qb.tolist() == [0.0]
+    qa, qb = project_rms(np.array([1e200, 0.0]), np.array([0.0, 0.0]))
+    assert qa.tolist() == [1.0, 0.0] and qb.tolist() == [0.0, 0.0]
     qa, qb = project_rms(np.array([3e200]), np.array([-4e200]))
     np.testing.assert_allclose(np.concatenate([qa, qb]), [0.6, -0.8], rtol=1e-15)
+
+
+@pytest.mark.parametrize("project", [project_rms, project_absolute])
+@pytest.mark.parametrize("cos_c, sin_c", [(np.ones(2), np.ones(3)), (np.ones(3), np.ones(1)),
+                                          (np.ones(3), np.ones((1, 3))), (np.ones(2), [1.0])])
+def test_projections_refuse_coefficients_of_different_shapes(project, cos_c, sin_c):
+    # the RMS projection returned arrays of different lengths, or broadcast
+    # one tone over three; the absolute one raised numpy's ValueError
+    with pytest.raises(DomainError, match="must share a shape"):
+        project(cos_c, sin_c)
 
 
 def test_absolute_projection_satisfies_the_simplex_conditions():
