@@ -138,7 +138,6 @@ class _SearchPlan:
         self.col_centers = centers[cols, None]
         self.r, self.c = box.nonzero()            # each positive patch, row-major, in rows x cols
         self.flat = rows[self.r] * len(w) + cols[self.c]   # the same patches in the raveled map
-        self.positive = positive.ravel()
         self.cx, self.cy = centers[rows[self.r]], centers[cols[self.c]]
         self.w = w.take(self.flat)
 
@@ -155,12 +154,26 @@ def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     return math.sqrt(total)
 
 
+def _real_array(value, name: str, error: type[Exception]) -> np.ndarray:
+    """value as a float64 array (value itself if it is one); error for a
+    complex, string, object or ragged array, whose conversion would fail or
+    drop an imaginary part."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):     # e.g. rows of different lengths
+        raise error(f"{name} must be an array of real numbers, got {value_text(value)}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
-    """The four coefficient arrays as finite 1-D float arrays whose per-axis
-    RMS is within 1 (plus FEASIBILITY_SLACK); InvalidParams otherwise."""
+    """Copies of the four coefficient arrays as finite 1-D float arrays
+    whose per-axis RMS is within 1 (plus FEASIBILITY_SLACK); InvalidParams
+    otherwise."""
     arrays = []
     for name, value in zip(_COEFFICIENTS, (alpha, gamma, beta, delta)):
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.array(_real_array(value, name, InvalidParams))
         if arr.ndim != 1 or not np.isfinite(arr).all():
             raise InvalidParams(f"{name} must be a finite 1-D array")
         arrays.append(arr)
@@ -223,9 +236,8 @@ class ModulatedParams:
         return np.array(self.ny, dtype=np.float64) / (self.L * self.m)
 
     def with_coefficients(self, alpha=None, gamma=None, beta=None, delta=None) -> "ModulatedParams":
-        pick = lambda new, old: old if new is None else np.array(new, dtype=float)
-        return replace(self, alpha=pick(alpha, self.alpha), gamma=pick(gamma, self.gamma),
-                       beta=pick(beta, self.beta), delta=pick(delta, self.delta))
+        new = zip(_COEFFICIENTS, (alpha, gamma, beta, delta))
+        return replace(self, **{name: value for name, value in new if value is not None})
 
     def to_dict(self) -> dict:
         return {
@@ -319,10 +331,10 @@ def synthesize_modulated(params: ModulatedParams, n_samples: int = 500) -> Sampl
 
 @dataclass(eq=False)
 class Assignment:
-    """Nearest-sample index and occupancy flag per patch, defined on the
-    patches with positive weight only: a zero-weight patch adds nothing to
-    the loss or its gradient, so it is not searched and holds n_idx 0 and
-    occupied False."""
+    """objective's nearest-sample index and occupancy flag per patch, as
+    size x size maps built from the search on the positive-weight patches:
+    a zero-weight patch adds nothing to the loss or its gradient, so it is
+    not searched and holds n_idx 0 and occupied False."""
 
     n_idx: np.ndarray     # (M, M) int, flat sample index per patch
     occupied: np.ndarray  # (M, M) bool, nearest sample closer than threshold
@@ -335,9 +347,20 @@ def _check_search(wmap: WeightMap, n_samples: int) -> None:
                           f"{MAX_SEARCH}")
 
 
+def _map_sum(wmap: WeightMap, terms: np.ndarray) -> float:
+    """Sum of one term per positive patch (in plan.flat order), taken over
+    the whole raveled map with zeros in place, as pairwise summation
+    depends on where each term sits."""
+    full = np.zeros(wmap.size * wmap.size)
+    full[wmap._plan.flat] = terms
+    return float(np.add.reduce(full))
+
+
 def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
-            threshold: float) -> tuple[float, Assignment]:
-    size = wmap.size
+            threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The loss, and for each positive patch in plan.flat order its nearest
+    sample idx and its weight wbar, 0 where occupied (that nearest sample
+    lies closer than threshold)."""
     plan = wmap._plan
     dx2 = (plan.row_centers - x) ** 2             # (rows, N)
     dy2 = (plan.col_centers - y) ** 2             # (cols, N)
@@ -350,50 +373,35 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
         for s in range(a, b, step):
             d2 = dx2[s:min(s + step, b), None, :] + dy2_run
             found.append(d2.argmin(axis=2))           # ties go to the smaller index
-    nearest = np.concatenate(found, axis=None) if found else np.zeros(0, dtype=np.intp)
-    n_idx = np.zeros(size * size, dtype=np.intp)  # raveled (size, size) maps
-    best = np.zeros(size * size)
-    n_idx[plan.flat] = nearest
-    best[plan.flat] = dx2[plan.r, nearest] + dy2[plan.c, nearest]   # the sums the search compared
-    occupied = plan.positive & (best < threshold * threshold)
-    wbar = np.where(occupied, 0.0, wmap.w.ravel())
-    return float(np.add.reduce(wbar * best)), Assignment(n_idx=n_idx.reshape(size, size),
-                                                         occupied=occupied.reshape(size, size))
+    idx = np.concatenate(found, axis=None) if found else np.zeros(0, dtype=np.intp)
+    best = dx2[plan.r, idx] + dy2[plan.c, idx]    # the sums the search compared
+    wbar = np.where(best < threshold * threshold, 0.0, plan.w)
+    return _map_sum(wmap, wbar * best), idx, wbar
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite loss raises instead
 def objective(pattern: SampledPattern, wmap: WeightMap,
               threshold: float) -> tuple[float, Assignment]:
     """Weighted squared distance from every non-occupied patch center to its
-    nearest sample, plus the assignment that produced it (searched on the
-    positive-weight patches only; see Assignment). DomainError if the loss
-    is not finite."""
+    nearest sample, plus the assignment that produced it as size x size
+    maps (searched on the positive-weight patches only; see Assignment).
+    DomainError if the loss is not finite."""
     _check_search(wmap, len(pattern.x))
-    loss, asg = _assign(pattern.x, pattern.y, wmap, number_value(threshold, "threshold", 0))
+    loss, idx, wbar = _assign(pattern.x, pattern.y, wmap, number_value(threshold, "threshold", 0))
     if not math.isfinite(loss):
         raise DomainError(f"objective is not finite: {loss}")
-    return loss, asg
-
-
-def _frozen(wmap: WeightMap, asg: Assignment) -> tuple[np.ndarray, np.ndarray]:
-    """The nearest-sample index and the weight, 0 where occupied, of each
-    positive patch in row-major order: all of asg that the frozen-assignment
-    loss and gradient read."""
-    plan = wmap._plan
-    return asg.n_idx.take(plan.flat), np.where(asg.occupied.take(plan.flat), 0.0, plan.w)
+    n_idx, occupied = np.zeros(wmap.w.shape, dtype=np.intp), np.zeros(wmap.w.shape, dtype=bool)
+    np.put(n_idx, wmap._plan.flat, idx)
+    np.put(occupied, wmap._plan.flat, wbar == 0.0)   # a positive weight is 0 only where occupied
+    return loss, Assignment(n_idx=n_idx, occupied=occupied)
 
 
 def _loss_fixed(x: np.ndarray, y: np.ndarray, wmap: WeightMap, idx: np.ndarray,
                 wbar: np.ndarray) -> float:
-    """Objective with assignment and occupancy frozen as _frozen's idx and
+    """Objective with assignment and occupancy frozen as _assign's idx and
     wbar (the surrogate the gradient differentiates)."""
     plan = wmap._plan
-    d2 = (plan.cx - x.take(idx)) ** 2 + (plan.cy - y.take(idx)) ** 2
-    # summed over the whole raveled map, zeros included, as pairwise
-    # summation depends on where each term sits
-    terms = np.zeros(wmap.size * wmap.size)
-    terms[plan.flat] = wbar * d2
-    return float(np.add.reduce(terms))
+    return _map_sum(wmap, wbar * ((plan.cx - x.take(idx)) ** 2 + (plan.cy - y.take(idx)) ** 2))
 
 
 @dataclass(eq=False)
@@ -432,27 +440,35 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
     _check_search(wmap, _sample_count(n_samples))
     _, bases = _bases(params, n_samples)
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
-    _, asg = _assign(x, y, wmap, number_value(threshold, "threshold", 0))
-    grad = _gradient_fixed(x, y, wmap, *_frozen(wmap, asg), *bases)
+    _, idx, wbar = _assign(x, y, wmap, number_value(threshold, "threshold", 0))
+    grad = _gradient_fixed(x, y, wmap, idx, wbar, *bases)
     if not grad.is_finite():
         raise DomainError("gradient is not finite")
     return grad
 
 
-def _same_shape(cos_coef, sin_coef) -> None:
-    """DomainError unless one axis's cosine and sine coefficients share a shape."""
-    if np.shape(cos_coef) != np.shape(sin_coef):
+def _coefficient_pair(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's cosine and sine coefficients as float64 arrays of one
+    shape; DomainError otherwise."""
+    cos_coef = _real_array(cos_coef, "cos_coef", DomainError)
+    sin_coef = _real_array(sin_coef, "sin_coef", DomainError)
+    if cos_coef.shape != sin_coef.shape:
         raise DomainError(f"cosine and sine coefficients must share a shape, "
-                          f"got {np.shape(cos_coef)} and {np.shape(sin_coef)}")
+                          f"got {cos_coef.shape} and {sin_coef.shape}")
+    return cos_coef, sin_coef
 
 
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radial projection of one axis onto the RMS unit ball; the two
-    coefficient arrays must share a shape (DomainError)."""
-    _same_shape(cos_coef, sin_coef)
+    """Radial projection of one axis onto the RMS unit ball. The two
+    coefficient arrays must hold real numbers, finite ones, and share a
+    shape (DomainError)."""
+    cos_coef, sin_coef = _coefficient_pair(cos_coef, sin_coef)
     norm = _rms(cos_coef, sin_coef)
     if norm <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
+    # a NaN or infinite coefficient gives this norm, but so does a finite vector whose RMS overflows
+    if not norm < math.inf and not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
+        raise DomainError(f"coefficients must be finite, got an RMS of {norm}")
     return cos_coef / norm, sin_coef / norm
 
 
@@ -474,8 +490,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def project_absolute(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto summed-tone-magnitude <= 1: per-tone radial shrink by
     the simplex projection of the magnitude vector. The two coefficient
-    arrays must share a shape (DomainError)."""
-    _same_shape(cos_coef, sin_coef)
+    arrays must hold real numbers, finite ones, and share a shape
+    (DomainError)."""
+    cos_coef, sin_coef = _coefficient_pair(cos_coef, sin_coef)
     mags = np.hypot(cos_coef, sin_coef)
     if mags.sum() <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
@@ -539,7 +556,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     or its gradient is not finite.
     """
     opts = opts or OptimizeOptions()
-    if not wmap._plan.positive.any():
+    if not len(wmap._plan.flat):
         raise InvalidParams("weight map has no positive entries")
     _check_search(wmap, opts.n_samples)
     threshold = (1.0 / wmap.size) if opts.threshold is None else opts.threshold
@@ -556,24 +573,29 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
 
     for iteration in range(opts.max_iters + 1):
         if iteration:                  # iterate 0 is init itself
-            grad = _gradient_fixed(x, y, wmap, *frozen, *bases)
+            grad = _gradient_fixed(x, y, wmap, idx, wbar, *bases)
             if not grad.is_finite():
                 raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
             step = opts.step
             for _ in range(MAX_BACKTRACKS + 1):
-                a, g = project(coef[0] - step * grad.alpha, coef[1] - step * grad.gamma)
-                b, d = project(coef[2] - step * grad.beta, coef[3] - step * grad.delta)
-                x, y = _positions(bases, a, g, b, d)
-                if _loss_fixed(x, y, wmap, *frozen) <= trace[-1]:
+                cand = (coef[0] - step * grad.alpha, coef[1] - step * grad.gamma,
+                        coef[2] - step * grad.beta, coef[3] - step * grad.delta)
+                try:
+                    (a, g), (b, d) = project(*cand[:2]), project(*cand[2:])
+                except DomainError:
+                    if all(np.isfinite(c).all() for c in cand):
+                        raise                  # a finite candidate the projection cannot place
+                    a, g, b, d = cand          # the step left the float range; its loss is not
+                x, y = _positions(bases, a, g, b, d)   # finite, so the line search rejects it
+                if _loss_fixed(x, y, wmap, idx, wbar) <= trace[-1]:
                     break
                 step *= 0.5
                 # the last halved candidate is taken even if it still increases;
                 # best-seen tracking protects the returned iterate
             coef = _checked_coefficients(a, g, b, d)
-        loss, asg = _assign(x, y, wmap, threshold)
+        loss, idx, wbar = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
-        frozen = _frozen(wmap, asg)
         trace.append(loss)
         norms.append(_constraint_norm(*coef, opts.constraint))
         if loss < best_loss:

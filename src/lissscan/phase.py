@@ -78,8 +78,11 @@ class MultitoneState:
 def synthesize_quadrature(state: MultitoneState, t) -> tuple[np.ndarray, np.ndarray]:
     """x(t) = sum A_i cos(w_i t + phi_i) and its quadrature copy with sin.
     Unchecked array helper: a NaN or infinite t, or one so large that w_i t
-    overflows, gives NaN samples."""
+    overflows, gives NaN samples. t is a number or a 1-D array (DomainError
+    for more dimensions)."""
     t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1:
+        raise DomainError(f"t must be a number or a 1-D array, got shape {t.shape}")
     w = np.array(state.omegas)
     a = np.array(state.amps)
     p = np.array(state.phases)

@@ -158,6 +158,28 @@ def test_params_validation():
                         nx=(14,), ny=(14,), L=0, m=7, config=base.config)
 
 
+_MALFORMED_COEFFICIENTS = {
+    "string": (np.array(["0.1", "0", "0"]), "got dtype <U3"),
+    "complex": (np.array([0.1j, 0.0, 0.0]), "got dtype complex128"),
+    "ragged": ([[0.1], [0.1, 0.2], 0.0], r"got \[\[0.1\], \[0.1, 0.2\], 0.0\]"),
+    "object": (np.array([0.1, 0.0, 0.0], dtype=object), "got dtype object"),
+}
+
+
+@pytest.mark.filterwarnings("error")      # complex input dropped its imaginary part with a warning
+@pytest.mark.parametrize("build", ["ModulatedParams", "with_coefficients"])
+@pytest.mark.parametrize("kind", list(_MALFORMED_COEFFICIENTS))
+def test_malformed_coefficient_arrays_raise_invalid_params(kind, build):
+    # a string, complex or ragged array raised numpy's ValueError or TypeError
+    base = initial_params(1, n_tones=3)
+    value, got = _MALFORMED_COEFFICIENTS[kind]
+    with pytest.raises(InvalidParams, match=f"^delta must be an array of real numbers, {got}$"):
+        if build == "ModulatedParams":
+            replace(base, delta=value)
+        else:
+            base.with_coefficients(delta=value)
+
+
 def test_with_coefficients_partial_update():
     base = initial_params(1, n_tones=3)
     new = base.with_coefficients(gamma=[0.1, 0.2, 0.1])
@@ -165,6 +187,10 @@ def test_with_coefficients_partial_update():
     np.testing.assert_allclose(new.gamma, [0.1, 0.2, 0.1])
     assert new.nx == base.nx and new.config == base.config
     np.testing.assert_array_equal(base.gamma, np.zeros(3))   # original untouched
+    gamma = np.array([0.1, 0.2, 0.1])
+    new = base.with_coefficients(gamma=gamma)
+    gamma[0] = 5.0                                           # the params hold their own copy
+    assert new.gamma.tolist() == [0.1, 0.2, 0.1]
 
 
 def test_params_dict_round_trip():
@@ -391,13 +417,42 @@ def _roi_problem(size):
 @example(problem=_roi_problem(32))
 @example(problem=_roi_problem(64))
 def test_assign_is_bit_identical_to_the_row_loop(problem):
+    # _assign returns one entry per positive patch, in row-major order
     x, y, wmap, threshold, block = problem
     with mock.patch.object(modulated, "SEARCH_BLOCK", block):
-        loss, asg = modulated._assign(x, y, wmap, threshold)
+        loss, idx, wbar = modulated._assign(x, y, wmap, threshold)
+    ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
+    positive = np.flatnonzero(wmap.w > 0)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert idx.dtype == ref.n_idx.dtype and np.array_equal(idx, ref.n_idx.take(positive))
+    assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_search_problems())
+@example(problem=_roi_problem(32))
+def test_objective_assignment_is_the_row_loop_maps(problem):
+    x, y, wmap, threshold, block = problem
+    with mock.patch.object(modulated, "SEARCH_BLOCK", block):
+        loss, asg = objective(SampledPattern(t=np.arange(len(x)) * 1.0, x=x, y=y), wmap, threshold)
     ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert asg.n_idx.dtype == ref.n_idx.dtype and np.array_equal(asg.n_idx, ref.n_idx)
-    assert np.array_equal(asg.occupied, ref.occupied)
+    assert asg.occupied.dtype == bool and np.array_equal(asg.occupied, ref.occupied)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["0.0", "-0.0"])
+def test_objective_on_a_map_without_a_positive_patch_is_zero(zero):
+    pattern = synthesize_modulated(initial_params(2), 200)
+    wmap = WeightMap(np.full((6, 6), zero))
+    loss, asg = objective(pattern, wmap, 0.1)
+    ref_loss, ref = _row_loop_assign(pattern.x, pattern.y, wmap, 0.1)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes() == np.float64(0.0).tobytes()
+    assert asg.n_idx.shape == asg.occupied.shape == (6, 6)
+    assert np.array_equal(asg.n_idx, ref.n_idx) and not asg.n_idx.any()
+    assert np.array_equal(asg.occupied, ref.occupied) and not asg.occupied.any()
+    with pytest.raises(InvalidParams, match="no positive entries"):
+        optimize(initial_params(2), wmap)
 
 
 def _full_loss_fixed(x, y, wmap, asg):
@@ -437,7 +492,8 @@ def _frozen_problems(draw):
     x, y = rng.uniform(-1.5, 1.5, (2, n))
     bases = tuple(rng.standard_normal((n, draw(st.integers(1, 5)))) for _ in range(4))
     if draw(st.booleans()):
-        asg = modulated._assign(x, y, wmap, draw(st.sampled_from([0.0, 1.0 / size, 0.3])))[1]
+        asg = objective(SampledPattern(t=np.arange(n) * 1.0, x=x, y=y), wmap,
+                        draw(st.sampled_from([0.0, 1.0 / size, 0.3])))[1]
     else:
         asg = Assignment(n_idx=rng.integers(0, n, (size, size)),
                          occupied=rng.uniform(size=(size, size)) < 0.3)
@@ -446,11 +502,11 @@ def _frozen_problems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_frozen_problems())
-def test_frozen_loss_and_gradient_on_positive_patches_match_the_full_map(problem):
+def test_fixed_loss_and_gradient_on_positive_patches_match_the_full_map(problem):
     # a zero-weight patch only ever adds 0.0 or -0.0, so skipping it changes no bit
     x, y, wmap, asg, bases = problem
-    idx, wbar = modulated._frozen(wmap, asg)
-    assert len(idx) == len(wbar) == np.count_nonzero(wmap.w)
+    positive = np.flatnonzero(wmap.w > 0)          # _assign's order
+    idx, wbar = asg.n_idx.take(positive), np.where(asg.occupied, 0.0, wmap.w).take(positive)
     loss = modulated._loss_fixed(x, y, wmap, idx, wbar)
     assert np.float64(loss).tobytes() == np.float64(_full_loss_fixed(x, y, wmap, asg)).tobytes()
     grad = modulated._gradient_fixed(x, y, wmap, idx, wbar, *bases)
@@ -611,6 +667,44 @@ def test_projections_refuse_coefficients_of_different_shapes(project, cos_c, sin
         project(cos_c, sin_c)
 
 
+@pytest.mark.filterwarnings("error")      # no RuntimeWarning or ComplexWarning on the way
+@pytest.mark.parametrize("project, non_finite", [(project_rms, "^coefficients must be finite"),
+                                                 (project_absolute, "too large to project")])
+@pytest.mark.parametrize("cos_c, sin_c, message", [
+    (np.array([math.nan]), np.array([1.0]), None),
+    (np.array([math.inf]), np.array([0.0]), None),
+    ([0.5, 0.5], [0.5, -math.inf], None),
+    (np.array([1j]), np.array([0j]), "^cos_coef must be an array of real numbers, got dtype c"),
+    (np.array([1.0]), np.array(["a"]), "^sin_coef must be an array of real numbers, got dtype <U1"),
+    (np.array([1.0], dtype=object), np.array([1.0]), "^cos_coef .* got dtype object$"),
+    ([[1.0], [1.0, 2.0]], [1.0, 2.0], r"^cos_coef must be an array of real numbers, got \[\["),
+], ids=["nan", "inf", "-inf-in-a-list", "complex", "string", "object", "ragged"])
+def test_projections_refuse_what_is_not_a_pair_of_finite_real_arrays(project, non_finite, cos_c,
+                                                                    sin_c, message):
+    # the RMS projection returned NaN (with a RuntimeWarning for inf) and took the
+    # real part of a complex array; both raised TypeError for other kinds
+    with pytest.raises(DomainError, match=message or non_finite):
+        project(cos_c, sin_c)
+
+
+@pytest.mark.parametrize("project", [project_rms, project_absolute])
+def test_projections_take_lists_of_numbers(project):
+    # project_rms of two lists raised TypeError from _rms
+    for cos_c, sin_c in (([3.0], [4.0]), ([3, 0], [4, 0]), ([0.1, 0.2], [0.0, 0.1])):
+        got = project(cos_c, sin_c)
+        want = project(np.array(cos_c, dtype=float), np.array(sin_c, dtype=float))
+        assert all(g.dtype == np.float64 and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    np.testing.assert_allclose(np.concatenate(project([3.0], [4.0])), [0.6, 0.8], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rms_projection_of_a_finite_vector_whose_rms_overflows_is_not_refused():
+    # only a NaN or infinite coefficient is refused; the optimizer projects
+    # such finite candidates on an overflowing step
+    qa, qb = project_rms(np.full(5, 1.7e308), np.zeros(5))
+    assert np.isfinite(qa).all() and np.isfinite(qb).all()
+
+
 def test_absolute_projection_satisfies_the_simplex_conditions():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -715,7 +809,9 @@ def test_optimize_stops_at_the_first_iterate_without_progress(patience):
 
 
 def _full_search_assign(x, y, wmap, threshold):
-    """Reference nearest-sample search over every patch, weighted or not."""
+    """Reference nearest-sample search over every patch, weighted or not,
+    returning what _assign returns: the loss, then the nearest sample and
+    the weight (0 where occupied) of each positive patch in row-major order."""
     size = wmap.size
     centers = -1.0 + (2.0 * np.arange(size) + 1.0) / size
     dx2 = (centers[:, None] - x[None, :]) ** 2
@@ -728,7 +824,8 @@ def _full_search_assign(x, y, wmap, threshold):
         best[ix] = d2[np.arange(size), n_idx[ix]]
     occupied = best < threshold * threshold
     wbar = np.where(occupied, 0.0, wmap.w)
-    return float(np.sum(wbar * best)), Assignment(n_idx=n_idx, occupied=occupied)
+    positive = np.flatnonzero(wmap.w > 0)
+    return float(np.sum(wbar * best)), n_idx.take(positive), wbar.take(positive)
 
 
 @pytest.mark.parametrize("wmap", [WeightMap.from_rectangles([ROI_B], 32), WeightMap.uniform(32)],

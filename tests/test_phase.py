@@ -65,6 +65,19 @@ def test_synthesize_quadrature_formula():
     np.testing.assert_allclose(xq, direct_q, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [[[0.0, 1.0]], np.zeros((2, 3)), np.zeros((1, 1, 1))],
+                         ids=["1x2", "2x3", "1x1x1"])
+def test_synthesize_quadrature_refuses_a_t_of_more_than_one_dimension(t):
+    # np.outer flattened a 2-D t, so [[0, 1]] gave two samples
+    state = MultitoneState(omegas=(1.0, 2.0, 5.0), amps=(0.3, 0.5, 0.2), phases=(0.1, -0.4, 1.2))
+    with pytest.raises(DomainError, match=r"^t must be a number or a 1-D array, got shape \("):
+        synthesize_quadrature(state, t)
+    one = synthesize_quadrature(state, 1.0)            # a number is one sample
+    assert [a.tolist() for a in one] == [a.tolist() for a in synthesize_quadrature(state, [1.0])]
+    with np.errstate(invalid="ignore"):                # NaN stays a pass-through
+        assert np.isnan(synthesize_quadrature(state, [math.nan])[0]).all()
+
+
 def test_multitone_round_trip():
     rng = np.random.default_rng(0)
     ts = np.array([0.0, 3.5, 7.0])
