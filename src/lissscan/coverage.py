@@ -24,7 +24,8 @@ import numpy as np
 
 from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, UnmodulatedDesign, as_fraction,
                      baseline_repeating_design, design_unmodulated)
-from .errors import DegeneratePattern, DomainError, LissscanError, number_value, value_text
+from .errors import (DegeneratePattern, DomainError, LissscanError, array_value, number_value,
+                     value_text)
 from .scanner import ScannerConfig, transfer_amplitude
 
 MAX_SWEEP_CELLS = 10**5   # bounds a CLI sweep's (ratio, m) grid before it is built
@@ -53,9 +54,9 @@ class SampledPattern:
 
     @np.errstate(over="ignore", invalid="ignore")   # a step past the float range is refused
     def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=np.float64)
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        self.t = array_value(self.t, "t")
+        self.x = array_value(self.x, "x")
+        self.y = array_value(self.y, "y")
         if not (self.t.ndim == self.x.ndim == self.y.ndim == 1):
             raise DomainError("t, x, y must be one-dimensional arrays")
         if not (len(self.t) == len(self.x) == len(self.y)) or len(self.t) < 2:
@@ -401,6 +402,8 @@ def phase_tolerance_sweep(design: UnmodulatedDesign, config: ScannerConfig,
     arithmetic, so every fill factor is bit-identical to sampling the
     shifted design afresh.
     """
+    if not np.iterable(deltas):
+        raise DomainError(f"deltas must be a sequence of numbers, got {value_text(deltas)}")
     out, frame = [], None
     for delta in deltas:
         delta = number_value(delta, "delta")

@@ -69,8 +69,10 @@ def value_text(value) -> str:
 
 def record_value(value, name: str, convert=float):
     """convert(value) for a numeric record field. A boolean, numpy's too, is
-    refused, as is a non-integral number for an int field (int() truncates)."""
-    if isinstance(value, bool) or getattr(value, "dtype", None) == bool or (
+    refused, as is a numpy complex (float() would drop its imaginary part)
+    and a non-integral number for an int field (int() truncates)."""
+    dtype_kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if isinstance(value, bool) or dtype_kind in ("b", "c") or (
             convert is int and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{name} must be {kind}, got {value_text(value)}")
@@ -101,3 +103,18 @@ def number_value(value, name: str, low=-math.inf, high=math.inf, convert=float, 
     else:
         limit = "finite" if low == -math.inf else f"finite and at least {low}"
     raise error(f"{name} must be {limit}, got {value_text(number)}")
+
+
+def array_value(value, name: str, error: type[LissscanError] = DomainError):
+    """value as a float64 array (value itself if it is one); error for a
+    complex, string, object or ragged array, whose conversion would fail or
+    drop an imaginary part. numpy is imported here, not with this module, so
+    that the commands that need no array start without it."""
+    import numpy as np
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):     # e.g. rows of different lengths
+        raise error(f"{name} must be an array of real numbers, got {value_text(value)}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)

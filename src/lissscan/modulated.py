@@ -27,8 +27,8 @@ import numpy as np
 from .coverage import (MAX_GRID, MAX_ITERS, SampledPattern, _patch_centers, _response,
                        _sample_count, _sample_times, sample_unmodulated)
 from .design import as_fraction, design_unmodulated
-from .errors import (DomainError, InvalidParams, OptimizationFailed, number_value, record_errors,
-                     record_value, value_text)
+from .errors import (DomainError, InvalidParams, OptimizationFailed, array_value, number_value,
+                     record_errors, record_value, value_text)
 from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
@@ -75,13 +75,7 @@ class WeightMap:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            raw = np.asarray(self.w)
-        except (TypeError, ValueError):     # e.g. rows of different lengths
-            raise DomainError("weights must be a square 2-D array of real numbers") from None
-        if raw.dtype.kind not in "biuf":
-            raise DomainError(f"weights must be real numbers, got dtype {raw.dtype}")
-        w = np.array(raw, dtype=np.float64, order="C")   # a copy, whatever the caller's layout
+        w = np.array(array_value(self.w, "weights"), order="C")   # a copy, whatever the layout
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise DomainError(f"weight map must be square and 2-D, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -154,26 +148,13 @@ def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def _real_array(value, name: str, error: type[Exception]) -> np.ndarray:
-    """value as a float64 array (value itself if it is one); error for a
-    complex, string, object or ragged array, whose conversion would fail or
-    drop an imaginary part."""
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):     # e.g. rows of different lengths
-        raise error(f"{name} must be an array of real numbers, got {value_text(value)}") from None
-    if arr.dtype.kind not in "biuf":
-        raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
-
-
 def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
     """Copies of the four coefficient arrays as finite 1-D float arrays
     whose per-axis RMS is within 1 (plus FEASIBILITY_SLACK); InvalidParams
     otherwise."""
     arrays = []
     for name, value in zip(_COEFFICIENTS, (alpha, gamma, beta, delta)):
-        arr = np.array(_real_array(value, name, InvalidParams))
+        arr = np.array(array_value(value, name, InvalidParams))
         if arr.ndim != 1 or not np.isfinite(arr).all():
             raise InvalidParams(f"{name} must be a finite 1-D array")
         arrays.append(arr)
@@ -450,8 +431,7 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
 def _coefficient_pair(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray]:
     """One axis's cosine and sine coefficients as float64 arrays of one
     shape; DomainError otherwise."""
-    cos_coef = _real_array(cos_coef, "cos_coef", DomainError)
-    sin_coef = _real_array(sin_coef, "sin_coef", DomainError)
+    cos_coef, sin_coef = array_value(cos_coef, "cos_coef"), array_value(sin_coef, "sin_coef")
     if cos_coef.shape != sin_coef.shape:
         raise DomainError(f"cosine and sine coefficients must share a shape, "
                           f"got {cos_coef.shape} and {sin_coef.shape}")
@@ -466,9 +446,14 @@ def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray,
     norm = _rms(cos_coef, sin_coef)
     if norm <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
-    # a NaN or infinite coefficient gives this norm, but so does a finite vector whose RMS overflows
-    if not norm < math.inf and not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
-        raise DomainError(f"coefficients must be finite, got an RMS of {norm}")
+    # a NaN or infinite coefficient gives this norm, but so does a finite vector whose RMS
+    # overflows; that one is first scaled by a power of two, which is exact and keeps its direction
+    if not norm < math.inf:
+        if not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
+            raise DomainError(f"coefficients must be finite, got an RMS of {norm}")
+        exponent = math.frexp(max(np.abs(cos_coef).max(), np.abs(sin_coef).max()))[1]
+        cos_coef, sin_coef = np.ldexp(cos_coef, -exponent), np.ldexp(sin_coef, -exponent)
+        norm = _rms(cos_coef, sin_coef)
     return cos_coef / norm, sin_coef / norm
 
 

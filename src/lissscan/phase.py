@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, UndefinedPhase, number_value, value_text
+from .errors import (DomainError, IllConditioned, UndefinedPhase, array_value, number_value,
+                     record_value, value_text)
 from .scanner import ScannerConfig
 
 COND_LIMIT = 1e8
@@ -29,9 +30,10 @@ _TWO_PI = 2.0 * math.pi
 
 @np.errstate(invalid="ignore")
 def wrap_phase(theta):
-    """Wrap radians into (-pi, pi]; works on scalars and arrays. Unchecked
-    helper: a NaN or infinite theta gives NaN."""
-    wrapped = np.mod(np.asarray(theta, dtype=np.float64) + np.pi, _TWO_PI) - np.pi
+    """Wrap radians into (-pi, pi]. theta is a number or an array of real
+    numbers of any shape (DomainError for a complex, text, object or ragged
+    one); a NaN or infinite theta gives NaN."""
+    wrapped = np.mod(array_value(theta, "theta") + np.pi, _TWO_PI) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.isscalar(theta) or np.ndim(theta) == 0 else wrapped
 
@@ -77,10 +79,10 @@ class MultitoneState:
 @np.errstate(over="ignore", invalid="ignore")
 def synthesize_quadrature(state: MultitoneState, t) -> tuple[np.ndarray, np.ndarray]:
     """x(t) = sum A_i cos(w_i t + phi_i) and its quadrature copy with sin.
-    Unchecked array helper: a NaN or infinite t, or one so large that w_i t
-    overflows, gives NaN samples. t is a number or a 1-D array (DomainError
-    for more dimensions)."""
-    t = np.asarray(t, dtype=np.float64)
+    t is a number or a 1-D array of real numbers (DomainError for more
+    dimensions, or for a complex, text, object or ragged t); a NaN or
+    infinite t, or one so large that w_i t overflows, gives NaN samples."""
+    t = array_value(t, "t")
     if t.ndim > 1:
         raise DomainError(f"t must be a number or a 1-D array, got shape {t.shape}")
     w = np.array(state.omegas)
@@ -112,9 +114,9 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
                     omegas: Sequence[float], frame_time: float) -> MultitoneState:
     """Recover three tone amplitudes and phases from quadrature samples taken
     at t = 0, frame_time/2 and frame_time."""
-    x = np.asarray(x_samples, dtype=np.float64)
-    xq = np.asarray(xq_samples, dtype=np.float64)
-    w = np.asarray(omegas, dtype=np.float64)
+    x = array_value(x_samples, "x_samples")
+    xq = array_value(xq_samples, "xq_samples")
+    w = array_value(omegas, "omegas")
     if x.shape != (3,) or xq.shape != (3,) or w.shape != (3,):
         raise DomainError("need exactly three samples per signal and three frequencies")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xq)) and np.all(np.isfinite(w))):
@@ -206,13 +208,13 @@ class DriftTrace:
 
 def _drift_offsets(drift_fn, times: np.ndarray) -> np.ndarray:
     try:
-        offsets = np.asarray(drift_fn(times), dtype=np.float64)
-        if offsets.shape == times.shape:
-            return offsets
-    except (TypeError, ValueError):
+        offsets = drift_fn(times)
+        if np.shape(offsets) == times.shape:
+            return array_value(offsets, "drift_fn's output")
+    except (TypeError, ValueError):     # a drift_fn of one time, or one number for all
         pass
     try:
-        return np.array([float(drift_fn(t)) for t in times])
+        return np.array([record_value(drift_fn(t), "drift_fn's output") for t in times])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"drift_fn must map a time to one number: {exc}") from exc
 

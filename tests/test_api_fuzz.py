@@ -1,20 +1,24 @@
 """API fuzz: every exported constructor and function, given one scalar
 argument from an edge set and every other argument valid, returns a checked
 value or raises a LissscanError; no other exception and no RuntimeWarning.
+Every array argument, given a malformed array (text, complex, object,
+ragged, None, one dimension too many, empty, a NaN) and every other
+argument valid, does the same under any warning.
 
-A completeness test reads every exported signature and dataclass field:
-each scalar argument needs a site here, and each site an argument.
+Completeness tests read every exported signature and dataclass field: each
+scalar argument needs a site here, each argument annotated as an array an
+array site, and each site an argument.
 
 Result records the package builds itself (CoverageReport, SweepRow,
 PeriodReport, DriftTrace, OptimizeResult, Assignment, ModulatedGradient) and
-functions that take no scalar argument are not called. Array arguments stay
-valid; their checks have tests of their own.
+functions that take no scalar or array argument are not called.
 """
 
 import dataclasses
 import enum
 import inspect
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -24,12 +28,13 @@ from hypothesis import given, settings, strategies as st
 
 import lissscan
 from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, OptimizeOptions,
-                      QuadraturePair, ScannerConfig, UnmodulatedDesign, WeightMap, as_fraction,
-                      baseline_repeating_design, case1_criterion, default_tone_indices,
-                      design_unmodulated, fill_factor, gradient, initial_params, objective,
-                      optimize, phase_tolerance_sweep, plant_phase_lag, reference_pattern,
-                      repeat_period, resonance_offset_for_phase_shift, roi_density,
-                      sample_unmodulated, simulate_drift_control, solve_multitone, sweep_designs,
+                      QuadraturePair, SampledPattern, ScannerConfig, UnmodulatedDesign, WeightMap,
+                      as_fraction, baseline_repeating_design, case1_criterion,
+                      default_tone_indices, design_unmodulated, fill_factor, gradient,
+                      initial_params, objective, optimize, phase_tolerance_sweep, plant_phase_lag,
+                      project_absolute, project_rms, reference_pattern, repeat_period,
+                      resonance_offset_for_phase_shift, roi_density, sample_unmodulated,
+                      simulate_drift_control, solve_multitone, sweep_designs,
                       synthesize_modulated, synthesize_quadrature, transfer_amplitude,
                       wrap_phase)
 from lissscan.design import DesignCase
@@ -44,8 +49,8 @@ PARAMS = initial_params(2, n_tones=3)
 WMAP = WeightMap.from_rectangles([ROI_B], 8)
 OMEGAS = tuple(2.0 * math.pi * f for f in (13 / 14, 1.0, 15 / 14))
 SCENARIO = DriftScenario(drift_fn=lambda t: 0.0 * t, frame_time=6.4)
-SAMPLES = synthesize_quadrature(MultitoneState(OMEGAS, (0.3, 0.5, 0.7), (0.1, -0.2, 0.3)),
-                                np.array([0.0, 3.5, 7.0]))
+STATE = MultitoneState(OMEGAS, (0.3, 0.5, 0.7), (0.1, -0.2, 0.3))
+SAMPLES = synthesize_quadrature(STATE, np.array([0.0, 3.5, 7.0]))
 
 
 def _params(**fields):
@@ -129,8 +134,7 @@ SITES = {
     "MultitoneState.omegas": lambda v: MultitoneState((v, 2.0, 3.0), (1, 1, 1), (0, 0, 0)),
     "MultitoneState.amps": lambda v: MultitoneState((1.0, 2.0, 3.0), (1, v, 1), (0, 0, 0)),
     "MultitoneState.phases": lambda v: MultitoneState((1.0, 2.0, 3.0), (1, 1, 1), (0, 0, v)),
-    "synthesize_quadrature.t": lambda v: synthesize_quadrature(
-        MultitoneState(OMEGAS, (0.3, 0.5, 0.7), (0.1, -0.2, 0.3)), v),
+    "synthesize_quadrature.t": lambda v: synthesize_quadrature(STATE, v),
     "solve_multitone.frame_time": lambda v: solve_multitone(*SAMPLES, OMEGAS, v),
     "plant_phase_lag.f_drive": lambda v: plant_phase_lag(v, 2.0, 20.0),
     "plant_phase_lag.f_res": lambda v: plant_phase_lag(2.0, v, 20.0),
@@ -156,22 +160,17 @@ SITES = {
 # array helpers that pass a NaN through, as their docstrings say
 PASS_THROUGH = {"wrap_phase", "synthesize_quadrature.t"}
 
-# Every argument that is not one scalar number, so has no site: these
-# names (the package's records, paths, axis names) wherever they appear,
-# and the arrays, strings, flags and callables below. A site may fuzz one
-# element of an array argument or one field of a record argument (PART_SITES).
+# Every argument that is not one scalar number or an array, so has no site:
+# these names (the package's records, paths, axis names) wherever they
+# appear, and the sequences, strings, flags and callables below. A site may
+# fuzz one element of a sequence argument or one field of a record argument
+# (PART_SITES).
 NOT_SCALAR_NAMES = {"config", "design", "pattern", "wmap", "params", "init", "opts", "scenario",
                     "state", "pair", "data", "path", "axis"}
 NOT_SCALAR = set("""
     DriftScenario.drift_fn DriftScenario.control_enabled OptimizeOptions.constraint
     UnmodulatedDesign.case UnmodulatedDesign.note initial_params.y_single_tone
-    ModulatedParams.alpha ModulatedParams.gamma ModulatedParams.beta ModulatedParams.delta
-    ModulatedParams.with_coefficients.alpha ModulatedParams.with_coefficients.gamma
-    ModulatedParams.with_coefficients.beta ModulatedParams.with_coefficients.delta
-    SampledPattern.t SampledPattern.x SampledPattern.y WeightMap.w WeightMap.from_rectangles.rois
-    roi_density.rois phase_tolerance_sweep.deltas sweep_designs.r_grid sweep_designs.m_set
-    project_rms.cos_coef project_rms.sin_coef project_absolute.cos_coef project_absolute.sin_coef
-    solve_multitone.x_samples solve_multitone.xq_samples solve_multitone.omegas
+    WeightMap.from_rectangles.rois roi_density.rois sweep_designs.r_grid sweep_designs.m_set
 """.split())
 PART_SITES = {
     "sweep_designs.r": "sweep_designs.r_grid", "sweep_designs.m": "sweep_designs.m_set",
@@ -218,6 +217,66 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
         f"{site} read {value!r} as a number"
 
 
+# array site -> (a valid value, call with the drawn array in that argument)
+ARRAY_SITES = {
+    "SampledPattern.t": (PATTERN.t, lambda v: SampledPattern(v, PATTERN.x, PATTERN.y)),
+    "SampledPattern.x": (PATTERN.x, lambda v: SampledPattern(PATTERN.t, v, PATTERN.y)),
+    "SampledPattern.y": (PATTERN.y, lambda v: SampledPattern(PATTERN.t, PATTERN.x, v)),
+    "WeightMap.w": (WMAP.w, WeightMap),
+    "project_rms.cos_coef": (3.0 * PARAMS.alpha, lambda v: project_rms(v, PARAMS.gamma)),
+    "project_rms.sin_coef": (3.0 * PARAMS.gamma, lambda v: project_rms(PARAMS.alpha, v)),
+    "project_absolute.cos_coef": (3.0 * PARAMS.alpha,
+                                  lambda v: project_absolute(v, PARAMS.gamma)),
+    "project_absolute.sin_coef": (3.0 * PARAMS.gamma,
+                                  lambda v: project_absolute(PARAMS.alpha, v)),
+    "solve_multitone.x_samples": (SAMPLES[0], lambda v: solve_multitone(v, SAMPLES[1], OMEGAS,
+                                                                        7.0)),
+    "solve_multitone.xq_samples": (SAMPLES[1], lambda v: solve_multitone(SAMPLES[0], v, OMEGAS,
+                                                                         7.0)),
+    "solve_multitone.omegas": (np.array(OMEGAS), lambda v: solve_multitone(*SAMPLES, v, 7.0)),
+    "phase_tolerance_sweep.deltas": (np.array([0.0, 0.1]),
+                                     lambda v: phase_tolerance_sweep(DESIGN, CFG, v)),
+    "wrap_phase.theta": (np.array([0.5, 4.0]), wrap_phase),
+    "synthesize_quadrature.t": (np.array([0.0, 3.5, 7.0]),
+                                lambda v: synthesize_quadrature(STATE, v)),
+}
+for _name in ("alpha", "gamma", "beta", "delta"):
+    ARRAY_SITES[f"ModulatedParams.{_name}"] = (getattr(PARAMS, _name),
+                                               lambda v, name=_name: _params(**{name: v}))
+    ARRAY_SITES[f"ModulatedParams.with_coefficients.{_name}"] = (
+        getattr(PARAMS, _name), lambda v, name=_name: PARAMS.with_coefficients(**{name: v}))
+# array helpers that pass a NaN through, as their docstrings say
+ARRAY_PASS_THROUGH = {("wrap_phase.theta", "nan"), ("synthesize_quadrature.t", "nan")}
+# the annotations that mark an argument as an array
+ARRAY_ANNOTATION = re.compile(r"ndarray|^Sequence\[float\]$")
+
+
+def _malformed(valid: np.ndarray) -> dict:
+    """Malformed arrays made from a valid value of an array argument."""
+    nan = np.array(valid, dtype=float)
+    nan.flat[0] = math.nan
+    return {"text": np.full(valid.shape, "x"), "complex": valid + 1j,
+            "fractions": np.array([F(v) for v in valid.flat], dtype=object).reshape(valid.shape),
+            "ragged": [valid.tolist(), valid.tolist()[:-1]], "none": None,
+            "stacked": np.stack([valid, valid]), "empty": np.array([]), "nan": nan}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", sorted(_malformed(np.zeros(2))))
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+def test_a_malformed_array_gives_a_checked_result_or_a_lissscan_error(site, form):
+    # a complex array lost its imaginary part (with a ComplexWarning), and a
+    # text or ragged array raised numpy's ValueError, wherever an argument did
+    # not go through errors.array_value
+    valid, call = ARRAY_SITES[site]
+    try:
+        result = call(_malformed(valid)[form])
+    except LissscanError:
+        return
+    assert (site, form) in ARRAY_PASS_THROUGH or _checked(result), \
+        f"{site} ({form}) returned {result!r}"
+
+
 # non-numeric or out-of-float-range arguments that reached a raw exception
 MALFORMED = {
     "UnmodulatedDesign.case": (lambda: UnmodulatedDesign(fx=F(41, 28), phix=0.0, m=7,
@@ -250,6 +309,14 @@ MALFORMED = {
         DriftScenario(lambda t: "a", 6.4), CFG, "x", 1.5, 64.0), DomainError),
     "DriftScenario.drift_fn.returns_none": (lambda: simulate_drift_control(
         DriftScenario(lambda t: None, 6.4), CFG, "x", 1.5, 64.0), DomainError),
+    # a complex output lost its imaginary part, so t * 1j simulated as no drift,
+    # and an array of numbers as text was read as those numbers
+    "DriftScenario.drift_fn.returns_complex": (lambda: simulate_drift_control(
+        DriftScenario(lambda t: t * 1j, 6.4), CFG, "x", 1.5, 64.0), DomainError),
+    "DriftScenario.drift_fn.returns_complex_per_time": (lambda: simulate_drift_control(
+        DriftScenario(lambda t: np.complex128(float(t)), 6.4), CFG, "x", 1.5, 64.0), DomainError),
+    "DriftScenario.drift_fn.returns_text_array": (lambda: simulate_drift_control(
+        DriftScenario(lambda t: (0.0 * t).astype(str), 6.4), CFG, "x", 1.5, 64.0), DomainError),
 }
 
 
@@ -267,39 +334,50 @@ def test_the_largest_tone_index_and_a_case_name_are_taken():
     assert design.case is DesignCase.CASE1 and design.to_dict()["case"] == "Case1"
 
 
-def _arguments() -> set[str]:
+def _arguments() -> dict[str, object]:
     """Every argument of an exported function, and every field and public-method
-    argument of an exported class that a caller builds, as "callable.argument"."""
-    found = set()
+    argument of an exported class that a caller builds, as "callable.argument",
+    each with its annotation (a string, or inspect's empty marker)."""
+    found = {}
     for name in lissscan.__all__:
         obj = getattr(lissscan, name)
         if not callable(obj) or name in RESULTS or (
                 inspect.isclass(obj) and issubclass(obj, (Exception, enum.Enum))):
             continue
         if not inspect.isclass(obj):
-            found |= {f"{name}.{arg}" for arg in inspect.signature(obj).parameters}
+            found |= {f"{name}.{arg.name}": arg.annotation
+                      for arg in inspect.signature(obj).parameters.values()}
             continue
-        found |= {f"{name}.{field.name}" for field in dataclasses.fields(obj)}
+        found |= {f"{name}.{field.name}": field.type for field in dataclasses.fields(obj)}
         for method, fn in vars(obj).items():
             fn = getattr(fn, "__func__", fn)        # a classmethod's function
             if not method.startswith("_") and inspect.isfunction(fn):
-                args = list(inspect.signature(fn).parameters)[1:]     # past self or cls
-                found |= {f"{name}.{method}.{arg}" for arg in args}
+                args = list(inspect.signature(fn).parameters.values())[1:]   # past self or cls
+                found |= {f"{name}.{method}.{arg.name}": arg.annotation for arg in args}
     return found
 
 
 def test_every_scalar_argument_has_a_site_and_every_site_an_argument():
-    arguments = _arguments()
+    arguments = set(_arguments())
     # a site without a dot is a one-argument function and stands for that argument
     sited = {site if "." in site else
              f"{site}.{next(iter(inspect.signature(getattr(lissscan, site)).parameters))}"
              for site in SITES}
-    unfuzzed = {arg for arg in arguments - sited - NOT_SCALAR
+    unfuzzed = {arg for arg in arguments - sited - NOT_SCALAR - ARRAY_SITES.keys()
                 if arg.rsplit(".", 1)[1] not in NOT_SCALAR_NAMES}
     assert not unfuzzed, f"scalar arguments with no site: {sorted(unfuzzed)}"
     stale = {site for site in sited - arguments if PART_SITES.get(site) not in arguments}
     assert not stale, f"sites of no argument: {sorted(stale)}"
     assert NOT_SCALAR <= arguments, f"listed but gone: {sorted(NOT_SCALAR - arguments)}"
+
+
+def test_every_array_argument_has_an_array_site_and_every_array_site_an_argument():
+    arguments = _arguments()
+    arrays = {arg for arg, note in arguments.items() if ARRAY_ANNOTATION.search(str(note))}
+    unfuzzed = arrays - ARRAY_SITES.keys()
+    assert not unfuzzed, f"array arguments with no array site: {sorted(unfuzzed)}"
+    stale = ARRAY_SITES.keys() - arguments.keys()
+    assert not stale, f"array sites of no argument: {sorted(stale)}"
 
 
 def test_a_refused_number_of_any_length_gives_a_short_message():

@@ -4,13 +4,14 @@ projected-descent optimizer."""
 import copy
 import math
 import pickle
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lissscan import modulated
 from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, OptimizeOptions,
@@ -22,6 +23,7 @@ from lissscan import (ROI_A, ROI_B, Assignment, DriftScenario, ModulatedParams, 
                       sweep_designs, synthesize_modulated, transfer_amplitude)
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, _patch_centers
 from lissscan.errors import DomainError, InvalidParams, OptimizationFailed
+from lissscan.modulated import FEASIBILITY_SLACK
 
 F = Fraction
 
@@ -137,6 +139,17 @@ def test_tone_frequencies_sit_on_the_grid():
     params = initial_params(2, m=7, n_tones=5)
     np.testing.assert_allclose(params.fx_tones, np.array([24, 26, 28, 30, 32]) / 14.0)
     assert params.fx_tones[2] == pytest.approx(2.0)   # center tone on resonance
+
+
+@pytest.mark.parametrize("cos_name, sin_name", [("alpha", "gamma"), ("beta", "delta")])
+def test_coefficient_rms_bound_is_one_plus_the_feasibility_slack(cos_name, sin_name):
+    base, zeros = initial_params(1, n_tones=3), np.zeros(3)
+    for rms in (1.0 + FEASIBILITY_SLACK / 2, 1.0 + FEASIBILITY_SLACK):
+        params = base.with_coefficients(**{cos_name: [rms, 0.0, 0.0], sin_name: zeros})
+        assert getattr(params, cos_name)[0] == rms
+    with pytest.raises(InvalidParams, match="coefficient RMS 1.000000 exceeds 1"):
+        base.with_coefficients(**{cos_name: [1.0 + 2 * FEASIBILITY_SLACK, 0.0, 0.0],
+                                  sin_name: zeros})
 
 
 def test_params_validation():
@@ -705,6 +718,28 @@ def test_rms_projection_of_a_finite_vector_whose_rms_overflows_is_not_refused():
     assert np.isfinite(qa).all() and np.isfinite(qb).all()
 
 
+_HUGE = (st.just(0.0) | st.floats(1e300, sys.float_info.max)
+         | st.floats(-sys.float_info.max, -1e300))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@example(pair=([1.7e308] * 5, [0.0] * 5))
+@given(pair=st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(_HUGE, min_size=n, max_size=n), st.lists(_HUGE, min_size=n, max_size=n))))
+def test_rms_projection_of_an_overflowing_rms_is_that_of_the_vector_scaled_down(pair):
+    # project_rms(np.full(5, 1.7e308), np.zeros(5)) gave five zeros: the RMS
+    # overflowed to inf and every coefficient was divided by it. Scaling by a
+    # power of two is exact, so the projection of the vector scaled by 2**-600
+    # (whose RMS stays in range) is the answer to the last bit.
+    cos_c, sin_c = np.array(pair[0]), np.array(pair[1])
+    assume(math.hypot(*cos_c, *sin_c) == math.inf)
+    got = project_rms(cos_c, sin_c)
+    want = project_rms(np.ldexp(cos_c, -600), np.ldexp(sin_c, -600))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert modulated._rms(*got) <= 1.0 + FEASIBILITY_SLACK
+
+
 def test_absolute_projection_satisfies_the_simplex_conditions():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -963,14 +998,40 @@ def test_objective_and_gradient_refuse_a_non_finite_result(call):
 
 
 @pytest.mark.filterwarnings("error")      # no numpy overflow warning reaches stderr
-@pytest.mark.parametrize("weight, step", [(1e308, 0.05), (1e307, 1e3)], ids=["1e+308", "1e+307"])
+@pytest.mark.parametrize("weight, step", [(1e308, 0.05)], ids=["1e+308"])
 def test_optimize_fails_with_its_trace_when_the_loss_overflows(weight, step):
-    # 1e308: the very first loss overflows; 1e307 with a long step: a later one does
+    # 1e308: the very first loss overflows
     with pytest.raises(OptimizationFailed, match="non-finite") as err:
         optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), weight)),
                  OptimizeOptions(step=step))
     trace = err.value.trace
     assert not math.isfinite(trace[-1]) and np.all(np.isfinite(trace[:-1]))
+
+
+def test_optimize_fails_with_its_trace_when_a_later_loss_overflows(monkeypatch):
+    assign = modulated._assign
+    calls = []
+
+    def overflow_on_the_third_call(*args):
+        calls.append(None)
+        loss, idx, wbar = assign(*args)
+        return (math.inf if len(calls) == 3 else loss), idx, wbar
+    monkeypatch.setattr(modulated, "_assign", overflow_on_the_third_call)
+    with pytest.raises(OptimizationFailed, match="objective became non-finite") as err:
+        optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                 OptimizeOptions(max_iters=5))
+    trace = err.value.trace
+    assert len(trace) == 3 and trace[-1] == math.inf and np.all(np.isfinite(trace[:-1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_optimize_takes_a_long_step_whose_candidate_rms_overflows():
+    # the RMS projection turned such a candidate into zeros, whose loss then
+    # overflowed: optimize raised OptimizationFailed on its second iterate
+    res = optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), 1e307)),
+                   OptimizeOptions(step=1e3))
+    assert np.all(np.isfinite(res.loss_trace)) and len(res.loss_trace) > 3
+    assert np.all(res.norm_trace <= 1.0 + FEASIBILITY_SLACK)
 
 
 @pytest.mark.filterwarnings("error")      # the overflowing steps warn nothing
