@@ -211,7 +211,7 @@ def _drift_offsets(drift_fn, times: np.ndarray) -> np.ndarray:
         offsets = drift_fn(times)
         if np.shape(offsets) == times.shape:
             return array_value(offsets, "drift_fn's output")
-    except (TypeError, ValueError):     # a drift_fn of one time, or one number for all
+    except (TypeError, ValueError):     # a drift_fn of one time only
         pass
     try:
         return np.array([record_value(drift_fn(t), "drift_fn's output") for t in times])
