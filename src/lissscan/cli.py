@@ -111,8 +111,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                               y_single_tone=args.y_single_tone)
     result = optimize(init, wmap, opts)
     optimized = synthesize_modulated(result.params, args.n_samples)
-    reference = reference_pattern(r, m=args.m, config=scanner,
-                                  n_samples=args.n_samples)
+    reference = reference_pattern(r, m=result.params.m, config=scanner, n_samples=args.n_samples)
     payload = result.params.to_dict()
     payload.update({
         "fx_tone_freqs": result.params.fx_tones.tolist(),

@@ -311,14 +311,11 @@ class SweepRow:
     status: str                # "ok" | "error:<Kind>"
 
 
-def _score_geometry(args: tuple) -> float | str:
-    """Fill factor of one pattern geometry at unit amplitude, or its error status."""
+def _score_geometry(args: tuple) -> float:
+    """Fill factor of one pattern geometry at unit amplitude."""
     design, config, n_samples, n_grid = args
-    try:
-        pattern = sample_unmodulated(design, config, 0, n_samples, amp_x=1.0, amp_y=1.0)
-        return fill_factor(pattern, n_grid).fill_factor
-    except LissscanError as exc:
-        return f"error:{type(exc).__name__}"
+    pattern = sample_unmodulated(design, config, 0, n_samples, amp_x=1.0, amp_y=1.0)
+    return fill_factor(pattern, n_grid).fill_factor
 
 
 def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
@@ -330,7 +327,8 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     Returns one row per (r, m, rule) in deterministic order; a repeated
     ratio or frame time counts once, where it first appears. Cells where a
     rule errors come back flagged in the status column instead of being
-    dropped. Each distinct geometry (fx, fy, phix, phiy, m) is scored once,
+    dropped; n_samples and n_grid are checked before any design is built
+    (DomainError). Each distinct geometry (fx, fy, phix, phiy, m) is scored once,
     at unit amplitude, which fill factor does not depend on. workers > 1
     scores the geometries in a process pool of at most that many processes,
     fewer when the CPUs this process may run on or the pool's tasks
@@ -345,6 +343,7 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     r_grid = list(dict.fromkeys(as_fraction(r) for r in r_grid))
     m_set = list(dict.fromkeys(number_value(m, "m", convert=int) for m in m_set))
     workers = 1 if workers is None else number_value(workers, "workers", 1, convert=int)
+    n_samples, n_grid = _sample_count(n_samples), _grid_count(n_grid)
     if not r_grid or not m_set:
         raise DomainError("sweep grids must be non-empty")
     qx, qy = (config.qx, config.qy) if config is not None else (20.0, 20.0)
@@ -369,14 +368,9 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
             fills = dict(zip(jobs, pool.map(_score_geometry, jobs.values(), chunksize=POOL_CHUNK)))
     else:
         fills = {geometry: _score_geometry(args) for geometry, args in jobs.items()}
-    rows = []
-    for r, m, rule, geometry, outcome in cells:
-        fill = outcome if geometry is None else fills[geometry]
-        if isinstance(fill, str):
-            rows.append(SweepRow(r, m, rule, None, None, fill))
-        else:
-            rows.append(SweepRow(r, m, rule, fill, outcome, "ok"))
-    return rows
+    return [SweepRow(r, m, rule, None, None, outcome) if geometry is None else
+            SweepRow(r, m, rule, fills[geometry], outcome, "ok")
+            for r, m, rule, geometry, outcome in cells]
 
 
 def _usable_cpus() -> int:
@@ -389,7 +383,12 @@ def _usable_cpus() -> int:
 def sweep_workers_from_env() -> int | None:
     """Worker cap from the LISSSCAN_THREADS environment variable, if set."""
     raw = os.environ.get("LISSSCAN_THREADS")
-    return None if raw is None else number_value(raw, "LISSSCAN_THREADS", 1, convert=int)
+    if raw is None:
+        return None
+    try:
+        return number_value(int(raw), "LISSSCAN_THREADS", 1, convert=int)
+    except ValueError:
+        raise DomainError(f"LISSSCAN_THREADS must be an integer, got {value_text(raw)}") from None
 
 
 def phase_tolerance_sweep(design: UnmodulatedDesign, config: ScannerConfig,

@@ -2,6 +2,7 @@
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 
 class LissscanError(Exception):
@@ -69,11 +70,13 @@ def value_text(value) -> str:
 
 def record_value(value, name: str, convert=float):
     """convert(value) for a numeric record field. A boolean, numpy's too, is
-    refused, as is a numpy complex (float() would drop its imaginary part)
-    and a non-integral number for an int field (int() truncates)."""
+    refused, as is a numpy complex (float() would drop its imaginary part),
+    a non-integral number for an int field (int() truncates) and text,
+    which only a Fraction field reads ("41/28")."""
     dtype_kind = getattr(getattr(value, "dtype", None), "kind", None)
     if isinstance(value, bool) or dtype_kind in ("b", "c") or (
-            convert is int and isinstance(value, float) and not value.is_integer()):
+            convert is int and isinstance(value, float) and not value.is_integer()) or (
+            convert is not Fraction and isinstance(value, (str, bytes, bytearray))):
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{name} must be {kind}, got {value_text(value)}")
     return convert(value)

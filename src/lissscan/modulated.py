@@ -141,27 +141,9 @@ _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 @np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
-    """Root of one axis's summed squared coefficients."""
+    """Root of one axis's summed squared coefficients; inf once that sum overflows."""
     total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
-    if total == math.inf:    # a square leaves the float range
-        return math.hypot(*cos_coef, *sin_coef)
     return math.sqrt(total)
-
-
-def _checked_coefficients(alpha, gamma, beta, delta) -> tuple[np.ndarray, ...]:
-    """Copies of the four coefficient arrays as finite 1-D float arrays
-    whose per-axis RMS is within 1 (plus FEASIBILITY_SLACK); InvalidParams
-    otherwise."""
-    arrays = []
-    for name, value in zip(_COEFFICIENTS, (alpha, gamma, beta, delta)):
-        arr = np.array(array_value(value, name, InvalidParams))
-        if arr.ndim != 1 or not np.isfinite(arr).all():
-            raise InvalidParams(f"{name} must be a finite 1-D array")
-        arrays.append(arr)
-    for axis, rms in (("x", _rms(*arrays[:2])), ("y", _rms(*arrays[2:]))):
-        if rms > 1.0 + FEASIBILITY_SLACK:
-            raise InvalidParams(f"{axis}-axis coefficient RMS {rms:.6f} exceeds 1")
-    return tuple(arrays)
 
 
 @dataclass(eq=False)
@@ -183,8 +165,14 @@ class ModulatedParams:
     config: ScannerConfig
 
     def __post_init__(self) -> None:
-        self.alpha, self.gamma, self.beta, self.delta = _checked_coefficients(
-            self.alpha, self.gamma, self.beta, self.delta)
+        for name in _COEFFICIENTS:    # each a copy, as a finite 1-D float array
+            arr = np.array(array_value(getattr(self, name), name, InvalidParams))
+            if arr.ndim != 1 or not np.isfinite(arr).all():
+                raise InvalidParams(f"{name} must be a finite 1-D array")
+            setattr(self, name, arr)
+        for axis, rms in (("x", self.rms_x), ("y", self.rms_y)):
+            if rms > 1.0 + FEASIBILITY_SLACK:
+                raise InvalidParams(f"{axis}-axis coefficient RMS {rms:.6f} exceeds 1")
         for name in ("nx", "ny"):
             tones = tuple(number_value(n, name, 1, sys.float_info.max, int, error=InvalidParams)
                           for n in getattr(self, name))
@@ -441,13 +429,14 @@ def _coefficient_pair(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray]:
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial projection of one axis onto the RMS unit ball. The two
     coefficient arrays must hold real numbers, finite ones, and share a
-    shape (DomainError)."""
+    shape (DomainError). A vector whose squares overflow is first scaled
+    by a power of two, which is exact."""
     cos_coef, sin_coef = _coefficient_pair(cos_coef, sin_coef)
     norm = _rms(cos_coef, sin_coef)
     if norm <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
-    # a NaN or infinite coefficient gives this norm, but so does a finite vector whose RMS
-    # overflows; that one is first scaled by a power of two, which is exact and keeps its direction
+    # a NaN or infinite coefficient gives this norm, but so does a finite vector whose squares
+    # overflow; that one is first scaled by a power of two, which is exact and keeps its direction
     if not norm < math.inf:
         if not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
             raise DomainError(f"coefficients must be finite, got an RMS of {norm}")
@@ -538,7 +527,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     backtracking judged against the frozen-assignment loss, projection onto
     the constraint set, then a fresh assignment. Returns the best-seen
     iterate; raises OptimizationFailed (with the trace so far) if the loss
-    or its gradient is not finite.
+    or its gradient is not finite, or if a stepped iterate's norm_trace
+    entry exceeds 1 + FEASIBILITY_SLACK (iterate 0, init, is not checked).
     """
     opts = opts or OptimizeOptions()
     if not len(wmap._plan.flat):
@@ -577,12 +567,16 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 step *= 0.5
                 # the last halved candidate is taken even if it still increases;
                 # best-seen tracking protects the returned iterate
-            coef = _checked_coefficients(a, g, b, d)
+            coef = (a, g, b, d)
+        norm = _constraint_norm(*coef, opts.constraint)
+        if iteration and not norm <= 1.0 + FEASIBILITY_SLACK:
+            raise OptimizationFailed(f"iterate {iteration} left the constraint set, norm {norm}",
+                                     trace=np.array(trace))
         loss, idx, wbar = _assign(x, y, wmap, threshold)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
         trace.append(loss)
-        norms.append(_constraint_norm(*coef, opts.constraint))
+        norms.append(norm)
         if loss < best_loss:
             best_loss, best_coef = loss, coef
         if iteration >= opts.patience:

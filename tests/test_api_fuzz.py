@@ -40,7 +40,8 @@ from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, Opt
 from lissscan.design import DesignCase
 from lissscan.errors import DomainError, InvalidParams, LissscanError
 
-EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5]
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5,
+         "1.5"]
 
 CFG = ScannerConfig.normalized(1.5)
 DESIGN = design_unmodulated(F(3, 2), 7)
@@ -159,6 +160,11 @@ SITES = {
 }
 # array helpers that pass a NaN through, as their docstrings say
 PASS_THROUGH = {"wrap_phase", "synthesize_quadrature.t"}
+# sites that read a ratio through as_fraction, which takes text such as "41/28"
+RATIO_SITES = {"as_fraction", "UnmodulatedDesign.fx", "UnmodulatedDesign.fy",
+               "design_unmodulated.r", "baseline_repeating_design.r", "repeat_period.fx",
+               "repeat_period.fy", "sweep_designs.r", "default_tone_indices.r", "initial_params.r",
+               "reference_pattern.r"}
 
 # Every argument that is not one scalar number or an array, so has no site:
 # these names (the package's records, paths, axis names) wherever they
@@ -211,10 +217,9 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
     if site in PASS_THROUGH:
         return
     assert _checked(result), f"{site}({value!r}) returned {result!r}"
-    # a boolean is never a number; a sweep flags the cells it could not score instead
-    assert not isinstance(value, (bool, np.bool_)) or (
-        site.startswith("sweep_designs.") and all(row.status != "ok" for row in result)), \
-        f"{site} read {value!r} as a number"
+    # a boolean is never a number, and text is one only where a ratio is read
+    assert not isinstance(value, (bool, np.bool_)), f"{site} read {value!r} as a number"
+    assert not isinstance(value, str) or site in RATIO_SITES, f"{site} read {value!r} as a number"
 
 
 # array site -> (a valid value, call with the drawn array in that argument)

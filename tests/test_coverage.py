@@ -437,10 +437,19 @@ def test_sweep_counts_a_repeated_ratio_or_frame_time_once():
     assert [(row.r, row.m) for row in rows] == [(F(3, 2), 7)] * 2 + [(F(8, 5), 7)] * 2
 
 
-def test_sweep_scoring_errors_reach_every_cell_of_the_geometry():
-    rows = sweep_designs(REPEAT_GRID, [7], n_grid=1)
-    assert [row.status for row in rows] == ["error:DomainError"] * 8
-    assert all(row.fill_factor is None and row.scanning_range is None for row in rows)
+@pytest.mark.parametrize("sizes", [{"n_grid": 1}, {"n_grid": 2.5}, {"n_samples": 1},
+                                   {"n_samples": True}, {"n_samples": "50"}])
+def test_sweep_refuses_an_invalid_size_before_it_builds_a_design_or_a_pool(sizes, monkeypatch):
+    # each cell came back as error:DomainError, after every design was built
+    # and a process pool started to score them
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the sizes were checked")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    monkeypatch.setattr(coverage, "design_unmodulated", fail)
+    monkeypatch.setattr(coverage, "baseline_repeating_design", fail)
+    monkeypatch.setattr(coverage.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(DomainError, match=f"^{next(iter(sizes))} must be"):
+        sweep_designs(*POOL_GRID, workers=2, **sizes)
 
 
 def test_sweep_validation():

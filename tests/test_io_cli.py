@@ -674,6 +674,14 @@ _MALFORMED_CASES = [
     ("--samples", ("xq",), [0.1, False, 0.2], "DomainError"),
     ("--samples", ("omegas",), [True, 6.3, 6.7], "DomainError"),
     ("--samples", ("frame_time",), True, "DomainError"),
+    # numbers given as text were read as those numbers; only a ratio is text ("41/28")
+    ("--scanner", ("fx_res",), "1.5", "ConfigError"),
+    ("--design", ("m",), "7", "DomainError"),
+    ("--init", ("alpha",), ["0.1", "0.2", "0.3"], "InvalidParams"),
+    ("--init", ("m",), "7", "InvalidParams"),
+    ("--scenario", ("frame_time",), "6.4", "DomainError"),
+    ("--scenario", ("drift",), {"type": "linear", "rate_per_s": "0.1"}, "DomainError"),
+    ("--samples", ("frame_time",), "7", "DomainError"),
 ]
 
 
@@ -760,6 +768,19 @@ def test_cli_optimize_with_init_does_not_build_the_cold_start(tmp_path):
                          "--n-samples", "200", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["nx"] == list(warm.nx) and payload["m"] == warm.m
+
+
+def test_cli_optimize_compares_a_warm_start_with_the_reference_of_its_own_m(tmp_path):
+    # the reference pattern took --m (default 7), not the m of the --init params
+    scanner = _scanner_file(tmp_path, r=2.0)
+    roi = Path(__file__).parent / "golden" / "inputs" / "roi_b.pgm"
+    argv = ["optimize", "--scanner", str(scanner), "--roi", str(roi), "--max-iters", "3"]
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    assert cli_dispatch(argv + ["--m", "9", "--out", str(cold)]) == 0
+    assert cli_dispatch(argv + ["--init", str(cold), "--out", str(warm)]) == 0
+    cold, warm = json.loads(cold.read_text()), json.loads(warm.read_text())
+    assert warm["m"] == cold["m"] == 9
+    assert warm["roi_density_reference"] == cold["roi_density_reference"]
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -740,6 +740,25 @@ def test_rms_projection_of_an_overflowing_rms_is_that_of_the_vector_scaled_down(
     assert modulated._rms(*got) <= 1.0 + FEASIBILITY_SLACK
 
 
+@settings(max_examples=300, deadline=None)
+@example(pair=([-1.3373992819728743e+265], [-1.1367426697228907e+270]), data=None)
+@given(pair=st.integers(1, 8).flatmap(lambda n: st.tuples(*[st.lists(
+    st.floats(-1e307, 1e307, allow_subnormal=False), min_size=n, max_size=n)] * 2)),
+    data=st.data())
+def test_rms_projection_is_that_of_the_vector_scaled_by_any_power_of_two(pair, data):
+    # a vector whose squares overflowed was projected through math.hypot, and
+    # its projection could differ from that of the vector scaled into range by
+    # 1-2 ulps; a power of two now leaves the projection unchanged wherever
+    # scaling the largest entry below 1 is exact for every entry
+    cos_c, sin_c = np.array(pair[0]), np.array(pair[1])
+    top = math.frexp(max(np.abs(cos_c).max(), np.abs(sin_c).max()))[1]
+    assume(top > 1)     # the largest entry is at least 1, so the RMS is too
+    assume(all(np.array_equal(np.ldexp(np.ldexp(v, -top), top), v) for v in (cos_c, sin_c)))
+    k = 459 if data is None else data.draw(st.integers(1, top - 1), label="k")
+    got, want = project_rms(cos_c, sin_c), project_rms(np.ldexp(cos_c, -k), np.ldexp(sin_c, -k))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_absolute_projection_satisfies_the_simplex_conditions():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -879,15 +898,64 @@ def test_optimize_is_bit_identical_to_a_full_nearest_sample_search(wmap, monkeyp
 
 
 @pytest.mark.parametrize("projection, message", [
-    (lambda c, s: (c * math.nan, s), "alpha must be a finite"),
-    (lambda c, s: (c + 1.0, s), "x-axis coefficient RMS"),
+    (lambda c, s: (c * math.nan, s), "norm nan$"),
+    (lambda c, s: (c + 1.0, s), r"norm 2\.\d+$"),
 ], ids=["non-finite", "outside-the-ball"])
 def test_optimize_rejects_a_candidate_that_fails_the_coefficient_check(projection, message,
                                                                        monkeypatch):
     monkeypatch.setitem(modulated._PROJECTIONS, "rms", projection)
-    with pytest.raises(InvalidParams, match=message):
-        optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
-                 OptimizeOptions(max_iters=3))
+    init, wmap = initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16)
+    with pytest.raises(OptimizationFailed, match="^iterate 1 left the constraint set, " + message
+                       ) as err:
+        optimize(init, wmap, OptimizeOptions(max_iters=3))
+    assert err.value.trace.tolist() == [objective(synthesize_modulated(init), wmap, 1 / 16)[0]]
+
+
+def _onto_rms_sphere(radius):
+    """A stand-in RMS projection that puts every candidate at this RMS."""
+    def project(cos_c, sin_c):
+        scale = radius / modulated._rms(cos_c, sin_c)
+        return cos_c * scale, sin_c * scale
+    return project
+
+
+def test_optimize_takes_an_iterate_within_the_slack_and_refuses_one_beyond(monkeypatch):
+    # the iterate check is the norm optimize records; a bound of 1 + 1e-6
+    # would take the iterate at 1 + 2 * FEASIBILITY_SLACK
+    init, wmap = initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16)
+    opts = OptimizeOptions(max_iters=3)
+    monkeypatch.setitem(modulated._PROJECTIONS, "rms", _onto_rms_sphere(1 + FEASIBILITY_SLACK / 2))
+    res = optimize(init, wmap, opts)
+    assert len(res.norm_trace) == 4
+    np.testing.assert_allclose(res.norm_trace[1:], 1 + FEASIBILITY_SLACK / 2, rtol=0, atol=1e-15)
+    monkeypatch.setitem(modulated._PROJECTIONS, "rms", _onto_rms_sphere(1 + 2 * FEASIBILITY_SLACK))
+    with pytest.raises(OptimizationFailed, match="^iterate 1 left the constraint set, norm 1.0"
+                       ) as err:
+        optimize(init, wmap, opts)
+    assert len(err.value.trace) == 1
+
+
+@pytest.mark.filterwarnings("error")      # the overflowing steps warn nothing
+def test_optimize_fails_with_its_trace_when_every_halved_step_leaves_the_float_range():
+    # the non-finite last candidate reached the coefficient check, which raised
+    # InvalidParams "alpha must be a finite 1-D array"
+    with pytest.raises(OptimizationFailed, match="^iterate 1 left the constraint set, norm inf$"
+                       ) as err:
+        optimize(initial_params(2, m=7), WeightMap(np.full((8, 8), 1e307)),
+                 OptimizeOptions(step=1e4))
+    trace = err.value.trace
+    assert len(trace) == 1 and np.all(np.isfinite(trace))
+
+
+def test_optimize_starts_an_absolute_warm_start_from_outside_the_constraint_set():
+    # iterate 0 is not checked; checking it too would refuse this init, whose
+    # summed tone magnitude is 2.2 (its RMS, 0.98, is within the ball)
+    init = initial_params(2, n_tones=5).with_coefficients(alpha=np.full(5, 0.44),
+                                                          gamma=np.zeros(5))
+    res = optimize(init, WeightMap.from_rectangles([ROI_B], 32),
+                   OptimizeOptions(constraint="absolute", max_iters=20))
+    assert res.norm_trace[0] == pytest.approx(2.2, rel=1e-15)
+    assert len(res.norm_trace) > 1 and np.all(res.norm_trace[1:] <= 1.0 + FEASIBILITY_SLACK)
 
 
 def test_optimize_input_validation():
