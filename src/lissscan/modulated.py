@@ -34,8 +34,9 @@ from .scanner import ScannerConfig
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
-SEARCH_BLOCK = 2**14  # elements (128 KB) of one nearest-sample search block
+SEARCH_BLOCK = 2**14  # elements (128 KB) of one (rows, columns, kept samples) search block
 MAX_SEARCH = 2**22    # map side x n_samples: each (rows, n_samples) search array stays at 32 MB
+BOX_PATCHES = 8       # a hinted run with fewer patches is searched whole: its box test costs more
 
 # Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
@@ -116,8 +117,8 @@ class WeightMap:
 class _SearchPlan:
     """What the nearest-sample search and the frozen-assignment loss take
     from a weight map alone, built once per map: the positive patches, the
-    rows and columns holding them, and the runs of consecutive rows with
-    the same positive columns."""
+    rows holding them, and the runs of consecutive rows with the same
+    positive columns."""
 
     def __init__(self, w: np.ndarray) -> None:
         centers = _patch_centers(len(w))
@@ -127,9 +128,16 @@ class _SearchPlan:
         box = positive[rows][:, cols]
         cuts = (box[1:] != box[:-1]).any(axis=1).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else []
-        self.runs = [(a, b, box[a]) for a, b in zip(bounds, bounds[1:])]   # rows [a, b), their columns
+        # per run: its rows [a, b), its column centers, its patches [p, q) in
+        # flat order, and the box (xlo, xhi, ylo, yhi) of its patch centers
+        self.runs, p = [], 0
+        for a, b in zip(bounds, bounds[1:]):
+            run_cols = centers[cols[box[a]], None]
+            q = p + (b - a) * len(run_cols)
+            self.runs.append((a, b, run_cols, p, q, (centers[rows[a]], centers[rows[b - 1]],
+                                                     run_cols[0, 0], run_cols[-1, 0])))
+            p = q
         self.row_centers = centers[rows, None]
-        self.col_centers = centers[cols, None]
         self.r, self.c = box.nonzero()            # each positive patch, row-major, in rows x cols
         self.flat = rows[self.r] * len(w) + cols[self.c]   # the same patches in the raveled map
         self.cx, self.cy = centers[rows[self.r]], centers[cols[self.c]]
@@ -325,27 +333,64 @@ def _map_sum(wmap: WeightMap, terms: np.ndarray) -> float:
     return float(np.add.reduce(full))
 
 
-def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap,
-            threshold: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap, threshold: float,
+            hint: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """The loss, and for each positive patch in plan.flat order its nearest
     sample idx and its weight wbar, 0 where occupied (that nearest sample
-    lies closer than threshold)."""
+    lies closer than threshold).
+
+    hint, one sample per positive patch (optimize passes the previous
+    iterate's idx), only narrows the search and never changes its result:
+    each run of at least BOX_PATCHES patches searches only the samples
+    inside the box of its patch centers widened by _reach of the largest
+    squared distance from one of its patches to its hint sample. A sample
+    outside lies farther than that from every patch of the run, so it
+    cannot be nearest to one (ties included); the kept samples are compared
+    with the same sums in ascending index order.
+    """
     plan = wmap._plan
-    dx2 = (plan.row_centers - x) ** 2             # (rows, N)
-    dy2 = (plan.col_centers - y) ** 2             # (cols, N)
-    # a run of rows is searched as (rows, columns, N) blocks of at most
-    # SEARCH_BLOCK elements (or one row)
+    if hint is not None and not (np.isfinite(x).all() and np.isfinite(y).all()):
+        hint = None       # a NaN sum wins the argmin wherever its sample lies
+    if hint is not None:
+        bound = (plan.cx - x.take(hint)) ** 2 + (plan.cy - y.take(hint)) ** 2
+    # a run of rows is searched as (rows, columns, kept samples) blocks of at
+    # most SEARCH_BLOCK elements (or one row)
     found = []                                    # nearest samples, in row-major patch order
-    for a, b, in_run in plan.runs:
-        dy2_run = dy2[in_run]
-        step = max(1, SEARCH_BLOCK // dy2_run.size)
-        for s in range(a, b, step):
-            d2 = dx2[s:min(s + step, b), None, :] + dy2_run
-            found.append(d2.argmin(axis=2))           # ties go to the smaller index
+    for a, b, run_cols, p, q, (xlo, xhi, ylo, yhi) in plan.runs:
+        keep, xk, yk = None, x, y
+        if hint is not None and q - p >= BOX_PATCHES:
+            reach = _reach(bound[p:q].max())
+            keep = ((x >= xlo - reach) & (x <= xhi + reach)
+                    & (y >= ylo - reach) & (y <= yhi + reach)).nonzero()[0]
+            xk, yk = x.take(keep), y.take(keep)
+        dx2 = (plan.row_centers[a:b] - xk) ** 2   # (rows, kept)
+        dy2 = (run_cols - yk) ** 2                # (columns, kept)
+        step = max(1, SEARCH_BLOCK // dy2.size)
+        for s in range(0, b - a, step):
+            got = (dx2[s:s + step, None, :] + dy2).argmin(axis=2)   # ties go to the smaller index
+            found.append(got if keep is None else keep.take(got))
     idx = np.concatenate(found, axis=None) if found else np.zeros(0, dtype=np.intp)
-    best = dx2[plan.r, idx] + dy2[plan.c, idx]    # the sums the search compared
+    best = (plan.cx - x.take(idx)) ** 2 + (plan.cy - y.take(idx)) ** 2   # the sums it compared
     wbar = np.where(best < threshold * threshold, 0.0, plan.w)
     return _map_sum(wmap, wbar * best), idx, wbar
+
+
+def _reach(r2: float) -> float:
+    """A distance R such that a sample whose x (or y) lies beyond
+    [lo - R, hi + R], lo and hi patch centers in [-1, 1], has a computed
+    squared distance greater than r2 from every center in [lo, hi]; inf or
+    NaN, so that no sample lies beyond, when r2 is.
+
+    With u = 2**-53 the unit roundoff, the computed lo - R is within
+    u*(1 + R) of its exact value, so every center is more than R*(1 - u) - u
+    from such an x. Rounding the sqrt, the product, the sum, the difference
+    and the square each lose a factor of at most 1 - u, far less than the
+    relative margin 1 + 2**-20 gains. The absolute margin 2**-20 keeps the
+    squared difference above 2**-43, where squares do not underflow. So
+    that square exceeds r2 (0 included), and so does its sum with the other
+    axis's square, which is not negative.
+    """
+    return math.sqrt(r2) * (1.0 + 2.0**-20) + 2.0**-20
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite loss raises instead
@@ -572,7 +617,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         if iteration and not norm <= 1.0 + FEASIBILITY_SLACK:
             raise OptimizationFailed(f"iterate {iteration} left the constraint set, norm {norm}",
                                      trace=np.array(trace))
-        loss, idx, wbar = _assign(x, y, wmap, threshold)
+        loss, idx, wbar = _assign(x, y, wmap, threshold, idx if iteration else None)
         if not math.isfinite(loss):
             raise OptimizationFailed("objective became non-finite", trace=np.array(trace + [loss]))
         trace.append(loss)

@@ -132,7 +132,7 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
     # unknowns: [A_i cos(phi_i)] then [A_i sin(phi_i)]
     mat = np.block([[cos_block, -sin_block], [sin_block, cos_block]])
     cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if cond > COND_LIMIT:             # a singular mat, finite here, gives inf
         raise IllConditioned(_aliasing_message(w, frame_time, cond))
     solution = np.linalg.solve(mat, np.concatenate([x, xq]))
     c, s = solution[:3], solution[3:]
@@ -141,11 +141,16 @@ def solve_multitone(x_samples: Sequence[float], xq_samples: Sequence[float],
                           phases=tuple(np.arctan2(s, c)))
 
 
+def _plant(f_drive, f_res, q) -> tuple[float, float, float]:
+    """The drive frequency, resonance and quality factor as positive floats."""
+    return (number_value(f_drive, "drive frequency", positive=True),
+            number_value(f_res, "resonant frequency", positive=True),
+            number_value(q, "quality factor", positive=True))
+
+
 def plant_phase_lag(f_drive: float, f_res: float, q: float) -> float:
     """Steady-state phase lag of a driven harmonic oscillator, in (0, pi)."""
-    f_drive = number_value(f_drive, "drive frequency", positive=True)
-    f_res = number_value(f_res, "resonant frequency", positive=True)
-    q = number_value(q, "quality factor", positive=True)
+    f_drive, f_res, q = _plant(f_drive, f_res, q)
     return math.atan2(f_drive * f_res / q, f_res * f_res - f_drive * f_drive)
 
 
@@ -157,6 +162,7 @@ def resonance_offset_for_phase_shift(f_drive: float, f_res: float, q: float,
     for the resonance g. Its roots multiply to -f**2, so exactly one is
     positive; it is taken in the form that does not cancel.
     """
+    f_drive, f_res, q = _plant(f_drive, f_res, q)
     base = plant_phase_lag(f_drive, f_res, q)
     target = base + math.radians(number_value(delta_deg, "delta_deg"))
     if not 0.0 < target < math.pi:

@@ -403,7 +403,9 @@ def _roi_maps(draw):
 def _search_problems(draw):
     """A weight map, samples with exact repeats (a pattern that retraces
     itself) and pairs mirrored about a patch center (equidistant from it), a
-    threshold and a search block size."""
+    threshold, a search block size, and a hint of one sample per positive
+    patch: random samples, sample 0, each patch's nearest sample, or one
+    sample made NaN or infinite on one axis."""
     wmap = draw(_roi_maps())
     coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 16), st.floats(-1.5, 1.5))
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
@@ -411,41 +413,74 @@ def _search_problems(draw):
         cx = _patch_centers(wmap.size)[draw(st.integers(0, wmap.size - 1))]
         points += [(2.0 * cx - u, v) for u, v in points]
     points *= draw(st.integers(2, 4))                 # every lap repeats the samples exactly
-    x, y = np.array(points).T
+    x, y = np.array(points).T.copy()
     threshold = draw(st.sampled_from([0.0, 1.0 / wmap.size, 0.3]))
     block = draw(st.sampled_from([modulated.SEARCH_BLOCK, 1, 1000]))
-    return x, y, wmap, threshold, block
+    patches = np.count_nonzero(wmap.w > 0)
+    kind = draw(st.sampled_from(["random", "zero", "nearest", "non-finite"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        hint = rng.integers(0, len(x), patches)
+    elif kind == "nearest":
+        hint = _row_loop_assign(x, y, wmap, threshold)[1].n_idx.take(np.flatnonzero(wmap.w > 0))
+    else:
+        hint = np.zeros(patches, dtype=np.intp)
+    if kind == "non-finite":
+        hint[:] = draw(st.integers(0, len(x) - 1))
+        (x, y)[draw(st.integers(0, 1))][hint[:1]] = draw(st.sampled_from([math.nan, math.inf,
+                                                                           -math.inf]))
+    return x, y, wmap, threshold, block, hint
 
 
 def _roi_problem(size):
     """ROI_B's map and a 500-sample pattern: the optimizer's own search, in
-    several blocks at the module's block size."""
+    several blocks at the module's block size, hinted with the nearest
+    samples of the pattern moved by 0.02 in x, as by one step."""
     pattern = synthesize_modulated(initial_params(2), 500)
-    return (pattern.x, pattern.y, WeightMap.from_rectangles([ROI_B], size), 1.0 / size,
-            modulated.SEARCH_BLOCK)
+    wmap, threshold = WeightMap.from_rectangles([ROI_B], size), 1.0 / size
+    hint = _row_loop_assign(pattern.x + 0.02, pattern.y, wmap, threshold)[1].n_idx
+    return (pattern.x, pattern.y, wmap, threshold, modulated.SEARCH_BLOCK,
+            hint.take(np.flatnonzero(wmap.w > 0)))
+
+
+# Hints whose widened box must keep a sample that lies just past the plain
+# distance to the hint: its square underflows to 0 (1x1 map, threshold 0),
+# or, at coordinates near 2**53, it is strictly nearer while the rounded
+# square root of the hint's distance leaves it out (2x2 map, one patch).
+_UNDERFLOW = (np.array([0.0, 0.0]), np.array([1.224e-291] * 2), WeightMap(np.ones((1, 1))), 0.0,
+              modulated.SEARCH_BLOCK, np.array([1]))
+_ROUNDED_ROOT = (np.array([8557090558846626.0, 8557090558846627.0]),
+                 np.array([-83161960.39885111, 0.5]), WeightMap(np.diag([0.0, 1.0])), 0.0,
+                 modulated.SEARCH_BLOCK, np.array([0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_search_problems())
 @example(problem=_roi_problem(32))
 @example(problem=_roi_problem(64))
+@example(problem=_UNDERFLOW)
+@example(problem=_ROUNDED_ROOT)
 def test_assign_is_bit_identical_to_the_row_loop(problem):
-    # _assign returns one entry per positive patch, in row-major order
-    x, y, wmap, threshold, block = problem
-    with mock.patch.object(modulated, "SEARCH_BLOCK", block):
-        loss, idx, wbar = modulated._assign(x, y, wmap, threshold)
+    # _assign returns one entry per positive patch, in row-major order, whatever the hint
+    x, y, wmap, threshold, block, hint = problem
     ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
     positive = np.flatnonzero(wmap.w > 0)
-    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    assert idx.dtype == ref.n_idx.dtype and np.array_equal(idx, ref.n_idx.take(positive))
-    assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
+    # the hint unused, used on runs of at least BOX_PATCHES patches, and used on every run
+    with mock.patch.object(modulated, "SEARCH_BLOCK", block):
+        for given_hint, box_patches in ((None, 1), (hint, modulated.BOX_PATCHES), (hint, 1)):
+            with mock.patch.object(modulated, "BOX_PATCHES", box_patches):
+                loss, idx, wbar = modulated._assign(x, y, wmap, threshold, given_hint)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert idx.dtype == ref.n_idx.dtype and np.array_equal(idx, ref.n_idx.take(positive))
+            assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(problem=_search_problems())
 @example(problem=_roi_problem(32))
 def test_objective_assignment_is_the_row_loop_maps(problem):
-    x, y, wmap, threshold, block = problem
+    x, y, wmap, threshold, block, _ = problem
+    assume(np.isfinite(x).all() and np.isfinite(y).all())    # a SampledPattern is finite
     with mock.patch.object(modulated, "SEARCH_BLOCK", block):
         loss, asg = objective(SampledPattern(t=np.arange(len(x)) * 1.0, x=x, y=y), wmap, threshold)
     ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
@@ -535,6 +570,24 @@ def test_a_nan_sample_makes_the_objective_raise():
     with pytest.raises(DomainError, match="^objective is not finite: nan$"):
         objective(pattern, wmap, 1 / 32)
     assert math.isnan(_row_loop_assign(pattern.x, pattern.y, wmap, 1 / 32)[0])
+
+
+@pytest.mark.parametrize("bad_x, bad_y", [(math.nan, 5.0), (math.inf, math.nan),
+                                          (math.nan, math.nan), (-math.inf, 0.5)])
+def test_a_non_finite_sample_gives_the_unhinted_search_for_any_hint(bad_x, bad_y):
+    # a NaN sum wins every argmin, even for a sample far outside the box a hint would search
+    pattern = synthesize_modulated(initial_params(2), 200)
+    x, y = pattern.x.copy(), pattern.y.copy()
+    x[17], y[17] = bad_x, bad_y
+    wmap = WeightMap.from_rectangles([ROI_B], 32)
+    ref_loss, ref = _row_loop_assign(x, y, wmap, 1 / 32)
+    positive = np.flatnonzero(wmap.w > 0)
+    for hint in (ref.n_idx.take(positive), np.zeros(len(positive), dtype=np.intp)):
+        loss, idx, wbar = modulated._assign(x, y, wmap, 1 / 32, hint)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert np.array_equal(idx, ref.n_idx.take(positive))
+        assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
+    assert math.isnan(ref_loss) == math.isnan(bad_x + bad_y)
 
 
 def test_patch_centers_are_shared_and_read_only():
@@ -862,10 +915,38 @@ def test_optimize_stops_at_the_first_iterate_without_progress(patience):
     assert res.loss == min(trace)
 
 
-def _full_search_assign(x, y, wmap, threshold):
+
+def test_optimize_stops_when_the_progress_equals_the_tolerance_exactly(monkeypatch):
+    # 100000 - 99999 is exactly REL_TOL * 100000 in floats: no more than the tolerance
+    assign, losses = modulated._assign, iter([1e5] + [99999.0] * 5)
+    assert 1e5 - 99999.0 == modulated.REL_TOL * 1e5
+    monkeypatch.setattr(modulated, "_assign", lambda *args: (next(losses), *assign(*args)[1:]))
+    res = optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                   OptimizeOptions(max_iters=5, patience=1))
+    assert res.converged and res.iterations == 1 and res.loss_trace.tolist() == [1e5, 99999.0]
+
+
+def test_optimize_takes_the_full_step_when_its_loss_equals_the_current_one(monkeypatch):
+    # every loss reads 1.0, so the first candidate ties the current loss and is taken unhalved
+    assign, calls = modulated._assign, []
+    monkeypatch.setattr(modulated, "_assign", lambda *args: (1.0, *assign(*args)[1:]))
+    monkeypatch.setattr(modulated, "_loss_fixed", lambda *args: calls.append(None) or 1.0)
+    init, wmap = initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16)
+    opts = OptimizeOptions(max_iters=1)
+    res = optimize(init, wmap, opts)
+    grad = gradient(init, wmap, opts.n_samples, 1.0 / wmap.size)
+    (a, g), (b, d) = (project_rms(init.alpha - opts.step * grad.alpha,
+                                  init.gamma - opts.step * grad.gamma),
+                      project_rms(init.beta - opts.step * grad.beta,
+                                  init.delta - opts.step * grad.delta))
+    assert len(calls) == 1 and res.iterations == 1
+    assert res.norm_trace[1] == modulated._constraint_norm(a, g, b, d, "rms")
+
+def _full_search_assign(x, y, wmap, threshold, hint=None):
     """Reference nearest-sample search over every patch, weighted or not,
     returning what _assign returns: the loss, then the nearest sample and
-    the weight (0 where occupied) of each positive patch in row-major order."""
+    the weight (0 where occupied) of each positive patch in row-major order.
+    It takes optimize's hint and ignores it, searching every sample."""
     size = wmap.size
     centers = -1.0 + (2.0 * np.arange(size) + 1.0) / size
     dx2 = (centers[:, None] - x[None, :]) ** 2
@@ -896,6 +977,20 @@ def test_optimize_is_bit_identical_to_a_full_nearest_sample_search(wmap, monkeyp
         assert getattr(weighted_only.params, name).tobytes() == getattr(full.params, name).tobytes()
     assert (weighted_only.iterations, weighted_only.converged) == (full.iterations, full.converged)
 
+
+
+def test_optimize_hints_each_search_with_the_previous_assignment(monkeypatch):
+    assign, calls = modulated._assign, []
+
+    def spy(x, y, wmap, threshold, hint=None):
+        loss, idx, wbar = assign(x, y, wmap, threshold, hint)
+        calls.append((hint, idx))
+        return loss, idx, wbar
+    monkeypatch.setattr(modulated, "_assign", spy)
+    res = optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                   OptimizeOptions(max_iters=5, patience=6))
+    assert len(calls) == res.iterations + 1 == 6 and calls[0][0] is None
+    assert all(hint is idx for (hint, _), (_, idx) in zip(calls[1:], calls))
 
 @pytest.mark.parametrize("projection, message", [
     (lambda c, s: (c * math.nan, s), "norm nan$"),

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def test_resonance_offset_round_trip():
         moved = plant_phase_lag(1.0, 1.0 + off, 20.0) - plant_phase_lag(1.0, 1.0, 20.0)
         assert math.degrees(moved) == pytest.approx(near_end, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("convert", [np.float32, lambda v: Decimal(str(v))],
+                         ids=["float32", "Decimal"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["f_drive", "f_res", "q"])
+def test_resonance_offset_is_computed_from_the_checked_floats(convert, position):
+    # a float32 argument gave a float32 offset, a Decimal one a raw TypeError
+    args = [2.0, 2.0, 20.0]
+    args[position] = convert(args[position])
+    got = resonance_offset_for_phase_shift(*args, 10.0)
+    assert type(got) is float and got == resonance_offset_for_phase_shift(2.0, 2.0, 20.0, 10.0)
 
 @settings(max_examples=200, deadline=None)
 @given(target_deg=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
