@@ -36,7 +36,6 @@ MAX_BACKTRACKS = 10   # step halvings per iteration
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 SEARCH_BLOCK = 2**14  # elements (128 KB) of one (rows, columns, kept samples) search block
 MAX_SEARCH = 2**22    # map side x n_samples: each (rows, n_samples) search array stays at 32 MB
-BOX_PATCHES = 8       # a hinted run with fewer patches is searched whole: its box test costs more
 
 # Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
@@ -341,9 +340,9 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap, threshold: float,
 
     hint, one sample per positive patch (optimize passes the previous
     iterate's idx), only narrows the search and never changes its result:
-    each run of at least BOX_PATCHES patches searches only the samples
-    inside the box of its patch centers widened by _reach of the largest
-    squared distance from one of its patches to its hint sample. A sample
+    each run of rows searches only the samples inside the box of its patch
+    centers widened by _reach of the largest squared distance from one of
+    its patches to its hint sample. A sample
     outside lies farther than that from every patch of the run, so it
     cannot be nearest to one (ties included); the kept samples are compared
     with the same sums in ascending index order.
@@ -358,7 +357,7 @@ def _assign(x: np.ndarray, y: np.ndarray, wmap: WeightMap, threshold: float,
     found = []                                    # nearest samples, in row-major patch order
     for a, b, run_cols, p, q, (xlo, xhi, ylo, yhi) in plan.runs:
         keep, xk, yk = None, x, y
-        if hint is not None and q - p >= BOX_PATCHES:
+        if hint is not None:
             reach = _reach(bound[p:q].max())
             keep = ((x >= xlo - reach) & (x <= xhi + reach)
                     & (y >= ylo - reach) & (y <= yhi + reach)).nonzero()[0]

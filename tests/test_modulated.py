@@ -454,22 +454,36 @@ _ROUNDED_ROOT = (np.array([8557090558846626.0, 8557090558846627.0]),
                  modulated.SEARCH_BLOCK, np.array([0]))
 
 
+def _non_finite_problem(bad_x, bad_y):
+    """ROI_B's 32x32 search with sample 17 set to (bad_x, bad_y), hinted
+    with the nearest samples: a NaN sum wins every argmin, even for a sample
+    far outside the box the hint would search."""
+    pattern = synthesize_modulated(initial_params(2), 200)
+    x, y = pattern.x.copy(), pattern.y.copy()
+    x[17], y[17] = bad_x, bad_y
+    wmap = WeightMap.from_rectangles([ROI_B], 32)
+    hint = _row_loop_assign(x, y, wmap, 1 / 32)[1].n_idx.take(np.flatnonzero(wmap.w > 0))
+    return x, y, wmap, 1 / 32, modulated.SEARCH_BLOCK, hint
+
+
 @settings(max_examples=200, deadline=None)
 @given(problem=_search_problems())
 @example(problem=_roi_problem(32))
 @example(problem=_roi_problem(64))
 @example(problem=_UNDERFLOW)
 @example(problem=_ROUNDED_ROOT)
+@example(problem=_non_finite_problem(math.nan, 5.0))
+@example(problem=_non_finite_problem(math.inf, math.nan))
+@example(problem=_non_finite_problem(math.nan, math.nan))
+@example(problem=_non_finite_problem(-math.inf, 0.5))
 def test_assign_is_bit_identical_to_the_row_loop(problem):
     # _assign returns one entry per positive patch, in row-major order, whatever the hint
     x, y, wmap, threshold, block, hint = problem
     ref_loss, ref = _row_loop_assign(x, y, wmap, threshold)
     positive = np.flatnonzero(wmap.w > 0)
-    # the hint unused, used on runs of at least BOX_PATCHES patches, and used on every run
     with mock.patch.object(modulated, "SEARCH_BLOCK", block):
-        for given_hint, box_patches in ((None, 1), (hint, modulated.BOX_PATCHES), (hint, 1)):
-            with mock.patch.object(modulated, "BOX_PATCHES", box_patches):
-                loss, idx, wbar = modulated._assign(x, y, wmap, threshold, given_hint)
+        for given_hint in (None, hint):
+            loss, idx, wbar = modulated._assign(x, y, wmap, threshold, given_hint)
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             assert idx.dtype == ref.n_idx.dtype and np.array_equal(idx, ref.n_idx.take(positive))
             assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
@@ -570,24 +584,6 @@ def test_a_nan_sample_makes_the_objective_raise():
     with pytest.raises(DomainError, match="^objective is not finite: nan$"):
         objective(pattern, wmap, 1 / 32)
     assert math.isnan(_row_loop_assign(pattern.x, pattern.y, wmap, 1 / 32)[0])
-
-
-@pytest.mark.parametrize("bad_x, bad_y", [(math.nan, 5.0), (math.inf, math.nan),
-                                          (math.nan, math.nan), (-math.inf, 0.5)])
-def test_a_non_finite_sample_gives_the_unhinted_search_for_any_hint(bad_x, bad_y):
-    # a NaN sum wins every argmin, even for a sample far outside the box a hint would search
-    pattern = synthesize_modulated(initial_params(2), 200)
-    x, y = pattern.x.copy(), pattern.y.copy()
-    x[17], y[17] = bad_x, bad_y
-    wmap = WeightMap.from_rectangles([ROI_B], 32)
-    ref_loss, ref = _row_loop_assign(x, y, wmap, 1 / 32)
-    positive = np.flatnonzero(wmap.w > 0)
-    for hint in (ref.n_idx.take(positive), np.zeros(len(positive), dtype=np.intp)):
-        loss, idx, wbar = modulated._assign(x, y, wmap, 1 / 32, hint)
-        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        assert np.array_equal(idx, ref.n_idx.take(positive))
-        assert wbar.tobytes() == np.where(ref.occupied, 0.0, wmap.w).take(positive).tobytes()
-    assert math.isnan(ref_loss) == math.isnan(bad_x + bad_y)
 
 
 def test_patch_centers_are_shared_and_read_only():
@@ -915,7 +911,6 @@ def test_optimize_stops_at_the_first_iterate_without_progress(patience):
     assert res.loss == min(trace)
 
 
-
 def test_optimize_stops_when_the_progress_equals_the_tolerance_exactly(monkeypatch):
     # 100000 - 99999 is exactly REL_TOL * 100000 in floats: no more than the tolerance
     assign, losses = modulated._assign, iter([1e5] + [99999.0] * 5)
@@ -941,6 +936,7 @@ def test_optimize_takes_the_full_step_when_its_loss_equals_the_current_one(monke
                                   init.delta - opts.step * grad.delta))
     assert len(calls) == 1 and res.iterations == 1
     assert res.norm_trace[1] == modulated._constraint_norm(a, g, b, d, "rms")
+
 
 def _full_search_assign(x, y, wmap, threshold, hint=None):
     """Reference nearest-sample search over every patch, weighted or not,
@@ -978,7 +974,6 @@ def test_optimize_is_bit_identical_to_a_full_nearest_sample_search(wmap, monkeyp
     assert (weighted_only.iterations, weighted_only.converged) == (full.iterations, full.converged)
 
 
-
 def test_optimize_hints_each_search_with_the_previous_assignment(monkeypatch):
     assign, calls = modulated._assign, []
 
@@ -991,6 +986,7 @@ def test_optimize_hints_each_search_with_the_previous_assignment(monkeypatch):
                    OptimizeOptions(max_iters=5, patience=6))
     assert len(calls) == res.iterations + 1 == 6 and calls[0][0] is None
     assert all(hint is idx for (hint, _), (_, idx) in zip(calls[1:], calls))
+
 
 @pytest.mark.parametrize("projection, message", [
     (lambda c, s: (c * math.nan, s), "norm nan$"),

@@ -152,7 +152,6 @@ def test_resonance_offset_round_trip():
         assert math.degrees(moved) == pytest.approx(near_end, abs=1e-9)
 
 
-
 @pytest.mark.parametrize("convert", [np.float32, lambda v: Decimal(str(v))],
                          ids=["float32", "Decimal"])
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["f_drive", "f_res", "q"])
@@ -162,6 +161,7 @@ def test_resonance_offset_is_computed_from_the_checked_floats(convert, position)
     args[position] = convert(args[position])
     got = resonance_offset_for_phase_shift(*args, 10.0)
     assert type(got) is float and got == resonance_offset_for_phase_shift(2.0, 2.0, 20.0, 10.0)
+
 
 @settings(max_examples=200, deadline=None)
 @given(target_deg=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
