@@ -33,6 +33,10 @@ from .scanner import ScannerConfig
 
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
+# summed tone magnitude up to which project_absolute runs the simplex test on
+# the magnitudes themselves, as it always did; the test's rounding grows with
+# the sum, so above it the magnitudes are shifted first
+DIRECT_SIMPLEX_SUM = 2.0**16
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 SEARCH_BLOCK = 2**14  # elements (128 KB) of one (rows, columns, kept samples) search block
 MAX_SEARCH = 2**22    # map side x n_samples: each (rows, n_samples) search array stays at 32 MB
@@ -146,11 +150,17 @@ class _SearchPlan:
 _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
+def _root_sum_squares(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
+    """Root of one axis's summed squared coefficients; inf once that sum
+    overflows, with numpy's overflow warning left to the caller's errstate."""
+    total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
+    return math.sqrt(total)
+
+
 @np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     """Root of one axis's summed squared coefficients; inf once that sum overflows."""
-    total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
-    return math.sqrt(total)
+    return _root_sum_squares(cos_coef, sin_coef)
 
 
 @dataclass(eq=False)
@@ -426,14 +436,18 @@ class ModulatedGradient:
     beta: np.ndarray
     delta: np.ndarray
 
-    def is_finite(self) -> bool:
-        """Whether every component is finite."""
-        return all(np.isfinite(g).all() for g in (self.alpha, self.gamma, self.beta, self.delta))
+
+def _split(coef: np.ndarray, n_x: int) -> tuple[np.ndarray, ...]:
+    """The alpha, gamma, beta and delta views of a stacked coefficient
+    vector alpha | gamma | beta | delta whose x axis has n_x tones."""
+    n_y = len(coef) // 2 - n_x
+    return coef[:n_x], coef[n_x:2 * n_x], coef[2 * n_x:2 * n_x + n_y], coef[2 * n_x + n_y:]
 
 
-def _gradient_fixed(x, y, wmap, idx, wbar, bxc, bxs, byc, bys) -> ModulatedGradient:
-    """Gradient of _loss_fixed; a zero-weight patch would only add 0.0 to
-    the per-sample sums, so the positive patches alone give the same sums."""
+def _gradient_fixed(x, y, wmap, idx, wbar, bxc, bxs, byc, bys) -> np.ndarray:
+    """Gradient of _loss_fixed as one vector stacked alpha | gamma | beta |
+    delta; a zero-weight patch would only add 0.0 to the per-sample sums,
+    so the positive patches alone give the same sums."""
     n = len(x)
     plan = wmap._plan
     s1 = np.bincount(idx, weights=wbar, minlength=n)
@@ -441,8 +455,7 @@ def _gradient_fixed(x, y, wmap, idx, wbar, bxc, bxs, byc, bys) -> ModulatedGradi
     sy = np.bincount(idx, weights=wbar * plan.cy, minlength=n)
     gx = 2.0 * (x * s1 - sx)         # dLoss / d(sample position)
     gy = 2.0 * (y * s1 - sy)
-    return ModulatedGradient(alpha=bxc.T @ gx, gamma=bxs.T @ gx,
-                             beta=byc.T @ gy, delta=bys.T @ gy)
+    return np.concatenate((bxc.T @ gx, bxs.T @ gx, byc.T @ gy, bys.T @ gy))
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite gradient raises instead
@@ -455,9 +468,9 @@ def gradient(params: ModulatedParams, wmap: WeightMap, n_samples: int,
     x, y = _positions(bases, params.alpha, params.gamma, params.beta, params.delta)
     _, idx, wbar = _assign(x, y, wmap, number_value(threshold, "threshold", 0))
     grad = _gradient_fixed(x, y, wmap, idx, wbar, *bases)
-    if not grad.is_finite():
+    if not np.isfinite(grad).all():
         raise DomainError("gradient is not finite")
-    return grad
+    return ModulatedGradient(*_split(grad, len(params.alpha)))
 
 
 def _coefficient_pair(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray]:
@@ -468,6 +481,13 @@ def _coefficient_pair(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"cosine and sine coefficients must share a shape, "
                           f"got {cos_coef.shape} and {sin_coef.shape}")
     return cos_coef, sin_coef
+
+
+def _scaled_down(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray, int]:
+    """The finite pair times 2**-e, exactly, with e the smallest exponent
+    that puts every entry below 1 in magnitude; and e."""
+    exponent = math.frexp(max(np.abs(cos_coef).max(), np.abs(sin_coef).max()))[1]
+    return np.ldexp(cos_coef, -exponent), np.ldexp(sin_coef, -exponent), exponent
 
 
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,37 +504,50 @@ def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray,
     if not norm < math.inf:
         if not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
             raise DomainError(f"coefficients must be finite, got an RMS of {norm}")
-        exponent = math.frexp(max(np.abs(cos_coef).max(), np.abs(sin_coef).max()))[1]
-        cos_coef, sin_coef = np.ldexp(cos_coef, -exponent), np.ldexp(sin_coef, -exponent)
+        cos_coef, sin_coef, _ = _scaled_down(cos_coef, sin_coef)
         norm = _rms(cos_coef, sin_coef)
     return cos_coef / norm, sin_coef / norm
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of non-negative v with sum(v) > 1 onto the
-    simplex {u >= 0, sum(u) = 1}; DomainError when no index passes the test,
-    as for a magnitude of about 2**53 or more, NaN or inf."""
+    """Euclidean projection of finite v, whose largest entry is below 2**53,
+    onto the simplex {u >= 0, sum(u) = 1}. The largest entry passes the
+    test, so some index always does."""
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
-    passing = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - 1.0))[0]
-    if not len(passing):
-        raise DomainError("tone magnitudes too large to project, "
-                          f"largest {value_text(float(u[0]))}")
-    rho = passing[-1]
+    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (cumulative - 1.0))[0][-1]
     theta = (cumulative[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
+@np.errstate(over="ignore")      # an overflowing magnitude is scaled instead
 def project_absolute(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto summed-tone-magnitude <= 1: per-tone radial shrink by
     the simplex projection of the magnitude vector. The two coefficient
     arrays must hold real numbers, finite ones, and share a shape
-    (DomainError)."""
+    (DomainError). Above a summed magnitude of DIRECT_SIMPLEX_SUM the
+    magnitudes are first shifted so that the largest is 0; where they
+    overflow, the coefficients are first scaled by a power of two."""
     cos_coef, sin_coef = _coefficient_pair(cos_coef, sin_coef)
     mags = np.hypot(cos_coef, sin_coef)
-    if mags.sum() <= 1.0:
+    total = mags.sum()
+    if total <= 1.0:
         return cos_coef.copy(), sin_coef.copy()
-    target = _project_simplex(mags)
+    if total <= DIRECT_SIMPLEX_SUM:
+        target = _project_simplex(mags)
+    else:
+        if not (np.isfinite(cos_coef).all() and np.isfinite(sin_coef).all()):
+            raise DomainError(f"coefficients must be finite, got a summed magnitude of {total}")
+        exponent = 0
+        if total == math.inf:          # a magnitude or their sum overflowed
+            cos_coef, sin_coef, exponent = _scaled_down(cos_coef, sin_coef)
+            mags = np.hypot(cos_coef, sin_coef)
+        # shifting every magnitude leaves the simplex projection as it is, so
+        # the largest goes to 0. One within 1 of it shifts exactly (Sterbenz)
+        # or, below 2, within an ulp; one 1 or more below it projects to 0
+        # either way, so its difference is clipped to -2 (in unscaled units)
+        shifted = np.maximum(mags - mags.max(), -2.0 ** (1 - exponent))
+        target = _project_simplex(np.ldexp(shifted, exponent))
     scale = np.divide(target, mags, out=np.zeros_like(mags), where=mags > 0)
     return cos_coef * scale, sin_coef * scale
 
@@ -557,8 +590,9 @@ class OptimizeResult:
 
 
 def _constraint_norm(alpha, gamma, beta, delta, constraint: str) -> float:
+    """The larger axis norm under constraint; optimize's errstate covers an overflow."""
     if constraint == "rms":
-        return max(_rms(alpha, gamma), _rms(beta, delta))
+        return max(_root_sum_squares(alpha, gamma), _root_sum_squares(beta, delta))
     return max(float(np.hypot(alpha, gamma).sum()), float(np.hypot(beta, delta).sum()))
 
 
@@ -582,10 +616,13 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     project = _PROJECTIONS[opts.constraint]
 
     _, bases = _bases(init, opts.n_samples)
-    # the descent runs on the four coefficient arrays (alpha, gamma, beta,
-    # delta); only the returned iterate becomes a ModulatedParams
-    coef = (init.alpha, init.gamma, init.beta, init.delta)
-    x, y = _positions(bases, *coef)
+    # the descent runs on one stacked coefficient vector alpha | gamma | beta |
+    # delta, the gradient's layout, and projects and synthesizes its four
+    # views; only the returned iterate becomes a ModulatedParams
+    n_x = len(init.alpha)
+    a, g, b, d = init.alpha, init.gamma, init.beta, init.delta
+    coef = np.concatenate((a, g, b, d))
+    x, y = _positions(bases, a, g, b, d)
     trace, norms = [], []
     best_loss = before = math.inf      # before: best loss up to patience iterates ago
     converged = False
@@ -593,26 +630,24 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     for iteration in range(opts.max_iters + 1):
         if iteration:                  # iterate 0 is init itself
             grad = _gradient_fixed(x, y, wmap, idx, wbar, *bases)
-            if not grad.is_finite():
+            if not np.isfinite(grad).all():
                 raise OptimizationFailed("gradient became non-finite", trace=np.array(trace))
             step = opts.step
             for _ in range(MAX_BACKTRACKS + 1):
-                cand = (coef[0] - step * grad.alpha, coef[1] - step * grad.gamma,
-                        coef[2] - step * grad.beta, coef[3] - step * grad.delta)
+                cand = coef - step * grad
+                a, g, b, d = _split(cand, n_x)
                 try:
-                    (a, g), (b, d) = project(*cand[:2]), project(*cand[2:])
-                except DomainError:
-                    if all(np.isfinite(c).all() for c in cand):
-                        raise                  # a finite candidate the projection cannot place
-                    a, g, b, d = cand          # the step left the float range; its loss is not
-                x, y = _positions(bases, a, g, b, d)   # finite, so the line search rejects it
+                    (a, g), (b, d) = project(a, g), project(b, d)
+                except DomainError:    # refused only when not finite: the step left the
+                    pass               # float range, so its loss is not finite either
+                x, y = _positions(bases, a, g, b, d)
                 if _loss_fixed(x, y, wmap, idx, wbar) <= trace[-1]:
                     break
                 step *= 0.5
                 # the last halved candidate is taken even if it still increases;
                 # best-seen tracking protects the returned iterate
-            coef = (a, g, b, d)
-        norm = _constraint_norm(*coef, opts.constraint)
+            coef = np.concatenate((a, g, b, d))
+        norm = _constraint_norm(a, g, b, d, opts.constraint)
         if iteration and not norm <= 1.0 + FEASIBILITY_SLACK:
             raise OptimizationFailed(f"iterate {iteration} left the constraint set, norm {norm}",
                                      trace=np.array(trace))
@@ -629,7 +664,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 converged = True
                 break
 
-    return OptimizeResult(params=init.with_coefficients(*best_coef), loss=best_loss,
+    return OptimizeResult(params=init.with_coefficients(*_split(best_coef, n_x)), loss=best_loss,
                           loss_trace=np.array(trace), norm_trace=np.array(norms),
                           iterations=iteration, converged=converged)
 

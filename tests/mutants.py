@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULATED = "tests/test_modulated.py::"
 ASSIGN_TESTS = [MODULATED + "test_assign_is_bit_identical_to_the_row_loop"]
+COVERAGE = "tests/test_coverage.py::"
 
 # name: (file under src/lissscan, text, replacement, tests, expected outcome, reason)
 MUTANTS = {
@@ -71,6 +72,30 @@ MUTANTS = {
         "if before - best_loss < REL_TOL * max(before, 1e-12):",
         [MODULATED + "test_optimize_stops_when_the_progress_equals_the_tolerance_exactly"],
         "killed", ""),
+    "optimize-gradient-check-alpha-only": (
+        "modulated.py",
+        "            if not np.isfinite(grad).all():\n                raise OptimizationFailed",
+        "            if not np.isfinite(grad[:n_x]).all():\n                raise OptimizationFailed",
+        [MODULATED + "test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite"],
+        "killed", ""),
+    "gradient-check-alpha-only": (
+        "modulated.py",
+        "    if not np.isfinite(grad).all():\n        raise DomainError",
+        "    if not np.isfinite(grad[:len(params.alpha)]).all():\n        raise DomainError",
+        [MODULATED + "test_gradient_refuses_a_non_finite_entry_in_any_coefficient"], "killed", ""),
+    "absolute-never-shifted": (
+        "modulated.py", "    if total <= DIRECT_SIMPLEX_SUM:\n", "    if total <= math.inf:\n",
+        [MODULATED + "test_absolute_projection_places_magnitudes_of_2_to_the_53_and_above"],
+        "killed", ""),
+    "fill-reach-no-slack": (
+        "coverage.py", "reach = np.sqrt(bound.take(flat)) / n_grid + 1e-9",
+        "reach = np.sqrt(bound.take(flat)) / n_grid",
+        [COVERAGE + "test_fill_factor_measures_a_nearest_sample_just_past_its_cell_bound"],
+        "killed", ""),
+    "coarse-reach-no-slack": (
+        "coverage.py", "reach = np.minimum(reach, np.sqrt(coarse) + 1e-9)",
+        "reach = np.minimum(reach, np.sqrt(coarse))",
+        [COVERAGE + "test_nearest_squared_keeps_what_the_coarse_reach_allows"], "killed", ""),
     "offset-from-raw-arguments": (
         "phase.py", "    f_drive, f_res, q = _plant(f_drive, f_res, q)\n    base = ",
         "    base = ",

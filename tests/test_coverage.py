@@ -257,6 +257,63 @@ def test_nearest_squared_is_the_brute_force_minimum_bit_for_bit(case, seed, tied
         assert np.array_equal(coverage._nearest_squared(x, y, cx, cy, reach), brute)
 
 
+def _lowest_in_cell(k, n_grid):
+    """The smallest float that _cell_bound puts in cell k: the cell's
+    included corner coordinate."""
+    def cell(v):
+        return min(int((v + 1.0) * (n_grid / 2)), n_grid - 1)
+    v = -1.0 + 2.0 * k / n_grid
+    while cell(v) < k:
+        v = float(np.nextafter(v, 2.0))
+    while cell(float(np.nextafter(v, -2.0))) >= k:
+        v = float(np.nextafter(v, -2.0))
+    return v
+
+
+@pytest.mark.parametrize("n_grid, i, j", [(11, 4, 7), (16, 10, 10), (32, 10, 18)])
+def test_fill_factor_measures_a_nearest_sample_just_past_its_cell_bound(n_grid, i, j):
+    # The deepest center c = (i, j) sees no sample in its own cell or the 8
+    # around it but one on the included corner of the cell to its left, so
+    # its bound, sqrt(10) / n_grid, is exactly that sample's distance. A
+    # sample on c's row lies one float beyond c's x less the rounded bound,
+    # yet its computed squared distance is the smaller one. fill_factor's
+    # reach keeps it only through its 1e-9 slack: without it r_max grew by
+    # an ulp on each of these grids.
+    centers = coverage._patch_centers(n_grid)
+    row = float(np.nextafter(centers[i] - np.sqrt(10.0) / n_grid, -2.0))
+    points = [(centers[a], centers[b]) for a in range(n_grid) for b in range(n_grid)
+              if max(abs(a - i), abs(b - j)) > 1]
+    left, below = _lowest_in_cell(i - 1, n_grid), _lowest_in_cell(j, n_grid)
+    points += [(left, below), (left, _lowest_in_cell(j - 1, n_grid)), (left, centers[j + 1]),
+               (row, centers[j]), (1.0, 1.0)]
+    x, y = np.array(points).T
+    corner = (centers[i] - left) ** 2 + (centers[j] - below) ** 2
+    assert (centers[i] - row) ** 2 < corner
+    pattern = SampledPattern(t=np.arange(len(x), dtype=float), x=x, y=y)
+    assert fill_factor(pattern, n_grid).r_max == _r_max_over_every_center(pattern, n_grid)
+
+
+@pytest.mark.parametrize("center, coarse, row", [
+    # the coarse sample's squared distance underflows to 0, so its reach is 0
+    ((0.0, 0.0), (1e-170, 0.0), None),
+    # a sample on the center's row lies one float beyond the center's x less
+    # the coarse sample's computed distance, yet its squared distance is smaller
+    ((0.357, -0.374), (0.5796834898761534, -0.5087753738311538), "just past"),
+], ids=["underflow", "row"])
+def test_nearest_squared_keeps_what_the_coarse_reach_allows(center, coarse, row):
+    # the coarse pass tightens each reach to a measured distance plus 1e-9;
+    # without the slack the box dropped the nearest sample (inf or a larger sum)
+    cx, cy = np.array([center[0]]), np.array([center[1]])
+    x, y = [coarse[0], 0.9], [coarse[1], 0.9]
+    if row:
+        x[1] = float(np.nextafter(cx[0] - math.hypot(cx[0] - coarse[0], cy[0] - coarse[1]), -2.0))
+        y[1] = cy[0]
+    x, y = np.array(x), np.array(y)
+    brute = np.min((cx[:, None] - x) ** 2 + (cy[:, None] - y) ** 2, axis=1)
+    with mock.patch.object(coverage, "_BLOCK", 1):     # two samples take the coarse pass
+        assert np.array_equal(coverage._nearest_squared(x, y, cx, cy, np.array([3.0])), brute)
+
+
 @pytest.fixture
 def queried(monkeypatch):
     """Candidates passed to the exact search, one entry per fill_factor call."""

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lissscan
-from lissscan import (ScannerConfig, design_unmodulated, initial_params, load_design,
+from lissscan import (ModulatedParams, ScannerConfig, design_unmodulated, initial_params, load_design,
                       load_scanner, load_weight_map, save_design, save_scanner,
                       synthesize_quadrature, MultitoneState)
 from lissscan import cli
@@ -27,6 +27,7 @@ from lissscan.cli import cli_dispatch
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
 from lissscan.io import _pgm_tokens
+from lissscan.modulated import FEASIBILITY_SLACK
 
 F = Fraction
 
@@ -858,13 +859,17 @@ def test_cli_sizing_flags_are_bounded_before_any_input_is_read(command, flag, va
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_absolute_constraint_refuses_a_step_it_cannot_project(tmp_path, capsys):
+def test_cli_absolute_constraint_projects_a_step_of_1e300(tmp_path, capsys):
+    # printed an IndexError traceback, then refused the tone magnitudes as too
+    # large to project; each candidate now puts the whole budget on its largest tone
     files, _ = _cli_inputs(tmp_path)
     argv, _ = _flag_run("optimize-absolute", tmp_path, files, scenario=None)
-    argv[argv.index("--step") + 1] = "1e300"     # printed an IndexError traceback
-    assert cli_dispatch(argv) == 1
-    _assert_one_error(capsys, "DomainError")
-    assert not (tmp_path / "out").exists()
+    argv[argv.index("--step") + 1] = "1e300"
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().err == ""
+    params = ModulatedParams.from_dict(json.loads((tmp_path / "out").read_text()))
+    for cos_c, sin_c in ((params.alpha, params.gamma), (params.beta, params.delta)):
+        assert np.hypot(cos_c, sin_c).sum() <= 1.0 + FEASIBILITY_SLACK
 
 
 @pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])
@@ -941,7 +946,7 @@ def test_cli_json_inputs_end_in_one_of_three_states(flag, data):
                                 "phase-sim", "sweep"]),
        edits=st.lists(st.tuples(st.integers(0, 5), _FLAG_VALUES), min_size=1, max_size=2,
                       unique_by=lambda edit: edit[0]))
-# the absolute projection indexed an empty array for a step this large
+# the absolute projection indexed an empty array for a step this large, then refused it
 @example(command="optimize-absolute", edits=[(0, "1e300")])
 def test_cli_flags_end_in_one_of_three_states(command, edits):
     """Exit 0, exit 2, or exit 1 with exactly one error: line and no traceback.

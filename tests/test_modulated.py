@@ -571,10 +571,8 @@ def test_fixed_loss_and_gradient_on_positive_patches_match_the_full_map(problem)
     idx, wbar = asg.n_idx.take(positive), np.where(asg.occupied, 0.0, wmap.w).take(positive)
     loss = modulated._loss_fixed(x, y, wmap, idx, wbar)
     assert np.float64(loss).tobytes() == np.float64(_full_loss_fixed(x, y, wmap, asg)).tobytes()
-    grad = modulated._gradient_fixed(x, y, wmap, idx, wbar, *bases)
-    for got, want in zip((grad.alpha, grad.gamma, grad.beta, grad.delta),
-                         _full_gradient_fixed(x, y, wmap, asg, *bases)):
-        assert got.tobytes() == want.tobytes()
+    grad = modulated._gradient_fixed(x, y, wmap, idx, wbar, *bases)   # alpha | gamma | beta | delta
+    assert grad.tobytes() == np.concatenate(_full_gradient_fixed(x, y, wmap, asg, *bases)).tobytes()
 
 
 def test_a_nan_sample_makes_the_objective_raise():
@@ -731,7 +729,7 @@ def test_projections_refuse_coefficients_of_different_shapes(project, cos_c, sin
 
 @pytest.mark.filterwarnings("error")      # no RuntimeWarning or ComplexWarning on the way
 @pytest.mark.parametrize("project, non_finite", [(project_rms, "^coefficients must be finite"),
-                                                 (project_absolute, "too large to project")])
+                                                 (project_absolute, "^coefficients must be finite")])
 @pytest.mark.parametrize("cos_c, sin_c, message", [
     (np.array([math.nan]), np.array([1.0]), None),
     (np.array([math.inf]), np.array([0.0]), None),
@@ -808,6 +806,37 @@ def test_rms_projection_is_that_of_the_vector_scaled_by_any_power_of_two(pair, k
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+_FINITE = st.floats(-1.7e308, 1.7e308)     # subnormals, both zeros and 1.7e308 included
+_NORMS = {project_rms: modulated._rms,
+          project_absolute: lambda cos_c, sin_c: float(np.hypot(cos_c, sin_c).sum())}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("project", [project_rms, project_absolute])
+@settings(max_examples=300, deadline=None)
+@example(pair=([1e16, 1.0], [0.0, 0.0]))          # the absolute projection refused it
+@example(pair=([2.0**53 + 2, 0.0], [0.0, 0.0]))   # ... and put a magnitude of 2 on this one
+@example(pair=([1e8, 1e8 - 0.3], [0.0, 0.0]))     # ... and 1 + 6e-8 in all on this one
+@example(pair=([1.7e308], [1.7e308]))             # hypot overflowed with a RuntimeWarning
+@example(pair=([5e-324, -5e-324], [0.0, 5e-324]))
+@given(pair=st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(_FINITE, min_size=n, max_size=n), st.lists(_FINITE, min_size=n, max_size=n))))
+def test_projections_place_every_finite_pair_in_the_constraint_set(project, pair):
+    # a feasible pair comes back byte for byte, any other within the slack of
+    # the set, and projecting the result again moves it by at most the slack
+    cos_c, sin_c = np.array(pair[0]), np.array(pair[1])
+    got = project(cos_c, sin_c)
+    assert all(g.dtype == np.float64 and g.shape == cos_c.shape and np.isfinite(g).all()
+               for g in got)
+    assert _NORMS[project](*got) <= 1.0 + FEASIBILITY_SLACK
+    with np.errstate(over="ignore"):
+        feasible = _NORMS[project](cos_c, sin_c) <= 1.0
+    if feasible:
+        assert got[0].tobytes() == cos_c.tobytes() and got[1].tobytes() == sin_c.tobytes()
+    again = project(*got)
+    assert all(np.abs(a - g).max() <= FEASIBILITY_SLACK for a, g in zip(again, got))
+
+
 def test_absolute_projection_satisfies_the_simplex_conditions():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -835,14 +864,35 @@ def test_absolute_projection_satisfies_the_simplex_conditions():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("magnitude", [1e16, math.inf, math.nan])
+@pytest.mark.parametrize("magnitude", [math.inf, math.nan])
 def test_absolute_projection_refuses_magnitudes_it_cannot_place_on_the_simplex(magnitude):
     # no index passed the simplex test, and indexing the empty result raised IndexError
-    with pytest.raises(DomainError, match="tone magnitudes too large to project"):
+    with pytest.raises(DomainError, match=f"^coefficients must be finite, got a summed magnitude "
+                                          f"of {magnitude}$"):
         project_absolute([magnitude, 1.0], [0.0, 0.0])
-    # the largest magnitudes it still projects: one tone takes the whole budget
-    qa, qb = project_absolute(np.array([2.0**52, 1.0]), np.zeros(2))
-    assert qa.tolist() == [1.0, 0.0] and qb.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")      # no overflow warning from hypot or the sum
+@pytest.mark.parametrize("cos_c, sin_c, want_cos, want_sin", [
+    ([2.0**52, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]),
+    # no index passed the simplex test (DomainError), or the one that passed
+    # gave theta = fl(u - 1) = u - 2 and a tone magnitude of 2
+    ([1e16, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]),
+    ([2.0**53 + 2, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]),
+    ([1e16, 1e16], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]),
+    ([-3e20, 1.0, 3e20], [4e20, 0.0, -4e20], [-0.3, 0.0, 0.3], [0.4, 0.0, -0.4]),
+    ([3e5, 3e5 - 0.5], [0.0, 0.0], [0.75, 0.25], [0.0, 0.0]),
+    # the magnitude sum, or hypot itself, overflowed with a RuntimeWarning
+    ([1e308, 1e308], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]),
+    ([1.5e308, -1.5e308, 1e300], [0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 0.0]),
+    ([1.7e308], [-1.7e308], [math.sqrt(0.5)], [-math.sqrt(0.5)]),
+], ids=["2**52", "1e16", "2**53+2", "tied-1e16", "3-4-5", "3e5", "sum-overflows", "ties-overflow",
+        "hypot-overflows"])
+def test_absolute_projection_places_magnitudes_of_2_to_the_53_and_above(cos_c, sin_c, want_cos,
+                                                                        want_sin):
+    qa, qb = project_absolute(np.array(cos_c), np.array(sin_c))
+    np.testing.assert_allclose(qa, want_cos, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(qb, want_sin, rtol=1e-15, atol=0)
 
 
 # -------------------------------------------------------------------- optimizer
@@ -1193,6 +1243,18 @@ def test_optimize_takes_a_long_step_whose_candidate_rms_overflows():
     assert np.all(res.norm_trace <= 1.0 + FEASIBILITY_SLACK)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [1e20, 1e300, 1.7e308])
+def test_optimize_takes_any_finite_step_under_the_absolute_constraint(step):
+    # the absolute projection refused every candidate whose largest tone
+    # magnitude was 2**53 or more, so these steps raised DomainError where
+    # the rms constraint ran; each candidate now puts the budget on its largest tone
+    res = optimize(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16),
+                   OptimizeOptions(step=step, constraint="absolute", max_iters=20))
+    assert np.all(np.isfinite(res.loss_trace)) and len(res.loss_trace) > 2
+    assert np.all(res.norm_trace[1:] <= 1.0 + FEASIBILITY_SLACK)
+
+
 @pytest.mark.filterwarnings("error")      # the overflowing steps warn nothing
 def test_optimize_backtracks_from_a_step_that_overflows_the_coefficients():
     # step * gradient leaves the float range; the candidate is non-finite, so
@@ -1203,14 +1265,28 @@ def test_optimize_backtracks_from_a_step_that_overflows_the_coefficients():
     assert np.all(res.norm_trace <= 1.0 + 1e-9)
 
 
-def test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite(monkeypatch):
+def _gradient_with_a_nan_in(part):
+    """_gradient_fixed with the last entry of one coefficient's part of the
+    stacked gradient made NaN (part 0 alpha, ..., 3 delta)."""
     gradient_fixed = modulated._gradient_fixed
 
-    def nan_gradient(*args):
-        grad = gradient_fixed(*args)
-        grad.alpha = grad.alpha * math.nan
+    def nan_gradient(x, y, wmap, idx, wbar, bxc, *bases):
+        grad = gradient_fixed(x, y, wmap, idx, wbar, bxc, *bases)
+        modulated._split(grad, bxc.shape[1])[part][-1] = math.nan
         return grad
-    monkeypatch.setattr(modulated, "_gradient_fixed", nan_gradient)
+    return nan_gradient
+
+
+@pytest.mark.parametrize("part", range(4), ids=modulated._COEFFICIENTS)
+def test_gradient_refuses_a_non_finite_entry_in_any_coefficient(part, monkeypatch):
+    monkeypatch.setattr(modulated, "_gradient_fixed", _gradient_with_a_nan_in(part))
+    with pytest.raises(DomainError, match="^gradient is not finite$"):
+        gradient(initial_params(2, n_tones=3), WeightMap.from_rectangles([ROI_B], 16), 200, 1 / 16)
+
+
+@pytest.mark.parametrize("part", range(4), ids=modulated._COEFFICIENTS)
+def test_optimize_fails_with_its_trace_when_the_gradient_is_not_finite(part, monkeypatch):
+    monkeypatch.setattr(modulated, "_gradient_fixed", _gradient_with_a_nan_in(part))
     init = initial_params(2, n_tones=3)
     wmap = WeightMap.from_rectangles([ROI_B], 16)
     with pytest.raises(OptimizationFailed, match="gradient became non-finite") as err:
