@@ -150,17 +150,11 @@ class _SearchPlan:
 _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
-def _root_sum_squares(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
-    """Root of one axis's summed squared coefficients; inf once that sum
-    overflows, with numpy's overflow warning left to the caller's errstate."""
-    total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
-    return math.sqrt(total)
-
-
 @np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     """Root of one axis's summed squared coefficients; inf once that sum overflows."""
-    return _root_sum_squares(cos_coef, sin_coef)
+    total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
+    return math.sqrt(total)
 
 
 @dataclass(eq=False)
@@ -589,11 +583,15 @@ class OptimizeResult:
     converged: bool
 
 
-def _constraint_norm(alpha, gamma, beta, delta, constraint: str) -> float:
-    """The larger axis norm under constraint; optimize's errstate covers an overflow."""
+def _constraint_norm(coef: np.ndarray, n_x: int, constraint: str) -> float:
+    """The larger axis norm of a stacked coefficient vector under constraint:
+    the RMS by _rms's formula, which optimize's errstate already covers."""
     if constraint == "rms":
-        return max(_root_sum_squares(alpha, gamma), _root_sum_squares(beta, delta))
-    return max(float(np.hypot(alpha, gamma).sum()), float(np.hypot(beta, delta).sum()))
+        a, g, b, d = _split(coef * coef, n_x)
+        return max(math.sqrt(float(np.add.reduce(a) + np.add.reduce(g))),
+                   math.sqrt(float(np.add.reduce(b) + np.add.reduce(d))))
+    a, g, b, d = _split(coef, n_x)
+    return max(float(np.hypot(a, g).sum()), float(np.hypot(b, d).sum()))
 
 
 @np.errstate(over="ignore", invalid="ignore")    # non-finite values are caught in the loop
@@ -620,9 +618,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     # delta, the gradient's layout, and projects and synthesizes its four
     # views; only the returned iterate becomes a ModulatedParams
     n_x = len(init.alpha)
-    a, g, b, d = init.alpha, init.gamma, init.beta, init.delta
-    coef = np.concatenate((a, g, b, d))
-    x, y = _positions(bases, a, g, b, d)
+    coef = np.concatenate((init.alpha, init.gamma, init.beta, init.delta))
+    x, y = _positions(bases, *_split(coef, n_x))
     trace, norms = [], []
     best_loss = before = math.inf      # before: best loss up to patience iterates ago
     converged = False
@@ -647,7 +644,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 # the last halved candidate is taken even if it still increases;
                 # best-seen tracking protects the returned iterate
             coef = np.concatenate((a, g, b, d))
-        norm = _constraint_norm(a, g, b, d, opts.constraint)
+        norm = _constraint_norm(coef, n_x, opts.constraint)
         if iteration and not norm <= 1.0 + FEASIBILITY_SLACK:
             raise OptimizationFailed(f"iterate {iteration} left the constraint set, norm {norm}",
                                      trace=np.array(trace))

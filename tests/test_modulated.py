@@ -728,8 +728,7 @@ def test_projections_refuse_coefficients_of_different_shapes(project, cos_c, sin
 
 
 @pytest.mark.filterwarnings("error")      # no RuntimeWarning or ComplexWarning on the way
-@pytest.mark.parametrize("project, non_finite", [(project_rms, "^coefficients must be finite"),
-                                                 (project_absolute, "^coefficients must be finite")])
+@pytest.mark.parametrize("project", [project_rms, project_absolute])
 @pytest.mark.parametrize("cos_c, sin_c, message", [
     (np.array([math.nan]), np.array([1.0]), None),
     (np.array([math.inf]), np.array([0.0]), None),
@@ -739,11 +738,11 @@ def test_projections_refuse_coefficients_of_different_shapes(project, cos_c, sin
     (np.array([1.0], dtype=object), np.array([1.0]), "^cos_coef .* got dtype object$"),
     ([[1.0], [1.0, 2.0]], [1.0, 2.0], r"^cos_coef must be an array of real numbers, got \[\["),
 ], ids=["nan", "inf", "-inf-in-a-list", "complex", "string", "object", "ragged"])
-def test_projections_refuse_what_is_not_a_pair_of_finite_real_arrays(project, non_finite, cos_c,
-                                                                    sin_c, message):
+def test_projections_refuse_what_is_not_a_pair_of_finite_real_arrays(project, cos_c, sin_c,
+                                                                    message):
     # the RMS projection returned NaN (with a RuntimeWarning for inf) and took the
     # real part of a complex array; both raised TypeError for other kinds
-    with pytest.raises(DomainError, match=message or non_finite):
+    with pytest.raises(DomainError, match=message or "^coefficients must be finite, got "):
         project(cos_c, sin_c)
 
 
@@ -816,7 +815,7 @@ _NORMS = {project_rms: modulated._rms,
 @settings(max_examples=300, deadline=None)
 @example(pair=([1e16, 1.0], [0.0, 0.0]))          # the absolute projection refused it
 @example(pair=([2.0**53 + 2, 0.0], [0.0, 0.0]))   # ... and put a magnitude of 2 on this one
-@example(pair=([1e8, 1e8 - 0.3], [0.0, 0.0]))     # ... and 1 + 6e-8 in all on this one
+@example(pair=([1e8, 1e8 - 0.3], [0.0, 0.0]))     # ... and 1 + 1.5e-8 in all on this one
 @example(pair=([1.7e308], [1.7e308]))             # hypot overflowed with a RuntimeWarning
 @example(pair=([5e-324, -5e-324], [0.0, 5e-324]))
 @given(pair=st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -985,7 +984,7 @@ def test_optimize_takes_the_full_step_when_its_loss_equals_the_current_one(monke
                       project_rms(init.beta - opts.step * grad.beta,
                                   init.delta - opts.step * grad.delta))
     assert len(calls) == 1 and res.iterations == 1
-    assert res.norm_trace[1] == modulated._constraint_norm(a, g, b, d, "rms")
+    assert res.norm_trace[1] == max(modulated._rms(a, g), modulated._rms(b, d))
 
 
 def _full_search_assign(x, y, wmap, threshold, hint=None):
