@@ -34,8 +34,9 @@ from .scanner import ScannerConfig
 FEASIBILITY_SLACK = 1e-9
 MAX_BACKTRACKS = 10   # step halvings per iteration
 # summed tone magnitude up to which project_absolute runs the simplex test on
-# the magnitudes themselves, as it always did; the test's rounding grows with
-# the sum, so above it the magnitudes are shifted first
+# the magnitudes themselves, so that no solve below it changes a bit; the
+# test's rounding grows with the sum (near 7.5e6 a projected sum missed 1 by
+# more than FEASIBILITY_SLACK), so above it the magnitudes are shifted first
 DIRECT_SIMPLEX_SUM = 2.0**16
 REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 SEARCH_BLOCK = 2**14  # elements (128 KB) of one (rows, columns, kept samples) search block

@@ -259,7 +259,8 @@ def test_nearest_squared_is_the_brute_force_minimum_bit_for_bit(case, seed, tied
 
 def _lowest_in_cell(k, n_grid):
     """The smallest float that _cell_bound puts in cell k: the cell's
-    included corner coordinate."""
+    included corner coordinate. It steps one float at a time, so its edge
+    must not be 0.0 (2 k != n_grid), where floats are dense."""
     def cell(v):
         return min(int((v + 1.0) * (n_grid / 2)), n_grid - 1)
     v = -1.0 + 2.0 * k / n_grid
