@@ -15,7 +15,8 @@ import sys
 from . import io as lio
 from .design import (N_GRID_DEFAULT, N_SAMPLES_DEFAULT, as_fraction,
                      baseline_repeating_design, design_unmodulated, repeat_period)
-from .errors import DomainError, InvalidParams, LissscanError, record_errors, record_value
+from .errors import (DomainError, InvalidParams, LissscanError, record_errors, record_value,
+                     value_text)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -65,7 +66,7 @@ def _parse_m_list(text: str) -> list[int]:
     try:
         values = list(dict.fromkeys(int(tok) for tok in text.split(",") if tok.strip() != ""))
     except ValueError as exc:
-        raise DomainError(f"--m must be comma-separated integers, got {text!r}") from exc
+        raise DomainError(f"--m must be comma-separated integers, got {value_text(text)}") from exc
     if not values:
         raise DomainError("--m must name at least one frame time")
     return values
@@ -144,7 +145,7 @@ def _drift_fn(spec: dict, f_drive: float, f_res: float, q: float, duration: floa
         target = record_value(spec["target_deg"], "target_deg")
         total = resonance_offset_for_phase_shift(f_drive, f_res, q, target)
     else:
-        raise DomainError(f"unknown drift type {kind!r}")
+        raise DomainError(f"unknown drift type {value_text(kind)}")
     return lambda t: total * t / duration
 
 

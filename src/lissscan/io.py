@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -68,7 +69,7 @@ def write_text(path, text: str) -> Path:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a null byte in the path
         raise DomainError(f"could not write {path}: {exc}") from exc
     return path
 
@@ -101,6 +102,13 @@ def _pgm_tokens(data: bytes):
     return ((m[1], m.end()) for m in _PGM_TOKEN.finditer(data) if m[1])
 
 
+def _pgm_int(token: bytes) -> int:
+    """A PGM integer: ASCII decimal digits only (int() takes a sign and "_" too)."""
+    if not token.isdigit():
+        raise ValueError("not a PGM integer")
+    return int(token)
+
+
 def _read_pgm(path: Path) -> np.ndarray:
     import numpy as np
     data = path.read_bytes()
@@ -110,7 +118,7 @@ def _read_pgm(path: Path) -> np.ndarray:
         if magic not in (b"P2", b"P5"):
             raise WeightMapError(f"{path}: not a PGM file (magic {value_text(magic)})")
         (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        width, height, maxval = map(_pgm_int, (w_tok, h_tok, max_tok))
     except (StopIteration, ValueError) as exc:
         raise WeightMapError(f"{path}: truncated or malformed PGM header") from exc
     if not 1 <= maxval <= 255:
@@ -122,7 +130,7 @@ def _read_pgm(path: Path) -> np.ndarray:
         values = np.frombuffer(data[end + 1:end + 1 + n], dtype=np.uint8).astype(np.float64)
     else:
         try:
-            values = np.array([int(tok) for tok, _ in tokens], dtype=np.float64)[:n]
+            values = np.array([_pgm_int(tok) for tok, _ in tokens], dtype=np.float64)[:n]
         except ValueError as exc:
             raise WeightMapError(f"{path}: non-integer sample in P2 raster") from exc
     if len(values) < n:
@@ -135,13 +143,15 @@ def _read_pgm(path: Path) -> np.ndarray:
 def _read_csv_grid(path: Path) -> np.ndarray:
     import numpy as np
     try:
-        grid = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():     # an empty file is refused below, not warned of
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            grid = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise WeightMapError(f"{path}: could not parse CSV grid: {exc}") from exc
-    if np.any(~np.isfinite(grid)) or np.any(grid < 0):
-        raise WeightMapError(f"{path}: weights must be finite and non-negative")
-    peak = grid.max(initial=0.0)
-    return grid / peak if peak > 1.0 else grid
+    if grid.size == 0:
+        raise WeightMapError(f"{path}: CSV grid holds no data")
+    peak = grid.max()
+    return grid / peak if 1.0 < peak < math.inf else grid
 
 
 def load_weight_map(path) -> WeightMap:
@@ -154,10 +164,11 @@ def load_weight_map(path) -> WeightMap:
         image = _read_pgm(path)
     else:
         image = _read_csv_grid(path)
-    if image.shape[0] != image.shape[1]:
-        raise WeightMapError(f"{path}: weight map must be square, got {image.shape}")
     # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
-    return WeightMap(image[::-1].T)
+    try:
+        return WeightMap(image[::-1].T)
+    except DomainError as exc:
+        raise WeightMapError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------- configs and designs

@@ -91,9 +91,16 @@ def test_pgm_rejects_malformed_files(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
     with pytest.raises(WeightMapError, match="raster shorter than 2x2"):
         load_weight_map(path)
-    path.write_text("P2\n2 2\n255\n0 0 a 0\n")
-    with pytest.raises(WeightMapError, match="non-integer sample"):
-        load_weight_map(path)
+    # PGM integers are ASCII decimal digits: int() also read a sign and "_"
+    for header in ("P2\n+2 2\n255\n0 0 0 0\n", "P2\n2 2\n2_55\n0 0 0 0\n",
+                   "P2\n2 -2\n255\n0 0 0 0\n"):
+        path.write_text(header)
+        with pytest.raises(WeightMapError, match="truncated or malformed PGM header"):
+            load_weight_map(path)
+    for sample in ("a", "1_0", "-1", "+2", "\u0661"):          # "\u0661" is Arabic-Indic one
+        path.write_bytes(f"P2\n2 2\n255\n0 0 {sample} 0\n".encode())
+        with pytest.raises(WeightMapError, match="non-integer sample"):
+            load_weight_map(path)
     with pytest.raises(WeightMapError):
         load_weight_map(tmp_path / "missing.pgm")
 
@@ -149,6 +156,31 @@ def test_csv_weight_map(tmp_path):
         load_weight_map(path)
 
 
+# (file name, content): every map optimize --roi refuses, whatever rule it breaks
+_REFUSED_MAPS = [
+    ("negative.pgm", b"P2\n2 2\n255\n-1 0 0 0\n"),   # was a DomainError naming no file
+    ("negative.csv", b"-1,1\n1,1\n"),
+    ("nan.csv", b"nan,1\n1,1\n"),
+    ("inf.csv", b"inf,1\n1,1\n"),
+    ("wide.pgm", b"P2\n3 2\n255\n0 0 0 0 0 0\n"),
+    ("wide.csv", b"1,2,3\n4,5,6\n"),
+    ("empty.csv", b""),                                   # loadtxt warned on stderr first
+    ("comment.csv", b"# only a comment\n"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, content", _REFUSED_MAPS, ids=[n for n, _ in _REFUSED_MAPS])
+def test_cli_refused_weight_map_is_one_error_naming_its_file(name, content, tmp_path, capsys):
+    scanner = _scanner_file(tmp_path, r=2.0)
+    roi, out = tmp_path / name, tmp_path / "params.json"
+    roi.write_bytes(content)
+    assert cli_dispatch(["optimize", "--scanner", str(scanner), "--roi", str(roi),
+                         "--max-iters", "1", "--out", str(out)]) == 1
+    _assert_one_error(capsys, f"WeightMapError: {roi}")
+    assert not out.exists()
+
+
 def test_scanner_and_design_files_round_trip(tmp_path):
     cfg = ScannerConfig(fx_res=2.2, fy_res=1.0, qx=18.0, qy=22.0)
     assert load_scanner(save_scanner(cfg, tmp_path / "s.json")) == cfg
@@ -161,6 +193,12 @@ def test_scanner_and_design_files_round_trip(tmp_path):
         load_design(tmp_path / "junk.json")
     with pytest.raises(ConfigError):
         load_scanner(tmp_path / "absent.json")
+    with pytest.raises(DomainError, match="^path must be non-empty$"):
+        load_scanner("")
+    with pytest.raises(DomainError, match="^path must be non-empty$"):
+        save_design(design, None)
+    with pytest.raises(DomainError, match="^could not write .*embedded null byte"):
+        save_scanner(cfg, str(tmp_path / "a\0b"))     # open() raises a ValueError
 
 
 # ------------------------------------------------------------------------- CLI
@@ -555,8 +593,9 @@ def test_cli_phase_solve_write_error(tmp_path, capsys):
 
 def _assert_one_error(capsys, kind):
     err = capsys.readouterr().err
-    assert err.startswith(f"error:{kind}:"), err
+    assert err.startswith(f"error:{kind}:"), err[:300]
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert len(err) < 1000, f"{len(err)} characters"     # a refused value is shown cut
 
 
 def test_json_reader_rejects_non_finite_numbers(tmp_path):
@@ -683,6 +722,8 @@ _MALFORMED_CASES = [
     ("--scenario", ("frame_time",), "6.4", "DomainError"),
     ("--scenario", ("drift",), {"type": "linear", "rate_per_s": "0.1"}, "DomainError"),
     ("--samples", ("frame_time",), "7", "DomainError"),
+    # a refused value reached the error line in full
+    ("--scenario", ("drift",), {"type": "x" * 100_000}, "DomainError"),
 ]
 
 
@@ -700,6 +741,7 @@ def test_cli_malformed_json_input_is_one_error_line(flag, field, value, kind, tm
 
 @pytest.mark.parametrize("flag, value", [
     ("--m", "7,x"), ("--m", ","), ("--r-step", "0"), ("--r-step", "-0.05"), ("--r-max", "1.4"),
+    pytest.param("--m", "x" * 50_000, id="--m-50000-characters"),   # was shown in full
 ])
 def test_cli_sweep_rejects_a_bad_grid(flag, value, tmp_path, capsys):
     argv = ["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05", "--m", "7",
