@@ -155,7 +155,7 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
     scanner = lio.load_scanner(args.scanner)
     spec = lio.read_json(args.scenario, DomainError)
     axis = spec.get("axis", "x")
-    with record_errors(f"scenario {args.scenario}", DomainError):
+    with record_errors(f"scenario {lio.path_text(args.scenario)}", DomainError):
         f_res, q = scanner.axis(axis)
         f_drive = record_value(spec.get("f_drive", f_res), "f_drive")
         scenario = DriftScenario(
@@ -172,7 +172,7 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
 def cmd_phase_solve(args: argparse.Namespace) -> int:
     from .phase import solve_multitone
     data = lio.read_json(args.samples, DomainError)
-    with record_errors(f"samples {args.samples}", DomainError):
+    with record_errors(f"samples {lio.path_text(args.samples)}", DomainError):
         x, xq, omegas = ([record_value(v, key) for v in data[key]] for key in ("x", "xq", "omegas"))
         frame_time = record_value(data["frame_time"], "frame_time")
     state = solve_multitone(x, xq, omegas, frame_time)

@@ -32,6 +32,30 @@ def _require_path(path) -> Path:
     return Path(path)
 
 
+# a path longer than this, or holding a character that is not printable, is
+# shown cut and escaped, so that no error line reaches 1,000 characters
+_PATH_SHOWN = 400
+
+
+def path_text(path) -> str:
+    """The one way a message shows a path: as it is, or by value_text."""
+    text = str(path)
+    return text if len(text) <= _PATH_SHOWN and text.isprintable() else value_text(text)
+
+
+def _read(path: Path, error: type[LissscanError]) -> bytes:
+    """The bytes of the regular file at path; otherwise error "<path>: <reason>",
+    unread, as a FIFO's read blocks and /dev/zero's never ends. An OSError is
+    shown by its strerror, as its text repeats the path."""
+    try:
+        if path.is_file():
+            return path.read_bytes()
+        reason = "not a regular file" if path.exists() else "no such file"
+    except OSError as exc:      # pathlib's probes answer False for a null byte
+        raise error(f"{path_text(path)}: {exc.strerror}") from exc
+    raise error(f"{path_text(path)}: {reason}")
+
+
 def _finite(text: str, convert=float):
     """JSON number hook: NaN, Infinity and numbers that overflow a float are errors."""
     if not math.isfinite(float(text)):
@@ -44,13 +68,14 @@ def read_json(path, error: type[LissscanError]) -> dict:
     holds NaN, Infinity or a number that overflows a float, or is not a
     single object raises error."""
     path = _require_path(path)
+    raw = _read(path, error)
     try:
-        data = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite,
+        data = json.loads(raw.decode(), parse_float=_finite, parse_constant=_finite,
                           parse_int=lambda text: _finite(text, int))
-    except (OSError, ValueError, RecursionError) as exc:    # JSON errors are ValueErrors
-        raise error(f"could not read JSON from {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:    # JSON and UTF-8 errors are ValueErrors
+        raise error(f"could not read JSON from {path_text(path)}: {exc}") from exc
     if not isinstance(data, dict):
-        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise error(f"{path_text(path)}: expected a JSON object, got {type(data).__name__}")
     return data
 
 
@@ -58,9 +83,14 @@ def read_json(path, error: type[LissscanError]) -> dict:
 
 def check_out_paths(*paths: str | None) -> None:
     """Fail before any computing when an output path cannot be a file."""
-    for path in paths:
-        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise DomainError(f"could not write {path}: not a file in an existing directory")
+    for path in filter(None, paths):
+        try:
+            fits = not Path(path).is_dir() and Path(path).parent.is_dir()
+        except OSError as exc:      # a name too long, for one
+            raise DomainError(f"could not write {path_text(path)}: {exc.strerror}") from exc
+        if not fits:
+            raise DomainError(f"could not write {path_text(path)}: "
+                              "not a file in an existing directory")
 
 
 def write_text(path, text: str) -> Path:
@@ -70,7 +100,8 @@ def write_text(path, text: str) -> Path:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:    # ValueError: a null byte in the path
-        raise DomainError(f"could not write {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", exc)
+        raise DomainError(f"could not write {path_text(path)}: {reason}") from exc
     return path
 
 
@@ -109,22 +140,22 @@ def _pgm_int(token: bytes) -> int:
     return int(token)
 
 
-def _read_pgm(path: Path) -> np.ndarray:
+def _read_pgm(data: bytes) -> np.ndarray:
+    """PGM samples over maxval; any past width x height are dropped."""
     import numpy as np
-    data = path.read_bytes()
     tokens = _pgm_tokens(data)
     try:
         magic, _ = next(tokens)
         if magic not in (b"P2", b"P5"):
-            raise WeightMapError(f"{path}: not a PGM file (magic {value_text(magic)})")
+            raise DomainError(f"not a PGM file (magic {value_text(magic)})")
         (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
         width, height, maxval = map(_pgm_int, (w_tok, h_tok, max_tok))
     except (StopIteration, ValueError) as exc:
-        raise WeightMapError(f"{path}: truncated or malformed PGM header") from exc
+        raise DomainError("truncated or malformed PGM header") from exc
     if not 1 <= maxval <= 255:
-        raise WeightMapError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
+        raise DomainError(f"only 8-bit PGM supported, maxval {maxval}")
     if width < 1 or height < 1:
-        raise WeightMapError(f"{path}: bad dimensions {width}x{height}")
+        raise DomainError(f"bad dimensions {width}x{height}")
     n = width * height
     if magic == b"P5":
         values = np.frombuffer(data[end + 1:end + 1 + n], dtype=np.uint8).astype(np.float64)
@@ -132,24 +163,25 @@ def _read_pgm(path: Path) -> np.ndarray:
         try:
             values = np.array([_pgm_int(tok) for tok, _ in tokens], dtype=np.float64)[:n]
         except ValueError as exc:
-            raise WeightMapError(f"{path}: non-integer sample in P2 raster") from exc
+            raise DomainError("non-integer sample in P2 raster") from exc
     if len(values) < n:
-        raise WeightMapError(f"{path}: raster shorter than {width}x{height}")
+        raise DomainError(f"raster shorter than {width}x{height}")
     if values.max(initial=0.0) > maxval:
-        raise WeightMapError(f"{path}: sample exceeds declared maxval {maxval}")
+        raise DomainError(f"sample exceeds declared maxval {maxval}")
     return values.reshape(height, width) / maxval
 
 
-def _read_csv_grid(path: Path) -> np.ndarray:
+def _read_csv_grid(data: bytes) -> np.ndarray:
     import numpy as np
     try:
         with warnings.catch_warnings():     # an empty file is refused below, not warned of
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            grid = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+            text = StringIO(data.decode(), newline=None)     # newlines as a text file reads them
+            grid = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
-        raise WeightMapError(f"{path}: could not parse CSV grid: {exc}") from exc
+        raise DomainError(f"could not parse CSV grid: {exc}") from exc
     if grid.size == 0:
-        raise WeightMapError(f"{path}: CSV grid holds no data")
+        raise DomainError("CSV grid holds no data")
     peak = grid.max()
     return grid / peak if 1.0 < peak < math.inf else grid
 
@@ -158,17 +190,13 @@ def load_weight_map(path) -> WeightMap:
     """Square weight map from a PGM image or CSV grid, values in [0, 1]."""
     from .modulated import WeightMap
     path = _require_path(path)
-    if not path.is_file():
-        raise WeightMapError(f"{path}: no such file")
-    if path.suffix.lower() == ".pgm":
-        image = _read_pgm(path)
-    else:
-        image = _read_csv_grid(path)
-    # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
+    data = _read(path, WeightMapError)
     try:
+        image = _read_pgm(data) if path.suffix.lower() == ".pgm" else _read_csv_grid(data)
+        # image row 0 = top of FoV; internal layout is w[ix, iy] with y ascending
         return WeightMap(image[::-1].T)
     except DomainError as exc:
-        raise WeightMapError(f"{path}: {exc}") from exc
+        raise WeightMapError(f"{path_text(path)}: {exc}") from exc
 
 
 # ------------------------------------------------------- configs and designs

@@ -4,9 +4,9 @@
     python tests/mutants.py NAME ...     # the named ones
 
 Each mutant replaces one piece of text, found exactly once, in a copy of
-src/ (with tests/ and pyproject.toml beside it, in a temporary directory),
-then runs its named tests there with pytest. A failing run kills the
-mutant. The named tests are first run once on the unchanged copy, which
+src/ (with tests/, bench/ and pyproject.toml beside it in a temporary
+directory, so the whole suite can run there too), then runs its named
+tests there with pytest. A failing run kills the mutant. The named tests are first run once on the unchanged copy, which
 must pass. One line per mutant gives the outcome and the name; a mutant whose
 outcome differs from the one expected is marked with "!", and any such
 mutant, or one whose text is no longer in src/, makes the exit status 1.
@@ -87,6 +87,11 @@ MUTANTS = {
         "modulated.py", "    if total <= DIRECT_SIMPLEX_SUM:\n", "    if total <= math.inf:\n",
         [MODULATED + "test_absolute_projection_places_magnitudes_of_2_to_the_53_and_above"],
         "killed", ""),
+    "absolute-norm-x-only": (
+        "modulated.py",
+        "    return max(float(np.hypot(a, g).sum()), float(np.hypot(b, d).sum()))",
+        "    return float(np.hypot(a, g).sum())",
+        [MODULATED + "test_absolute_constraint_norm_is_the_larger_axis_sum"], "killed", ""),
     "fill-reach-no-slack": (
         "coverage.py", "reach = np.sqrt(bound.take(flat)) / n_grid + 1e-9",
         "reach = np.sqrt(bound.take(flat)) / n_grid",
@@ -101,6 +106,13 @@ MUTANTS = {
         "    base = ",
         ["tests/test_phase.py::test_resonance_offset_is_computed_from_the_checked_floats"],
         "killed", ""),
+    "phase-target-pi": (
+        "phase.py", "    if not 0.0 < target < math.pi:\n", "    if not 0.0 < target <= math.pi:\n",
+        ["tests/test_phase.py::test_resonance_offset_refuses_a_target_of_exactly_180_degrees"],
+        "killed", ""),
+    "p2-raster-one-past": (
+        "io.py", "dtype=np.float64)[:n]", "dtype=np.float64)[:n + 1]",
+        ["tests/test_io_cli.py::test_pgm_drops_samples_past_width_times_height"], "killed", ""),
 }
 
 
@@ -109,7 +121,7 @@ def passes(tests: list[str], file: str = "", text: str = "", replacement: str = 
     (nothing replaced when file is empty); None when text is not there once."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)

@@ -1,5 +1,6 @@
 """File formats (weight maps, configs, designs) and the command-line front end."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -26,7 +27,7 @@ from lissscan import cli
 from lissscan.cli import cli_dispatch
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
-from lissscan.io import _pgm_tokens
+from lissscan.io import _PATH_SHOWN, _pgm_tokens, _read_pgm, path_text
 from lissscan.modulated import FEASIBILITY_SLACK
 
 F = Fraction
@@ -103,6 +104,20 @@ def test_pgm_rejects_malformed_files(tmp_path):
             load_weight_map(path)
     with pytest.raises(WeightMapError):
         load_weight_map(tmp_path / "missing.pgm")
+
+
+@pytest.mark.parametrize("data, kept", [
+    (b"P2\n2 1\n255\n51 102 255\n", [51, 102]),
+    (b"P2\n2 1\n255\n51 102 999\n", [51, 102]),      # above maxval, but never read
+    (b"P5\n2 1\n255\n" + bytes([51, 102, 255, 7]), [51, 102]),
+], ids=["p2", "p2-above-maxval", "p5"])
+def test_pgm_drops_samples_past_width_times_height(data, kept):
+    np.testing.assert_array_equal(_read_pgm(data), np.array([kept]) / 255)
+
+
+def test_pgm_refuses_an_extra_p2_sample_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="^non-integer sample in P2 raster$"):
+        _read_pgm(b"P2\n2 1\n255\n51 102 x\n")
 
 
 def _pgm_tokens_byte_loop(data: bytes):
@@ -587,6 +602,106 @@ def test_cli_phase_solve_write_error(tmp_path, capsys):
     out = tmp_path / "missing" / "p.json"
     assert cli_dispatch(["phase-solve", "--samples", str(samples), "--out", str(out)]) == 1
     _assert_one_write_error(capsys, out)
+
+
+# ------------------------------------------------------------ paths in messages
+
+def test_path_text_shows_an_ordinary_path_as_it_is():
+    assert path_text("d/" + "p" * (_PATH_SHOWN - 2)) == "d/" + "p" * (_PATH_SHOWN - 2)
+    assert path_text(Path("a b/\u00e9.json")) == "a b/\u00e9.json"
+    assert path_text("p" * (_PATH_SHOWN + 1)) == (
+        f"'{'p' * 63}... ({_PATH_SHOWN + 3} characters)")
+    assert path_text("a\x1b[2Jb.csv") == "'a\\x1b[2Jb.csv'"
+    assert path_text("a\tb") == "'a\\tb'"
+
+
+def _path_flags():
+    """(command, flag) for every flag whose argparse type is cli._path."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command, p in sub.choices.items()
+            for action in p._actions if action.type is cli._path]
+
+
+_OUTPUT_FLAGS = ("--out", "--trace")
+
+
+def _path_flag_argv(command, flag, path, tmp_path):
+    """A cheap run of command whose every input file is valid, with path for flag."""
+    files, records = _cli_inputs(tmp_path)
+    scanner, design, roi = map(str, files)
+    inputs = {name: tmp_path / f"{name[2:]}.json" for name in ("--init", "--scenario", "--samples")}
+    for name, file in inputs.items():
+        file.write_text(json.dumps(records[name]))
+    init, scenario, samples = map(str, inputs.values())
+    out, trace = str(tmp_path / "out"), str(tmp_path / "trace.csv")
+    argv = {
+        "design": ["design", "--r", "1.5", "--m", "7", "--out", out],
+        "metrics": ["metrics", "--design", design, "--scanner", scanner, "--grid", "8",
+                    "--n-samples", "50", "--out", out],
+        "sweep": ["sweep", "--r-min", "1.5", "--r-max", "1.5", "--r-step", "0.1", "--m", "7",
+                  "--scanner", scanner, "--grid", "8", "--n-samples", "50", "--out", out],
+        "optimize": ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
+                     "--max-iters", "2", "--n-samples", "50", "--init", init, "--out", out,
+                     "--trace", trace],
+        "phase-sim": ["phase-sim", "--scenario", scenario, "--scanner", scanner,
+                      "--duration", "64", "--out", out],
+        "phase-solve": ["phase-solve", "--samples", samples, "--out", out],
+    }[command]
+    argv[argv.index(flag) + 1] = path
+    return argv
+
+
+def _assert_one_printable_error(err):
+    assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1, err[:300]
+    assert len(err) < 1000, f"{len(err)} characters"
+    assert err[:-1].isprintable(), err[:300]        # no ESC, NUL or other control character
+
+
+def test_the_path_flag_tests_reach_all_16_path_flags():
+    assert len(_path_flags()) == 16
+
+
+@pytest.mark.parametrize("kind", ["long", "escape", "directory", "missing-directory"])
+@pytest.mark.parametrize("command, flag", _path_flags())
+def test_cli_a_refused_path_is_one_short_printable_error_line(command, flag, kind, tmp_path,
+                                                               capsys):
+    # a 100,000-character --roi, --out or --trace ended in a raw OSError (File
+    # name too long), any other flag printed the name twice, and a control
+    # character in a name reached stderr raw
+    path = {"long": "x" * 100_000,
+            "escape": str(tmp_path / ("missing" if flag in _OUTPUT_FLAGS else "") / "a\x1b[2Jb"),
+            "directory": str(tmp_path),
+            "missing-directory": str(tmp_path / "missing" / "f.json")}[kind]
+    assert cli_dispatch(_path_flag_argv(command, flag, path, tmp_path)) == 1
+    _assert_one_printable_error(capsys.readouterr().err)
+
+
+def _refuse_unless_regular(read):
+    """read, which fails the test instead of opening a file that is not regular."""
+    def guarded(source, *args, **kwargs):
+        if isinstance(source, (str, os.PathLike)) and not os.path.isfile(source):
+            raise AssertionError(f"{source} is not a regular file, yet it was read")
+        return read(source, *args, **kwargs)
+    return guarded
+
+
+@pytest.mark.parametrize("special", ["fifo", "/dev/zero"])
+@pytest.mark.parametrize("command, flag",
+                         [(c, f) for c, f in _path_flags() if f not in _OUTPUT_FLAGS])
+def test_cli_an_input_that_is_not_a_regular_file_is_refused_unread(command, flag, special,
+                                                                  tmp_path, capsys, monkeypatch):
+    # a FIFO's read blocked until the process was killed, and /dev/zero's read
+    # grew until a MemoryError; the guards below stand in for both reads
+    for owner, name in ((Path, "read_text"), (Path, "read_bytes"), (np, "loadtxt")):
+        monkeypatch.setattr(owner, name, _refuse_unless_regular(getattr(owner, name)))
+    if special == "fifo":
+        special = str(tmp_path / "fifo")
+        os.mkfifo(special)
+    assert cli_dispatch(_path_flag_argv(command, flag, special, tmp_path)) == 1
+    err = capsys.readouterr().err
+    _assert_one_printable_error(err)
+    assert err.endswith(f"{special}: not a regular file\n"), err
 
 
 # ------------------------------------------------------------ JSON file inputs

@@ -1087,6 +1087,15 @@ def test_optimize_fails_with_its_trace_when_every_halved_step_leaves_the_float_r
     assert len(trace) == 1 and np.all(np.isfinite(trace))
 
 
+@pytest.mark.parametrize("x_pair, y_pair, want", [
+    (([3.0], [4.0]), ([6.0, 1.0], [8.0, 0.0]), 11.0),       # the y axis sums larger
+    (([6.0, 1.0], [8.0, 0.0]), ([3.0], [4.0]), 11.0),
+])
+def test_absolute_constraint_norm_is_the_larger_axis_sum(x_pair, y_pair, want):
+    coef = np.concatenate([*x_pair, *y_pair])
+    assert modulated._constraint_norm(coef, len(x_pair[0]), "absolute") == want
+
+
 def test_optimize_starts_an_absolute_warm_start_from_outside_the_constraint_set():
     # iterate 0 is not checked; checking it too would refuse this init, whose
     # summed tone magnitude is 2.2 (its RMS, 0.98, is within the ball)

@@ -152,6 +152,16 @@ def test_resonance_offset_round_trip():
         assert math.degrees(moved) == pytest.approx(near_end, abs=1e-9)
 
 
+@pytest.mark.parametrize("args", [(1.0, 1.0, 20.0, 90.0), (0.5, 1.0, 20.0, 178.0908475670036),
+                                  (2.0, 1.0, 20.0, 1.9091524329963774)])
+def test_resonance_offset_refuses_a_target_of_exactly_180_degrees(args):
+    # base lag plus the shift is math.pi exactly; taken as a target, the root
+    # below would be a resonance of about 2e-15, not an error
+    assert plant_phase_lag(*args[:3]) + math.radians(args[3]) == math.pi
+    with pytest.raises(DomainError, match=r"^target phase 180\.0 deg leaves \(0, 180\)$"):
+        resonance_offset_for_phase_shift(*args)
+
+
 @pytest.mark.parametrize("convert", [np.float32, lambda v: Decimal(str(v))],
                          ids=["float32", "Decimal"])
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["f_drive", "f_res", "q"])
