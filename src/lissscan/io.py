@@ -1,5 +1,6 @@
-"""File ingestion and export: weight maps, scanner configs, designs, and
-the writers every output file goes through (a failed write is a DomainError).
+"""File ingestion and export: weight maps, scanner configs, designs, the
+reader every input file goes through and the writers every output file goes
+through (a failed write is a DomainError).
 
 Weight maps come from 8-bit PGM images (P2 ASCII or P5 binary) or from
 CSV grids; image row 0 is the top of the field of view (y = +1) and
@@ -32,8 +33,8 @@ def _require_path(path) -> Path:
     return Path(path)
 
 
-# a path longer than this, or holding a character that is not printable, is
-# shown cut and escaped, so that no error line reaches 1,000 characters
+# an error line holds one path, a short reason and at most one value_text (under
+# 100 characters), so a path shown up to this length keeps it under 1,000
 _PATH_SHOWN = 400
 
 

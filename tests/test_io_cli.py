@@ -1,6 +1,7 @@
 """File formats (weight maps, configs, designs) and the command-line front end."""
 
 import argparse
+import builtins
 import contextlib
 import dataclasses
 import importlib
@@ -680,8 +681,9 @@ def test_cli_a_refused_path_is_one_short_printable_error_line(command, flag, kin
 def _refuse_unless_regular(read):
     """read, which fails the test instead of opening a file that is not regular."""
     def guarded(source, *args, **kwargs):
-        if isinstance(source, (str, os.PathLike)) and not os.path.isfile(source):
-            raise AssertionError(f"{source} is not a regular file, yet it was read")
+        if isinstance(source, (str, os.PathLike)) and os.path.exists(source) \
+                and not os.path.isfile(source):
+            raise AssertionError(f"{source} is not a regular file, yet it was opened")
         return read(source, *args, **kwargs)
     return guarded
 
@@ -693,7 +695,8 @@ def test_cli_an_input_that_is_not_a_regular_file_is_refused_unread(command, flag
                                                                   tmp_path, capsys, monkeypatch):
     # a FIFO's read blocked until the process was killed, and /dev/zero's read
     # grew until a MemoryError; the guards below stand in for both reads
-    for owner, name in ((Path, "read_text"), (Path, "read_bytes"), (np, "loadtxt")):
+    for owner, name in ((builtins, "open"), (Path, "read_text"), (Path, "read_bytes"),
+                        (np, "loadtxt")):
         monkeypatch.setattr(owner, name, _refuse_unless_regular(getattr(owner, name)))
     if special == "fifo":
         special = str(tmp_path / "fifo")
