@@ -83,8 +83,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if r_step <= 0 or r_max < r_min:
         raise DomainError("need r_step > 0 and r_max >= r_min")
     n_ratios, m_list = (r_max - r_min) // r_step + 1, _parse_m_list(args.m)
-    if n_ratios * len(m_list) > MAX_SWEEP_CELLS:
-        raise DomainError(f"sweep of {n_ratios * len(m_list)} cells exceeds {MAX_SWEEP_CELLS}")
+    if (cells := n_ratios * len(m_list)) > MAX_SWEEP_CELLS:
+        raise DomainError(f"sweep of {value_text(cells)} cells exceeds {MAX_SWEEP_CELLS}")
     r_grid = [r_min + i * r_step for i in range(n_ratios)]
     rows = sweep_designs(r_grid, m_list, config=scanner,
                          n_samples=args.n_samples, n_grid=args.grid,

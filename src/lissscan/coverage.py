@@ -100,7 +100,8 @@ def sample_unmodulated(design: UnmodulatedDesign, config: ScannerConfig,
     m = design.m
     frame_index = number_value(frame_index, "frame_index", convert=int)
     if not abs(frame_index * m) <= sys.float_info.max:
-        raise DomainError(f"frame_index {frame_index} starts the frame outside float range")
+        raise DomainError(f"frame_index {value_text(frame_index)} starts the frame outside float "
+                          "range")
     t = _sample_times(frame_index * m, m, n_samples)
     x = ax * np.cos(2.0 * np.pi * float(design.fx) * t + design.phix)
     y = ay * np.cos(2.0 * np.pi * float(design.fy) * t + design.phiy)

@@ -12,6 +12,7 @@ set keeps covering new ground for at least one whole frame.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,8 +53,24 @@ def _prescribed(case: DesignCase, k: int, m: int) -> tuple[Fraction, float]:
     return Fraction(k, c * m), math.pi / (2 * m) if quarter else 0.0
 
 
+def _exponent_bounded(text: str) -> None:
+    """Refuse text such as "1e-5000" whose exponent passes the interpreter's
+    bound on the digits of an int: Fraction builds 10**5000 for it, and has
+    no bound of its own."""
+    _, e, tail = text.lower().rpartition("e")
+    try:
+        exponent = int(tail) if e else 0
+    except ValueError:          # no exponent: Fraction judges the text
+        return
+    bound = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if abs(exponent) > bound:
+        raise DomainError(f"ratio exponent must lie in [-{bound}, {bound}], got {value_text(text)}")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '41/28' or '1.5', floats and Fractions."""
+    if isinstance(value, str):
+        _exponent_bounded(value)
     try:
         frac = record_value(value, "ratio", Fraction)    # a boolean is not 1 or 0
         float(frac)                 # patterns are sampled in floats
@@ -138,8 +155,8 @@ def case1_criterion(k: int, m: int) -> bool:
     m = number_value(m, "m", M_MIN, M_MAX, int)
     k = number_value(k, "k", 1, convert=int)
     q = 4 * m
-    if math.gcd(k, q) != 1:
-        raise DomainError(f"case1_criterion requires gcd(k, 4m) == 1, got gcd({k}, {q}) = {math.gcd(k, q)}")
+    if (g := math.gcd(k, q)) != 1:
+        raise DomainError(f"case1_criterion requires gcd(k, 4m) == 1, got gcd({value_text(k)}, {q}) = {g}")
     half = m // 2
     return all((k * n) % q not in (1, q - 1) for n in range(half, 3 * half + 1))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import warnings
 from io import StringIO
@@ -28,9 +29,13 @@ if TYPE_CHECKING:      # numpy and the modules that need it load in the readers 
 
 
 def _require_path(path) -> Path:
-    if path is None or str(path) == "":
+    """The one way a path argument becomes a Path: a non-empty str or os.PathLike of str."""
+    text = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if isinstance(text, str) and text:
+        return Path(text)
+    if path is None or isinstance(text, str):
         raise DomainError("path must be non-empty")
-    return Path(path)
+    raise DomainError(f"path must be a str or an os.PathLike of str, got {value_text(path)}")
 
 
 # an error line holds one path, a short reason and at most one value_text (under
@@ -82,11 +87,11 @@ def read_json(path, error: type[LissscanError]) -> dict:
 
 # -------------------------------------------------------------------- writers
 
-def check_out_paths(*paths: str | None) -> None:
-    """Fail before any computing when an output path cannot be a file."""
-    for path in filter(None, paths):
+def check_out_paths(*paths) -> None:
+    """Fail before any computing when an output path cannot be a file; None is skipped."""
+    for path in (_require_path(path) for path in paths if path is not None):
         try:
-            fits = not Path(path).is_dir() and Path(path).parent.is_dir()
+            fits = not path.is_dir() and path.parent.is_dir()
         except OSError as exc:      # a name too long, for one
             raise DomainError(f"could not write {path_text(path)}: {exc.strerror}") from exc
         if not fits:
@@ -154,9 +159,9 @@ def _read_pgm(data: bytes) -> np.ndarray:
     except (StopIteration, ValueError) as exc:
         raise DomainError("truncated or malformed PGM header") from exc
     if not 1 <= maxval <= 255:
-        raise DomainError(f"only 8-bit PGM supported, maxval {maxval}")
+        raise DomainError(f"only 8-bit PGM supported, maxval {value_text(maxval)}")
     if width < 1 or height < 1:
-        raise DomainError(f"bad dimensions {width}x{height}")
+        raise DomainError(f"bad dimensions {value_text(width)}x{value_text(height)}")
     n = width * height
     if magic == b"P5":
         values = np.frombuffer(data[end + 1:end + 1 + n], dtype=np.uint8).astype(np.float64)
@@ -166,7 +171,7 @@ def _read_pgm(data: bytes) -> np.ndarray:
         except ValueError as exc:
             raise DomainError("non-integer sample in P2 raster") from exc
     if len(values) < n:
-        raise DomainError(f"raster shorter than {width}x{height}")
+        raise DomainError(f"raster shorter than {value_text(width)}x{value_text(height)}")
     if values.max(initial=0.0) > maxval:
         raise DomainError(f"sample exceeds declared maxval {maxval}")
     return values.reshape(height, width) / maxval

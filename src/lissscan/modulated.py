@@ -42,7 +42,7 @@ REL_TOL = 1e-5        # relative best-loss gain that still counts as progress
 SEARCH_BLOCK = 2**14  # elements (128 KB) of one (rows, columns, kept samples) search block
 MAX_SEARCH = 2**22    # map side x n_samples: each (rows, n_samples) search array stays at 32 MB
 
-# Reference regions used by tests and CLI reporting, as (xmin, xmax, ymin, ymax).
+# Reference regions of the tests, acceptance criteria and benchmark, as (xmin, xmax, ymin, ymax).
 ROI_A = (-0.9, -0.3, -0.3, 0.3)
 ROI_B = (0.2, 0.9, 0.2, 0.8)
 
@@ -63,7 +63,7 @@ def _rectangle(rect) -> tuple:
     edges = tuple(number_value(edge, "rectangle edge")
                   for edge in (rect if np.iterable(rect) else [rect]))
     if len(edges) != 4 or edges[0] > edges[1] or edges[2] > edges[3]:
-        raise DomainError(f"malformed rectangle {edges}")
+        raise DomainError(f"malformed rectangle {value_text(edges)}")
     return edges
 
 
@@ -247,18 +247,17 @@ def default_tone_indices(r, n_tones: int = 5, m: int = 7) -> tuple[int, ...]:
     grid index.
     """
     if n_tones not in _TONE_STEPS:
-        raise InvalidParams(f"n_tones must be one of {sorted(_TONE_STEPS)}, got {n_tones}")
+        raise InvalidParams(f"n_tones must be one of {sorted(_TONE_STEPS)}, "
+                            f"got {value_text(n_tones)}")
     m = number_value(m, "m", 1, convert=int, error=InvalidParams)
     r = as_fraction(r)
     if r <= 0:
         raise InvalidParams("resonance ratio must be positive")
-    indices = []
-    for c in _TONE_STEPS[n_tones]:
-        n = round(Fraction(c, 14) * r * _L * m)
-        if n < 1 or (indices and n <= indices[-1]):
-            raise InvalidParams(f"tone ladder collapsed for r = {float(r)}, m = {m}, L = {_L}")
-        indices.append(n)
-    return tuple(indices)
+    indices = tuple(round(Fraction(c, 14) * r * _L * m) for c in _TONE_STEPS[n_tones])
+    if indices[0] < 1 or any(a >= b for a, b in zip(indices, indices[1:])):
+        raise InvalidParams(f"tone ladder collapsed for r = {float(r)}, m = {value_text(m)}, "
+                            f"L = {_L}")
+    return indices
 
 
 def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float = 20.0,

@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULATED = "tests/test_modulated.py::"
 ASSIGN_TESTS = [MODULATED + "test_assign_is_bit_identical_to_the_row_loop"]
 COVERAGE = "tests/test_coverage.py::"
+PHASE = "tests/test_phase.py::"
+DESIGN = "tests/test_design.py::"
+IO_CLI = "tests/test_io_cli.py::"
 
 # name: (file under src/lissscan, text, replacement, tests, expected outcome, reason)
 MUTANTS = {
@@ -113,6 +116,43 @@ MUTANTS = {
     "p2-raster-one-past": (
         "io.py", "dtype=np.float64)[:n]", "dtype=np.float64)[:n + 1]",
         ["tests/test_io_cli.py::test_pgm_drops_samples_past_width_times_height"], "killed", ""),
+    "sweep-empty-m-allowed": (
+        "cli.py",
+        '    if not values:\n        raise DomainError("--m must name at least one frame time")\n',
+        "", [IO_CLI + "test_cli_sweep_refuses_an_empty_m_list_before_building_the_grid"],
+        "killed", ""),
+    "comb-pair-clause-dropped": (
+        "phase.py", "            if abs(beats - round(beats)) < 1e-9:\n", "            if False:\n",
+        [PHASE + "test_doubled_frame_time_aliases_the_tones"], "killed", ""),
+    "whole-cycles-clause-dropped": (
+        "phase.py", "    if np.all(np.abs(cycles - np.round(cycles)) < 1e-9):\n", "    if False:\n",
+        [PHASE + "test_doubled_frame_time_aliases_the_tones"], "killed", ""),
+    "whole-cycles-clause-always": (
+        "phase.py", "    if np.all(np.abs(cycles - np.round(cycles)) < 1e-9):\n", "    if True:\n",
+        [PHASE + "test_a_pair_on_the_sampling_comb_is_named_alone"], "killed", ""),
+    "multitone-finite-unchecked": (
+        "phase.py",
+        "    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xq))"
+        " and np.all(np.isfinite(w))):\n", "    if False:\n",
+        [PHASE + "test_solve_multitone_validation"], "killed", ""),
+    "ladder-ratio-sign-unchecked": (
+        "modulated.py",
+        '    if r <= 0:\n        raise InvalidParams("resonance ratio must be positive")\n', "",
+        [MODULATED + "test_tone_ladders_pinned"], "killed", ""),
+    "synthesis-errstate-dropped": (
+        "modulated.py",
+        '@np.errstate(over="ignore", invalid="ignore")    # non-finite samples raise instead\n'
+        "def synthesize_modulated(", "def synthesize_modulated(",
+        [MODULATED + "test_synthesis_past_float_range_is_a_domain_error_without_a_warning"],
+        "killed", ""),
+    "ratio-exponent-unbounded": (
+        "design.py", "    if isinstance(value, str):\n        _exponent_bounded(value)\n", "",
+        [DESIGN + "test_a_ratio_exponent_past_the_int_digit_bound_is_refused_unparsed"], "killed",
+        ""),
+    "out-path-not-required": (
+        "io.py", "(_require_path(path) for path in paths if path is not None)",
+        "(Path(path) for path in filter(None, paths))",
+        [IO_CLI + "test_a_path_argument_must_be_a_non_empty_str_or_path_like"], "killed", ""),
 }
 
 

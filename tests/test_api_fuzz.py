@@ -1,6 +1,8 @@
 """API fuzz: every exported constructor and function, given one scalar
 argument from an edge set and every other argument valid, returns a checked
 value or raises a LissscanError; no other exception and no RuntimeWarning.
+A path argument is fuzzed the same way, in a directory where "1.5" names a
+directory, so that every edge value must be refused.
 Every array argument, given a malformed array (text, complex, object,
 ragged, None, one dimension too many, empty, a NaN) and every other
 argument valid, does the same under any warning.
@@ -18,8 +20,10 @@ import dataclasses
 import enum
 import inspect
 import math
+import os
 import re
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import numpy as np
@@ -31,14 +35,17 @@ from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, Opt
                       QuadraturePair, SampledPattern, ScannerConfig, UnmodulatedDesign, WeightMap,
                       as_fraction, baseline_repeating_design, case1_criterion,
                       default_tone_indices, design_unmodulated, fill_factor, gradient,
-                      initial_params, objective, optimize, phase_tolerance_sweep, plant_phase_lag,
-                      project_absolute, project_rms, reference_pattern, repeat_period,
+                      initial_params, load_design, load_scanner, load_weight_map, objective,
+                      optimize, phase_tolerance_sweep, plant_phase_lag, project_absolute,
+                      project_rms, reference_pattern, repeat_period,
                       resonance_offset_for_phase_shift, roi_density, sample_unmodulated,
-                      simulate_drift_control, solve_multitone, sweep_designs,
-                      synthesize_modulated, synthesize_quadrature, transfer_amplitude,
-                      wrap_phase)
+                      save_design, save_scanner, simulate_drift_control, solve_multitone,
+                      sweep_designs, synthesize_modulated, synthesize_quadrature,
+                      transfer_amplitude, wrap_phase)
+from lissscan import cli
 from lissscan.design import DesignCase
 from lissscan.errors import DomainError, InvalidParams, LissscanError
+from lissscan.io import _read_pgm
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5,
          "1.5"]
@@ -56,6 +63,21 @@ SAMPLES = synthesize_quadrature(STATE, np.array([0.0, 3.5, 7.0]))
 
 def _params(**fields):
     return dataclasses.replace(PARAMS, **fields)
+
+
+def _where_no_edge_is_a_file(call):
+    """call(value) run in a new temporary directory that holds a directory
+    named "1.5", so that no edge value names a file to read or write."""
+    def run(value):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.mkdir(os.path.join(tmp, "1.5"))
+            os.chdir(tmp)
+            try:
+                return call(value)
+            finally:
+                os.chdir(cwd)
+    return run
 
 
 # site -> call with the drawn value in one scalar argument
@@ -148,6 +170,11 @@ SITES = {
         2.0, 2.0, v, 5.0),
     "resonance_offset_for_phase_shift.delta_deg": lambda v: resonance_offset_for_phase_shift(
         2.0, 2.0, 20.0, v),
+    "load_scanner.path": _where_no_edge_is_a_file(load_scanner),
+    "save_scanner.path": _where_no_edge_is_a_file(lambda v: save_scanner(CFG, v)),
+    "load_design.path": _where_no_edge_is_a_file(load_design),
+    "save_design.path": _where_no_edge_is_a_file(lambda v: save_design(DESIGN, v)),
+    "load_weight_map.path": _where_no_edge_is_a_file(load_weight_map),
     "DriftScenario.frame_time": lambda v: DriftScenario(lambda t: 0.0 * t, v),
     "DriftScenario.measurement_noise_deg": lambda v: DriftScenario(lambda t: 0.0 * t, 6.4,
                                                                    measurement_noise_deg=v),
@@ -165,14 +192,16 @@ RATIO_SITES = {"as_fraction", "UnmodulatedDesign.fx", "UnmodulatedDesign.fy",
                "design_unmodulated.r", "baseline_repeating_design.r", "repeat_period.fx",
                "repeat_period.fy", "sweep_designs.r", "default_tone_indices.r", "initial_params.r",
                "reference_pattern.r"}
+# path arguments: no edge value is a file there, so each must be refused
+PATH_SITES = {site for site in SITES if site.endswith(".path")}
 
-# Every argument that is not one scalar number or an array, so has no site:
-# these names (the package's records, paths, axis names) wherever they
+# Every argument that is not one scalar number, a path or an array, so has no
+# site: these names (the package's records, axis names) wherever they
 # appear, and the sequences, strings, flags and callables below. A site may
 # fuzz one element of a sequence argument or one field of a record argument
 # (PART_SITES).
 NOT_SCALAR_NAMES = {"config", "design", "pattern", "wmap", "params", "init", "opts", "scenario",
-                    "state", "pair", "data", "path", "axis"}
+                    "state", "pair", "data", "axis"}
 NOT_SCALAR = set("""
     DriftScenario.drift_fn DriftScenario.control_enabled OptimizeOptions.constraint
     UnmodulatedDesign.case UnmodulatedDesign.note initial_params.y_single_tone
@@ -214,6 +243,7 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
         result = SITES[site](value)
     except LissscanError:
         return
+    assert site not in PATH_SITES, f"{site}({value!r}) returned {result!r}"
     if site in PASS_THROUGH:
         return
     assert _checked(result), f"{site}({value!r}) returned {result!r}"
@@ -395,3 +425,48 @@ def test_a_refused_number_of_any_length_gives_a_short_message():
         _params(nx=(10**5000, 28, 30))
     with pytest.raises(DomainError, match="got an integer of 16610 bits$"):
         as_fraction(10**5000)
+
+
+_HUGE = 10**5000                 # past the interpreter's 4,300-digit limit for str()
+_DIGITS = "1" + "0" * 3999       # a PGM header integer: past 4,300 digits it is no integer
+# site -> (a call that refuses a long value there, its error, its message's start);
+# the cell count is (1e300 - 0) / 1e-4300 + 1, 4,601 digits
+LONG_VALUES = {
+    "cli.sweep.cells": (lambda: cli.cmd_sweep(cli.build_parser().parse_args(
+        ["sweep", "--r-min", "0", "--r-max", "1e300", "--r-step", "1e-4300", "--m", "7",
+         "--out", os.devnull])), DomainError, "sweep of an integer of "),
+    "sample_unmodulated.frame_index": (lambda: sample_unmodulated(DESIGN, CFG, _HUGE, 50),
+                                       DomainError, "frame_index an integer of "),
+    "case1_criterion.k": (lambda: case1_criterion(2 * _HUGE, 7), DomainError,
+                          "case1_criterion requires gcd(k, 4m) == 1, got gcd(an integer of "),
+    "pgm.maxval": (lambda: _read_pgm(f"P2\n1 1\n{_DIGITS}\n0\n".encode()), DomainError,
+                   "only 8-bit PGM supported, maxval 1000"),
+    "pgm.width": (lambda: _read_pgm(f"P2\n{_DIGITS} 0\n255\n".encode()), DomainError,
+                  "bad dimensions 1000"),
+    "pgm.height": (lambda: _read_pgm(f"P2\n1 {_DIGITS}\n255\n0\n".encode()), DomainError,
+                   "raster shorter than 1x1000"),
+    "pgm.header.100000-digits": (lambda: _read_pgm(f"P2\n1 1\n{'9' * 100_000}\n".encode()),
+                                 DomainError, "truncated or malformed PGM header"),
+    "rectangle.100000-edges": (lambda: WeightMap.from_rectangles([[0.0] * 100_000], 8),
+                               DomainError, "malformed rectangle (0.0, "),
+    "default_tone_indices.n_tones": (lambda: default_tone_indices(2, _HUGE), InvalidParams,
+                                     "n_tones must be one of [3, 5], got an integer of "),
+    "default_tone_indices.n_tones.100000-characters": (
+        lambda: default_tone_indices(2, "x" * 100_000), InvalidParams,
+        "n_tones must be one of [3, 5], got 'xxx"),
+    "default_tone_indices.m": (lambda: default_tone_indices(F(1, _HUGE), 5, _HUGE),
+                               InvalidParams, "tone ladder collapsed for r = 0.0, m = an integer"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_VALUES))
+def test_a_long_refused_value_gives_its_sites_error_in_one_short_line(site):
+    # the cell count, frame_index, k, m and n_tones past 4,300 digits raised a
+    # raw ValueError from the message itself; shorter ones, 100,000 edges and
+    # 100,000 characters were shown in full
+    call, error, start = LONG_VALUES[site]
+    with pytest.raises(error) as err:
+        call()
+    message = str(err.value)
+    assert message.startswith(start) and "\n" not in message, message[:300]
+    assert len(message) < 1000, f"{len(message)} characters"

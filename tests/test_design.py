@@ -3,6 +3,7 @@ criterion, period bookkeeping, and an independent re-enumeration of the
 whole search."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from lissscan import (DesignCase, ScannerConfig, UnmodulatedDesign,
+from lissscan import (DesignCase, ScannerConfig, UnmodulatedDesign, as_fraction,
                       baseline_repeating_design, case1_criterion,
                       design_unmodulated, repeat_period, sample_unmodulated)
+from lissscan.cli import cli_dispatch
 from lissscan.errors import DomainError
 
 F = Fraction
@@ -53,6 +55,27 @@ def test_rational_inputs_accepted_in_several_spellings():
         assert design_unmodulated(r, 7).fx == F(41, 28)
     with pytest.raises(DomainError):
         design_unmodulated("fast", 7)
+
+
+def test_a_ratio_exponent_past_the_int_digit_bound_is_refused_unparsed(monkeypatch, capsys):
+    # Fraction("1e-N") builds 10**N with no digit bound: 0.25 s at N = 10**6
+    # and 8 s at 10**7, so "design --r 1e-3000000" spent 1.2 s before its error
+    bound = sys.get_int_max_str_digits()
+    refused = [f"1e-{bound + 1}", f"1E{bound + 1}", f" 2.5e+{bound + 1:_} ", "1e-3000000"]
+    new = Fraction.__new__
+
+    def unparsed(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str) and numerator in refused:
+            pytest.fail(f"Fraction parsed {numerator!r}")
+        return new(cls, numerator, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", unparsed)
+    for text in refused:
+        with pytest.raises(DomainError, match=rf"^ratio exponent must lie in \[-{bound}, "):
+            as_fraction(text)
+    assert as_fraction(f"1e-{bound}") == Fraction(1, 10**bound)    # at the bound: parsed
+    assert cli_dispatch(["design", "--r", "1e-3000000", "--m", "7"]) == 1
+    assert capsys.readouterr().err == (f"error:DomainError: ratio exponent must lie in "
+                                       f"[-{bound}, {bound}], got '1e-3000000'\n")
 
 
 def test_retrace_criterion():

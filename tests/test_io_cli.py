@@ -28,7 +28,8 @@ from lissscan import cli
 from lissscan.cli import cli_dispatch
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
 from lissscan.errors import ConfigError, DomainError, WeightMapError
-from lissscan.io import _PATH_SHOWN, _pgm_tokens, _read_pgm, path_text
+from lissscan.io import (_PATH_SHOWN, _pgm_tokens, _read_pgm, check_out_paths, path_text,
+                         read_json, write_csv, write_text)
 from lissscan.modulated import FEASIBILITY_SLACK
 
 F = Fraction
@@ -182,6 +183,9 @@ _REFUSED_MAPS = [
     ("wide.csv", b"1,2,3\n4,5,6\n"),
     ("empty.csv", b""),                                   # loadtxt warned on stderr first
     ("comment.csv", b"# only a comment\n"),
+    # a 4,000-digit height or maxval was shown in full, a line of about 4,070 characters
+    ("tall.pgm", b"P2\n1 1" + b"0" * 3999 + b"\n255\n0\n"),
+    ("deep.pgm", b"P2\n1 1\n1" + b"0" * 3999 + b"\n0\n"),
 ]
 
 
@@ -215,6 +219,22 @@ def test_scanner_and_design_files_round_trip(tmp_path):
         save_design(design, None)
     with pytest.raises(DomainError, match="^could not write .*embedded null byte"):
         save_scanner(cfg, str(tmp_path / "a\0b"))     # open() raises a ValueError
+
+
+@pytest.mark.parametrize("path", [b"s.json", 123, 1.5, [], ""],
+                         ids=["bytes", "int", "float", "list", "empty"])
+@pytest.mark.parametrize("call", [
+    check_out_paths, lambda path: read_json(path, ConfigError),
+    lambda path: write_text(path, "x"), lambda path: write_csv(path, ["a"], [[1]]),
+], ids=["check_out_paths", "read_json", "write_text", "write_csv"])
+def test_a_path_argument_must_be_a_non_empty_str_or_path_like(call, path, tmp_path,
+                                                             monkeypatch):
+    # Path() raised a raw TypeError for bytes, a number or a list, and
+    # check_out_paths let "" through
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DomainError, match="^path must be "):
+        call(path)
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------------------- CLI
@@ -303,18 +323,7 @@ _POOL_ONLY = ("concurrent.futures.process",)
     ("sweep", _POOL_ONLY),
 ])
 def test_a_cli_command_starts_with_only_the_modules_it_uses(command, unloaded, tmp_path):
-    files, records = _cli_inputs(tmp_path)
-    scanner, design, roi = map(str, files)
-    samples = tmp_path / "samples.json"
-    samples.write_text(json.dumps(records["--samples"]))
-    argv = {"design": ["design", "--r", "1.5", "--m", "7"],
-            "phase-solve": ["phase-solve", "--samples", str(samples)],
-            "optimize": ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
-                         "--max-iters", "2", "--n-samples", "50",
-                         "--out", str(tmp_path / "params.json")],
-            "metrics": ["metrics", "--design", design, "--scanner", scanner],
-            "sweep": ["sweep", "--r-min", "1.4", "--r-max", "1.6", "--r-step", "0.1",
-                      "--m", "7", "--out", str(tmp_path / "sweep.csv")]}[command]
+    argv = _run(command, _cli_inputs(tmp_path)[0])
     src = str(Path(lissscan.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lissscan.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=src, LISSSCAN_THREADS="1"),
@@ -627,32 +636,6 @@ def _path_flags():
 _OUTPUT_FLAGS = ("--out", "--trace")
 
 
-def _path_flag_argv(command, flag, path, tmp_path):
-    """A cheap run of command whose every input file is valid, with path for flag."""
-    files, records = _cli_inputs(tmp_path)
-    scanner, design, roi = map(str, files)
-    inputs = {name: tmp_path / f"{name[2:]}.json" for name in ("--init", "--scenario", "--samples")}
-    for name, file in inputs.items():
-        file.write_text(json.dumps(records[name]))
-    init, scenario, samples = map(str, inputs.values())
-    out, trace = str(tmp_path / "out"), str(tmp_path / "trace.csv")
-    argv = {
-        "design": ["design", "--r", "1.5", "--m", "7", "--out", out],
-        "metrics": ["metrics", "--design", design, "--scanner", scanner, "--grid", "8",
-                    "--n-samples", "50", "--out", out],
-        "sweep": ["sweep", "--r-min", "1.5", "--r-max", "1.5", "--r-step", "0.1", "--m", "7",
-                  "--scanner", scanner, "--grid", "8", "--n-samples", "50", "--out", out],
-        "optimize": ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
-                     "--max-iters", "2", "--n-samples", "50", "--init", init, "--out", out,
-                     "--trace", trace],
-        "phase-sim": ["phase-sim", "--scenario", scenario, "--scanner", scanner,
-                      "--duration", "64", "--out", out],
-        "phase-solve": ["phase-solve", "--samples", samples, "--out", out],
-    }[command]
-    argv[argv.index(flag) + 1] = path
-    return argv
-
-
 def _assert_one_printable_error(err):
     assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1, err[:300]
     assert len(err) < 1000, f"{len(err)} characters"
@@ -674,7 +657,7 @@ def test_cli_a_refused_path_is_one_short_printable_error_line(command, flag, kin
             "escape": str(tmp_path / ("missing" if flag in _OUTPUT_FLAGS else "") / "a\x1b[2Jb"),
             "directory": str(tmp_path),
             "missing-directory": str(tmp_path / "missing" / "f.json")}[kind]
-    assert cli_dispatch(_path_flag_argv(command, flag, path, tmp_path)) == 1
+    assert cli_dispatch(_run(command, _cli_inputs(tmp_path)[0], flag, path)) == 1
     _assert_one_printable_error(capsys.readouterr().err)
 
 
@@ -701,7 +684,7 @@ def test_cli_an_input_that_is_not_a_regular_file_is_refused_unread(command, flag
     if special == "fifo":
         special = str(tmp_path / "fifo")
         os.mkfifo(special)
-    assert cli_dispatch(_path_flag_argv(command, flag, special, tmp_path)) == 1
+    assert cli_dispatch(_run(command, _cli_inputs(tmp_path)[0], flag, special)) == 1
     err = capsys.readouterr().err
     _assert_one_printable_error(err)
     assert err.endswith(f"{special}: not a regular file\n"), err
@@ -736,7 +719,8 @@ def test_scanner_file_that_is_a_list_says_so(tmp_path):
 
 
 def _cli_inputs(tmp_path):
-    """Files every JSON-reading command needs, and a valid record per JSON flag."""
+    """Every file a cheap run reads, by name, with "out" and "trace", the paths
+    it writes; and a valid record per JSON flag."""
     scanner = _scanner_file(tmp_path, r=2.0)
     design = save_design(design_unmodulated(F(3, 2), 7), tmp_path / "design.json")
     roi = tmp_path / "roi.csv"
@@ -753,26 +737,50 @@ def _cli_inputs(tmp_path):
                        "drift": {"type": "phase_target", "target_deg": 10.0}},
         "--samples": {"x": x.tolist(), "xq": xq.tolist(), "omegas": omegas, "frame_time": 7.0},
     }
-    return (scanner, design, roi), records
+    files = {"scanner": scanner, "design": design, "roi": roi,
+             "out": tmp_path / "out", "trace": tmp_path / "trace.csv"}
+    for name in ("init", "scenario", "samples"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(records[f"--{name}"]))
+    return {name: str(path) for name, path in files.items()}, records
 
 
-def _cli_argv(flag, path, tmp_path, files):
-    """A cheap run of the command that reads `flag`, with `path` as its file."""
-    scanner, design, roi = map(str, files)
-    out = str(tmp_path / "out")
-    if flag == "--scanner":
-        return ["metrics", "--design", design, "--scanner", path,
-                "--grid", "8", "--n-samples", "50", "--out", out]
-    if flag == "--design":
-        return ["metrics", "--design", path, "--scanner", scanner,
-                "--grid", "8", "--n-samples", "50", "--out", out]
-    if flag == "--init":
-        return ["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
-                "--max-iters", "2", "--n-samples", "50", "--init", path, "--out", out]
-    if flag == "--scenario":
-        return ["phase-sim", "--scenario", path, "--scanner", scanner,
-                "--duration", "64", "--out", out]
-    return ["phase-solve", "--samples", path, "--out", out]
+# A cheap run of each command with every input valid ("{name}" is a file of
+# _cli_inputs), and the value flags a fuzz run may change in it. Valid drawn
+# values stay small, so no run is slow; out-of-bound ones must be refused first.
+_RUNS = {
+    "design": ("design --r 1.5 --m 7 --out {out}", "--r --m"),
+    "metrics": ("metrics --design {design} --scanner {scanner} --frame 0 --grid 8 "
+                "--n-samples 50 --out {out}", "--frame --n-samples --grid"),
+    "sweep": ("sweep --r-min 1.5 --r-max 1.6 --r-step 0.05 --m 7 --scanner {scanner} "
+              "--grid 8 --n-samples 50 --out {out}",
+              "--r-min --r-max --r-step --m --n-samples --grid"),
+    "optimize": ("optimize --scanner {scanner} --roi {roi} --tones 3 --m 7 --n-samples 50 "
+                 "--max-iters 2 --step 0.05 --threshold 0.1 --out {out}",
+                 "--tones --m --n-samples --max-iters --step --threshold"),
+    "optimize-absolute": ("optimize --scanner {scanner} --roi {roi} --tones 3 --m 7 "
+                          "--n-samples 50 --max-iters 2 --step 0.05 --threshold 0.1 "
+                          "--constraint absolute --out {out}",
+                          "--step --tones --m --n-samples --max-iters --threshold"),
+    "phase-sim": ("phase-sim --scenario {scenario} --scanner {scanner} --duration 64 --seed 0 "
+                  "--out {out}", "--duration --seed"),
+    "phase-solve": ("phase-solve --samples {samples} --out {out}", ""),
+}
+# the run that reads each JSON input flag
+_READER = {"--scanner": "metrics", "--design": "metrics", "--init": "optimize",
+           "--scenario": "phase-sim", "--samples": "phase-solve"}
+
+
+def _run(command, files, flag=None, path=None):
+    """The argv of command's cheap run on files, with path for flag (added
+    when the run has no such flag, as optimize has no --init or --trace)."""
+    argv = [files[word[1:-1]] if word.startswith("{") else word
+            for word in _RUNS[command][0].split()]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = path
+    elif flag:
+        argv += [flag, path]
+    return argv
 
 
 _READER_ERROR = {"--scanner": "ConfigError", "--design": "DomainError", "--init": "InvalidParams",
@@ -853,13 +861,16 @@ def test_cli_malformed_json_input_is_one_error_line(flag, field, value, kind, tm
         path.write_text(json.dumps(_mutated(records[flag], field, value)))
     elif value is not _DROP:
         path.write_text(json.dumps(value))
-    assert cli_dispatch(_cli_argv(flag, str(path), tmp_path, files)) == 1
+    assert cli_dispatch(_run(_READER[flag], files, flag, str(path))) == 1
     _assert_one_error(capsys, kind)
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--m", "7,x"), ("--m", ","), ("--r-step", "0"), ("--r-step", "-0.05"), ("--r-max", "1.4"),
     pytest.param("--m", "x" * 50_000, id="--m-50000-characters"),   # was shown in full
+    # a cell count of 5,001 digits ended in a raw ValueError from str(), and one
+    # of 4,000 digits was shown in full; 1e-5000 is now refused as a ratio
+    ("--r-step", "1e-5000"), ("--r-step", "1e-4000"),
 ])
 def test_cli_sweep_rejects_a_bad_grid(flag, value, tmp_path, capsys):
     argv = ["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05", "--m", "7",
@@ -879,6 +890,17 @@ def test_cli_sweep_bounds_its_cell_count_before_building_the_grid(tmp_path, caps
                          "--m", "7", "--out", str(tmp_path / "sweep.csv")]) == 1
     _assert_one_error(capsys, "DomainError")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_sweep_refuses_an_empty_m_list_before_building_the_grid(tmp_path, capsys,
+                                                                   monkeypatch):
+    # with no frame time the cell count is 0, under the bound, so the 2e9 + 1
+    # ratios of this grid would be built
+    monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built with no frame time"),
+                        raising=False)
+    assert cli_dispatch(["sweep", "--r-min", "1", "--r-max", "3", "--r-step", "1e-9",
+                         "--m", ",", "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert capsys.readouterr().err == "error:DomainError: --m must name at least one frame time\n"
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -953,13 +975,9 @@ def test_cli_optimize_rejects_a_bad_option_before_the_descent(flag, value, tmp_p
     def no_descent(*args, **kwargs):
         raise AssertionError("the descent ran")
     monkeypatch.setattr("lissscan.modulated.optimize", no_descent)
-    files, _ = _cli_inputs(tmp_path)
-    scanner, _, roi = map(str, files)
-    out = tmp_path / "params.json"
-    assert cli_dispatch(["optimize", "--scanner", scanner, "--roi", roi, flag, value,
-                         "--out", str(out)]) == 1
+    assert cli_dispatch(_run("optimize", _cli_inputs(tmp_path)[0], flag, value)) == 1
     _assert_one_error(capsys, "DomainError")
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 _FLAG_VALUES = st.one_of(
@@ -970,35 +988,6 @@ _FLAG_VALUES = st.one_of(
                      str(MAX_ITERS + 1)]))
 
 
-def _flag_run(command, tmp_path, files, scenario):
-    """A cheap run of command, and the value flags a fuzz run may change
-    (paths are left to the JSON fuzz above). Valid drawn values stay small,
-    so no run is slow; out-of-bound ones must be refused first."""
-    scanner, design, roi = map(str, files)
-    out = str(tmp_path / "out")
-    return {
-        "design": (["design", "--r", "1.5", "--m", "7"], ["--r", "--m"]),
-        "metrics": (["metrics", "--design", design, "--scanner", scanner, "--frame", "0",
-                     "--grid", "8", "--n-samples", "50", "--out", out],
-                    ["--frame", "--n-samples", "--grid"]),
-        "sweep": (["sweep", "--r-min", "1.5", "--r-max", "1.6", "--r-step", "0.05", "--m", "7",
-                   "--scanner", scanner, "--grid", "8", "--n-samples", "50", "--out", out],
-                  ["--r-min", "--r-max", "--r-step", "--m", "--n-samples", "--grid"]),
-        "optimize": (["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3", "--m", "7",
-                      "--n-samples", "50", "--max-iters", "2", "--step", "0.05",
-                      "--threshold", "0.1", "--out", out],
-                     ["--tones", "--m", "--n-samples", "--max-iters", "--step", "--threshold"]),
-        "optimize-absolute": (["optimize", "--scanner", scanner, "--roi", roi, "--tones", "3",
-                               "--m", "7", "--n-samples", "50", "--max-iters", "2",
-                               "--step", "0.05", "--threshold", "0.1", "--constraint",
-                               "absolute", "--out", out],
-                              ["--step", "--tones", "--m", "--n-samples", "--max-iters",
-                               "--threshold"]),
-        "phase-sim": (["phase-sim", "--scenario", scenario, "--scanner", scanner,
-                       "--duration", "64", "--seed", "0", "--out", out], ["--duration", "--seed"]),
-    }[command]
-
-
 @pytest.mark.parametrize("command, flag, value", [
     ("metrics", "--grid", MAX_GRID + 1), ("metrics", "--n-samples", MAX_SAMPLES + 1),
     ("sweep", "--grid", MAX_GRID + 1), ("sweep", "--n-samples", MAX_SAMPLES + 1),
@@ -1006,9 +995,7 @@ def _flag_run(command, tmp_path, files, scenario):
 ])
 def test_cli_sizing_flags_are_bounded_before_any_input_is_read(command, flag, value, tmp_path,
                                                                capsys, monkeypatch):
-    files, _ = _cli_inputs(tmp_path)
-    argv, _ = _flag_run(command, tmp_path, files, scenario=None)
-    argv[argv.index(flag) + 1] = str(value)
+    argv = _run(command, _cli_inputs(tmp_path)[0], flag, str(value))
 
     def refused_first(*args, **kwargs):
         raise AssertionError("an input was read or an array allocated before the bound")
@@ -1022,9 +1009,7 @@ def test_cli_sizing_flags_are_bounded_before_any_input_is_read(command, flag, va
 def test_cli_absolute_constraint_projects_a_step_of_1e300(tmp_path, capsys):
     # printed an IndexError traceback, then refused the tone magnitudes as too
     # large to project; each candidate now puts the whole budget on its largest tone
-    files, _ = _cli_inputs(tmp_path)
-    argv, _ = _flag_run("optimize-absolute", tmp_path, files, scenario=None)
-    argv[argv.index("--step") + 1] = "1e300"
+    argv = _run("optimize-absolute", _cli_inputs(tmp_path)[0], "--step", "1e300")
     assert cli_dispatch(argv) == 0
     assert capsys.readouterr().err == ""
     params = ModulatedParams.from_dict(json.loads((tmp_path / "out").read_text()))
@@ -1034,11 +1019,7 @@ def test_cli_absolute_constraint_projects_a_step_of_1e300(tmp_path, capsys):
 
 @pytest.mark.parametrize("duration", ["inf", "nan", "1e400"])
 def test_cli_phase_sim_rejects_a_non_finite_duration(duration, tmp_path, capsys):
-    files, records = _cli_inputs(tmp_path)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(records["--scenario"]))
-    argv = _cli_argv("--scenario", str(path), tmp_path, files)
-    argv[argv.index("--duration") + 1] = duration
+    argv = _run("phase-sim", _cli_inputs(tmp_path)[0], "--duration", duration)
     assert cli_dispatch(argv) == 1
     _assert_one_error(capsys, "DomainError")
 
@@ -1090,7 +1071,7 @@ def test_cli_json_inputs_end_in_one_of_three_states(flag, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli_dispatch(_cli_argv(flag, str(path), tmp_path, files))
+            code = cli_dispatch(_run(_READER[flag], files, flag, str(path)))
         err = err.getvalue()
         assert code in (0, 1, 2), code
         if code == 1:
@@ -1113,10 +1094,7 @@ def test_cli_flags_end_in_one_of_three_states(command, edits):
     Each edit sets the command's flag at its index (modulo the flag count)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        files, records = _cli_inputs(tmp_path)
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(records["--scenario"]))
-        argv, flags = _flag_run(command, tmp_path, files, str(scenario))
+        argv, flags = _run(command, _cli_inputs(tmp_path)[0]), _RUNS[command][1].split()
         for index, value in edits:
             argv[argv.index(flags[index % len(flags)]) + 1] = value
         err, out = io.StringIO(), io.StringIO()

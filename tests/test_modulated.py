@@ -115,7 +115,7 @@ def test_tone_ladders_pinned():
     assert default_tone_indices(F(13, 10), 3) == (17, 18, 20)
     with pytest.raises(InvalidParams):
         default_tone_indices(1, 4)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="^resonance ratio must be positive$"):
         default_tone_indices(0, 5)
     with pytest.raises(InvalidParams):
         default_tone_indices(F(1, 100), 5)   # rounds below the grid
@@ -267,6 +267,16 @@ def test_synthesis_window_and_bookkeeping():
     assert one.t[0] == 0.0 and one.t[-1] == pytest.approx(7.0 - 7.0 / 500.0)
     with pytest.raises(DomainError):
         synthesize_modulated(params, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_synthesis_past_float_range_is_a_domain_error_without_a_warning():
+    # a tone of 1e308 / 14 cycles per y cycle overflows its phase to inf, and
+    # cos(inf) is NaN: numpy warns of both unless synthesis keeps them quiet
+    params = ModulatedParams(alpha=[0.5], gamma=[0.0], beta=[0.5], delta=[0.0], nx=(10**308,),
+                             ny=(14,), L=2, m=7, config=ScannerConfig(2.0))
+    with pytest.raises(DomainError, match="^t, x, y must be finite$"):
+        synthesize_modulated(params, 50)
 
 
 def test_reference_pattern_is_the_single_tone_design():

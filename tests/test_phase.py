@@ -99,13 +99,28 @@ def test_doubled_frame_time_aliases_the_tones():
     with pytest.raises(IllConditioned) as err:
         solve_multitone(x, xq, OMEGAS, 14.0)
     msg = str(err.value)
-    assert "condition number" in msg and "coincide" in msg
+    assert msg.startswith("recovery system condition number ")
+    assert msg.endswith(": tones 0 and 2 coincide on the sampling comb "
+                        "((omega[0]-omega[2])*T/2 = -1*2*pi); every tone completes whole cycles "
+                        "over T, so the t = 0 and t = T samples coincide"), msg
+
+
+def test_a_pair_on_the_sampling_comb_is_named_alone():
+    # tones 0 and 1 are 4*pi/7 apart, one comb period at T = 7, and no tone
+    # completes whole cycles over T, so the message has the pair clause only
+    omegas = (1.0, 1.0 + 4.0 * math.pi / 7.0, 2.3)
+    state = MultitoneState(omegas=omegas, amps=(0.5, 0.6, 0.7), phases=(0.1, 0.2, 0.3))
+    x, xq = synthesize_quadrature(state, np.array([0.0, 3.5, 7.0]))
+    with pytest.raises(IllConditioned) as err:
+        solve_multitone(x, xq, omegas, 7.0)
+    assert str(err.value).endswith(": tones 0 and 1 coincide on the sampling comb "
+                                   "((omega[0]-omega[1])*T/2 = -1*2*pi)"), str(err.value)
 
 
 def test_solve_multitone_validation():
     with pytest.raises(DomainError):
         solve_multitone([0, 0], [0, 0, 0], OMEGAS, 7.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^samples and frequencies must be finite$"):
         solve_multitone([0, 0, math.nan], [0, 0, 0], OMEGAS, 7.0)
     with pytest.raises(DomainError):
         solve_multitone([0, 0, 0], [0, 0, 0], (1.0, 1.0, 2.0), 7.0)
