@@ -160,8 +160,8 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
         f_drive = record_value(spec.get("f_drive", f_res), "f_drive")
         scenario = DriftScenario(
             drift_fn=_drift_fn(spec.get("drift", {}), f_drive, f_res, q, args.duration),
-            frame_time=spec["frame_time"], control_enabled=spec.get("control_enabled", True),
-            measurement_noise_deg=spec.get("measurement_noise_deg", 0.0))
+            frame_time=spec["frame_time"],
+            **{k: spec[k] for k in ("control_enabled", "measurement_noise_deg") if k in spec})
     trace = simulate_drift_control(scenario, scanner, axis, f_drive,
                                    args.duration, seed=args.seed)
     lio.write_csv(args.out, ["t", "phase_error_deg", "corrected"],

@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -124,12 +123,16 @@ def _sample_times(start, span, n_samples) -> np.ndarray:
     return start + np.arange(n_samples) * (span / n_samples)
 
 
-@lru_cache(maxsize=64)
 def _patch_centers(n: int) -> np.ndarray:
-    """Centers of n equal patches across [-1, 1]; cached per n, so read-only."""
-    centers = -1.0 + (2.0 * np.arange(n) + 1.0) / n
-    centers.flags.writeable = False
-    return centers
+    """Centers of n equal patches across [-1, 1]; as cheap to build as to cache."""
+    return np.arange(1.0, 2 * n, 2.0) / n - 1.0
+
+
+def _patch_index(v: np.ndarray, n: int) -> np.ndarray:
+    """Which of n equal patches across [-1, 1] holds each value of v, one outside
+    the field in its nearest edge patch: v is clamped to the field first, so
+    the product stays in [0, n] for the cast to an integer."""
+    return np.minimum((v.clip(-1.0, 1.0) + 1.0) * (n / 2), n - 1).astype(np.intp)
 
 
 def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> CoverageReport:
@@ -243,16 +246,15 @@ def _cell_bound(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """(n d)^2 for an upper bound d on each patch center's distance to its
     nearest sample, as int32 indexed [y cell, x cell].
 
-    A sample lies in cell min(floor((v + 1) n / 2), n - 1) per axis, so a
-    center that sees an occupied cell di columns and dj rows away is within
+    A sample lies in cell _patch_index(v, n) per axis, so a center that sees
+    an occupied cell di columns and dj rows away is within
     sqrt((2|di| + 1)^2 + (2|dj| + 1)^2) / n of a sample. A running max and
     min along each row find the nearest occupied column; a min over the
     _BOUND_ROWS rows on either side of a center then gives its bound. A
     center with no occupied cell in those rows gets at least (4n + 1)^2,
     more than the field's squared diagonal, 8 n^2.
     """
-    cx = np.minimum(((x + 1.0) * (n / 2)).astype(np.intp), n - 1)
-    cy = np.minimum(((y + 1.0) * (n / 2)).astype(np.intp), n - 1)
+    cx, cy = _patch_index(x, n), _patch_index(y, n)
     columns = np.arange(n, dtype=np.int32)
     left = np.full((n, n), -2 * n, dtype=np.int32)
     left[cy, cx] = cx
@@ -347,14 +349,14 @@ def sweep_designs(r_grid: Iterable, m_set: Iterable[int],
     n_samples, n_grid = _sample_count(n_samples), _grid_count(n_grid)
     if not r_grid or not m_set:
         raise DomainError("sweep grids must be non-empty")
-    qx, qy = (config.qx, config.qy) if config is not None else (20.0, 20.0)
+    q = {} if config is None else {"qx": config.qx, "qy": config.qy}
     rules = (("proposed", design_unmodulated), ("baseline", baseline_repeating_design))
     cells = []    # (r, m, rule, geometry or None, scanning range or error status)
     jobs = {}     # geometry -> _score_geometry arguments, in first-seen order
     for r, m, (rule, make) in product(r_grid, m_set, rules):
         try:
             design = make(r, m)
-            cell_config = ScannerConfig(fx_res=float(r), fy_res=1.0, qx=qx, qy=qy)
+            cell_config = ScannerConfig(float(r), **q)
             reach = scanning_range(design, cell_config)
         except LissscanError as exc:
             cells.append((r, m, rule, None, f"error:{type(exc).__name__}"))

@@ -131,9 +131,8 @@ class UnmodulatedDesign:
     @classmethod
     def from_dict(cls, data: dict) -> "UnmodulatedDesign":
         with record_errors("design record", DomainError):
-            return cls(fx=data["fx"], phix=data["phix"], m=data["m"], fy=data.get("fy", 1),
-                       phiy=data.get("phiy", 0.0), case=data.get("case"), k=data.get("k"),
-                       note=data.get("note"))
+            return cls(data["fx"], data["phix"], data["m"],
+                       **{k: data[k] for k in ("fy", "phiy", "case", "k", "note") if k in data})
 
 
 @dataclass(frozen=True)

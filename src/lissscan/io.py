@@ -65,7 +65,7 @@ def _read(path: Path, error: type[LissscanError]) -> bytes:
 def _finite(text: str, convert=float):
     """JSON number hook: NaN, Infinity and numbers that overflow a float are errors."""
     if not math.isfinite(float(text)):
-        raise ValueError(f"{text[:24]} is not a finite number")
+        raise ValueError(f"{value_text(text)} is not a finite number")
     return convert(text)
 
 

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coverage import (MAX_GRID, MAX_ITERS, SampledPattern, _patch_centers, _response,
-                       _sample_count, _sample_times, sample_unmodulated)
+from .coverage import (MAX_GRID, MAX_ITERS, SampledPattern, _patch_centers, _patch_index,
+                       _response, _sample_count, _sample_times, sample_unmodulated)
 from .design import as_fraction, design_unmodulated
 from .errors import (DomainError, InvalidParams, OptimizationFailed, array_value, number_value,
                      record_errors, record_value, value_text)
@@ -246,22 +246,24 @@ def default_tone_indices(r, n_tones: int = 5, m: int = 7) -> tuple[int, ...]:
     true for r = 1 and r = 2); otherwise each tone rounds to the nearest
     grid index.
     """
-    if n_tones not in _TONE_STEPS:
+    try:
+        steps = _TONE_STEPS[n_tones]
+    except (KeyError, TypeError):       # TypeError: an unhashable n_tones
         raise InvalidParams(f"n_tones must be one of {sorted(_TONE_STEPS)}, "
-                            f"got {value_text(n_tones)}")
+                            f"got {value_text(n_tones)}") from None
     m = number_value(m, "m", 1, convert=int, error=InvalidParams)
     r = as_fraction(r)
     if r <= 0:
         raise InvalidParams("resonance ratio must be positive")
-    indices = tuple(round(Fraction(c, 14) * r * _L * m) for c in _TONE_STEPS[n_tones])
+    indices = tuple(round(Fraction(c, 14) * r * _L * m) for c in steps)
     if indices[0] < 1 or any(a >= b for a, b in zip(indices, indices[1:])):
         raise InvalidParams(f"tone ladder collapsed for r = {float(r)}, m = {value_text(m)}, "
                             f"L = {_L}")
     return indices
 
 
-def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float = 20.0,
-                   y_single_tone: bool = False) -> ModulatedParams:
+def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = ScannerConfig.qx,
+                   qy: float = ScannerConfig.qy, y_single_tone: bool = False) -> ModulatedParams:
     """Single-tone starting point on the default tone ladder.
 
     All actuation (amplitude 0.95) sits on the center (near-resonance) tone
@@ -272,7 +274,7 @@ def initial_params(r, m: int = 7, n_tones: int = 5, qx: float = 20.0, qy: float 
     r = as_fraction(r)
     nx = default_tone_indices(r, n_tones, m)
     ny = (_L * m,) if y_single_tone else default_tone_indices(1, n_tones, m)
-    config = ScannerConfig(fx_res=float(r), fy_res=1.0, qx=qx, qy=qy)
+    config = ScannerConfig(fx_res=float(r), qx=qx, qy=qy)
     alpha = np.zeros(len(nx))
     gamma = np.zeros(len(nx))
     beta = np.zeros(len(ny))
@@ -679,9 +681,7 @@ def roi_density(pattern: SampledPattern, rois) -> int:
 def positive_region_density(pattern: SampledPattern, wmap: WeightMap) -> int:
     """Number of samples landing in patches with positive weight (a sample
     outside the field of view counts in its nearest edge patch)."""
-    size = wmap.size
-    ix = np.clip(((pattern.x + 1.0) * 0.5 * size).astype(int), 0, size - 1)
-    iy = np.clip(((pattern.y + 1.0) * 0.5 * size).astype(int), 0, size - 1)
+    ix, iy = _patch_index(pattern.x, wmap.size), _patch_index(pattern.y, wmap.size)
     return int(np.count_nonzero(wmap.w[ix, iy] > 0))
 
 

@@ -51,8 +51,7 @@ class ScannerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScannerConfig":
         with record_errors("scanner config", ConfigError):
-            return cls(fx_res=data["fx_res"], fy_res=data.get("fy_res", 1.0),
-                       qx=data.get("qx", 20.0), qy=data.get("qy", 20.0))
+            return cls(data["fx_res"], **{k: data[k] for k in ("fy_res", "qx", "qy") if k in data})
 
 
 def transfer_amplitude(config: ScannerConfig, axis: str, f: float) -> float:

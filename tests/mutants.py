@@ -31,6 +31,8 @@ COVERAGE = "tests/test_coverage.py::"
 PHASE = "tests/test_phase.py::"
 DESIGN = "tests/test_design.py::"
 IO_CLI = "tests/test_io_cli.py::"
+SCANNER = "tests/test_scanner.py::"
+FUZZ = "tests/test_api_fuzz.py::"
 
 # name: (file under src/lissscan, text, replacement, tests, expected outcome, reason)
 MUTANTS = {
@@ -153,6 +155,34 @@ MUTANTS = {
         "io.py", "(_require_path(path) for path in paths if path is not None)",
         "(Path(path) for path in filter(None, paths))",
         [IO_CLI + "test_a_path_argument_must_be_a_non_empty_str_or_path_like"], "killed", ""),
+    "value-text-cut-one-late": (
+        "errors.py", "return text if len(text) <= _SHOWN else",
+        "return text if len(text) <= _SHOWN + 1 else",
+        [FUZZ + "test_a_refused_value_is_shown_whole_up_to_64_characters_of_its_repr"], "killed",
+        ""),
+    "bytes-read-as-number": (
+        "errors.py", "isinstance(value, (str, bytes, bytearray))", "isinstance(value, str)",
+        [FUZZ + "test_an_edge_value_gives_a_checked_result_or_a_lissscan_error"], "killed", ""),
+    "int-digit-limit-unguarded": (
+        "errors.py", "    except ValueError:      # an int past",
+        "    except TypeError:      # an int past",
+        [FUZZ + "test_a_refused_number_of_any_length_gives_a_short_message"], "killed", ""),
+    "missing-field-raw": (
+        "errors.py",
+        '    except KeyError as exc:\n        raise error(f"{record} missing field {exc}") from exc\n',
+        "", [SCANNER + "test_a_missing_or_null_scanner_field_is_named"], "killed", ""),
+    "q-below-one": (
+        "scanner.py", '("qy", 1)', '("qy", 0)', [SCANNER + "test_config_validation"], "killed", ""),
+    "y-axis-takes-qx": (
+        "scanner.py", "return self.fy_res, self.qy", "return self.fy_res, self.qx",
+        [SCANNER + "test_axes_are_independent"], "killed", ""),
+    "zero-division-uncaught": (
+        "scanner.py", "except (OverflowError, ZeroDivisionError):", "except OverflowError:",
+        [SCANNER + "test_response_stays_finite_where_a_square_leaves_the_float_range"], "killed",
+        ""),
+    "from-dict-drops-qy": (
+        "scanner.py", '("fy_res", "qx", "qy")', '("fy_res", "qx")',
+        [SCANNER + "test_from_dict_takes_absent_fields_from_the_dataclass"], "killed", ""),
 }
 
 

@@ -44,11 +44,11 @@ from lissscan import (ROI_B, DriftScenario, ModulatedParams, MultitoneState, Opt
                       transfer_amplitude, wrap_phase)
 from lissscan import cli
 from lissscan.design import DesignCase
-from lissscan.errors import DomainError, InvalidParams, LissscanError
+from lissscan.errors import DomainError, InvalidParams, LissscanError, number_value
 from lissscan.io import _read_pgm
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, True, False, np.True_, 2.5,
-         "1.5"]
+         "1.5", b"1.5", bytearray(b"1.5")]
 
 CFG = ScannerConfig.normalized(1.5)
 DESIGN = design_unmodulated(F(3, 2), 7)
@@ -215,6 +215,9 @@ PART_SITES = {
     "WeightMap.from_rectangles.ymax": "WeightMap.from_rectangles.rois",
     "optimize.step": "optimize.opts", "optimize.threshold": "optimize.opts",
 }
+# sites that take a value from a fixed set, with the edges that cannot be hashed
+UNHASHABLE_EDGES = {"default_tone_indices.n_tones": ([3], {}),
+                    "initial_params.n_tones": ([3], {})}
 # result records the package builds itself (see the module docstring)
 RESULTS = {"Assignment", "CoverageReport", "DriftTrace", "ModulatedGradient", "OptimizeResult",
            "PeriodReport", "SweepRow"}
@@ -249,7 +252,18 @@ def test_an_edge_value_gives_a_checked_result_or_a_lissscan_error(site, value):
     assert _checked(result), f"{site}({value!r}) returned {result!r}"
     # a boolean is never a number, and text is one only where a ratio is read
     assert not isinstance(value, (bool, np.bool_)), f"{site} read {value!r} as a number"
-    assert not isinstance(value, str) or site in RATIO_SITES, f"{site} read {value!r} as a number"
+    assert not isinstance(value, (str, bytes, bytearray)) or site in RATIO_SITES, (
+        f"{site} read {value!r} as a number")
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{type(value).__name__}")
+    for site, values in UNHASHABLE_EDGES.items() for value in values])
+def test_an_unhashable_edge_gives_a_lissscan_error(site, value):
+    # n_tones was looked up in a dict before any check: TypeError, unhashable type
+    with pytest.raises(InvalidParams, match=rf"^n_tones must be one of \[3, 5\], got "
+                                            rf"{re.escape(repr(value))}$"):
+        SITES[site](value)
 
 
 # array site -> (a valid value, call with the drawn array in that argument)
@@ -413,6 +427,14 @@ def test_every_array_argument_has_an_array_site_and_every_array_site_an_argument
     assert not unfuzzed, f"array arguments with no array site: {sorted(unfuzzed)}"
     stale = ARRAY_SITES.keys() - arguments.keys()
     assert not stale, f"array sites of no argument: {sorted(stale)}"
+
+
+def test_a_refused_value_is_shown_whole_up_to_64_characters_of_its_repr():
+    with pytest.raises(DomainError, match=f"^n must be a number, got '{'x' * 62}'$"):
+        number_value("x" * 62, "n")
+    with pytest.raises(DomainError, match=rf"^n must be a number, got '{'x' * 63}\.\.\. "
+                                          rf"\(65 characters\)$"):
+        number_value("x" * 63, "n")
 
 
 def test_a_refused_number_of_any_length_gives_a_short_message():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -364,10 +365,53 @@ def test_fill_factor_tightens_the_bound_down_columns_on_a_fine_grid(queried, mon
     assert r_max == _r_max_over_every_center(pattern, 512)
 
 
+def _patch_values(n):
+    """Values at and one ulp either side of the borders of n patches across
+    [-1, 1], and anywhere the old formulas' cast to an integer was in range."""
+    border = st.integers(0, n).map(lambda k: -1.0 + 2.0 * k / n)
+    return st.one_of(border, border.map(lambda v: math.nextafter(v, -math.inf)),
+                     border.map(lambda v: math.nextafter(v, math.inf)),
+                     st.sampled_from([-1.0, 1.0]), st.floats(-1e15, 1e15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, MAX_GRID), data=st.data())
+def test_patch_index_is_the_old_cell_formulas_wherever_their_cast_was_in_range(n, data):
+    v = np.array(data.draw(st.lists(_patch_values(n), min_size=1, max_size=40)))
+    index = coverage._patch_index(v, n)
+    assert index.dtype == np.intp
+    # positive_region_density's, which cast before it clamped
+    assert np.array_equal(index, np.clip(((v + 1.0) * 0.5 * n).astype(int), 0, n - 1))
+    inside = np.abs(v) <= 1.0       # _cell_bound's, on samples normalized to [-1, 1]
+    assert np.array_equal(index[inside],
+                          np.minimum(((v[inside] + 1.0) * (n / 2)).astype(np.intp), n - 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_patch_index_puts_a_value_past_any_integer_in_its_edge_patch():
+    huge = np.array([1e300, -1e300, sys.float_info.max, -sys.float_info.max, 1e19, -1e19])
+    assert coverage._patch_index(huge, 8).tolist() == [7, 0, 7, 0, 7, 0]
+    assert coverage._patch_index(huge, MAX_GRID).tolist() == [MAX_GRID - 1, 0] * 3
+
+
 def test_scanning_range_pinned():
     assert scanning_range(P0, CFG) == pytest.approx(1.0, rel=1e-12)
     assert scanning_range(P1, CFG) == pytest.approx(0.45173330777393683, rel=1e-12)
     assert scanning_range(P2, CFG) == pytest.approx(0.7375084657374081, rel=1e-12)
+
+
+def test_sweep_takes_q_and_the_y_resonance_from_the_scanner_config(monkeypatch, with_defaults):
+    # with no config, each cell's config leaves fy_res, qx and qy to ScannerConfig
+    config = with_defaults(ScannerConfig, fy_res=1.25, qx=5.0, qy=4.0)
+    monkeypatch.setattr(coverage, "ScannerConfig", config)
+    rows = sweep_designs([F(3, 2)], [7], n_samples=50, n_grid=8)
+    designs = (design_unmodulated(F(3, 2), 7), baseline_repeating_design(F(3, 2), 7))
+    assert [row.scanning_range for row in rows] == [
+        scanning_range(design, config(1.5)) for design in designs]
+    given = ScannerConfig(1.5, fy_res=2.0, qx=3.0, qy=2.0)
+    rows = sweep_designs([F(3, 2)], [7], config=given, n_samples=50, n_grid=8)
+    assert [row.scanning_range for row in rows] == [    # the given Q, never its fy_res
+        scanning_range(design, config(1.5, qx=3.0, qy=2.0)) for design in designs]
 
 
 def test_sweep_rows_and_ordering():

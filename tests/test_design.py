@@ -3,6 +3,7 @@ criterion, period bookkeeping, and an independent re-enumeration of the
 whole search."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -76,6 +77,16 @@ def test_a_ratio_exponent_past_the_int_digit_bound_is_refused_unparsed(monkeypat
     assert cli_dispatch(["design", "--r", "1e-3000000", "--m", "7"]) == 1
     assert capsys.readouterr().err == (f"error:DomainError: ratio exponent must lie in "
                                        f"[-{bound}, {bound}], got '1e-3000000'\n")
+
+
+@pytest.mark.parametrize("text", ["1.5e", "e", "none", "1e+x", "2e3.5"])
+def test_text_with_no_integer_exponent_is_left_to_fraction(text, capsys):
+    # the exponent bound reads no exponent here, and Fraction refuses the text
+    message = f"expected a rational number in float range, got {text!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        as_fraction(text)
+    assert cli_dispatch(["design", "--r", text, "--m", "7"]) == 1
+    assert capsys.readouterr().err == f"error:DomainError: {message}\n"
 
 
 def test_retrace_criterion():
@@ -242,6 +253,30 @@ def test_design_record_round_trip():
     plain = UnmodulatedDesign(fx=F(5, 4), phix=0.1, m=7)
     assert UnmodulatedDesign.from_dict(plain.to_dict()) == plain
     assert UnmodulatedDesign.from_dict(dict(plain.to_dict(), m=7.0)) == plain   # integral float
+
+
+def test_a_design_record_takes_absent_fields_from_the_dataclass(with_defaults):
+    # from_dict passes only the fields a record holds; a subclass's defaults show it
+    record = with_defaults(UnmodulatedDesign, phiy=0.5, note="hand-made")
+    design = record.from_dict({"fx": "5/4", "phix": 0.1, "m": 7})
+    assert (design.fy, design.phiy, design.case, design.k, design.note) == (
+        1, 0.5, None, None, "hand-made")
+    assert record.from_dict({"fx": "5/4", "phix": 0.1, "m": 7, "phiy": 0.0}).phiy == 0.0
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"phix": 0.0, "m": 7}, "design record missing field 'fx'"),
+    ({"fx": "5/4", "phix": 0.0}, "design record missing field 'm'"),
+    ({"fx": "5/4", "phix": 0.0, "m": 7, "fy": None},
+     "expected a rational number in float range, got None"),
+    ({"fx": "5/4", "phix": 0.0, "m": 7, "phiy": None}, "phiy must be a number, got None"),
+    ({"fx": "5/4", "phix": 0.0, "m": 7, "case": "Case1", "k": None},
+     "case and k must be set together"),
+    (None, "malformed design record: 'NoneType' object is not subscriptable"),
+])
+def test_a_missing_or_null_design_field_is_named(record, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        UnmodulatedDesign.from_dict(record)
 
 
 @pytest.mark.parametrize("field, value", [

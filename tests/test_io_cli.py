@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -507,6 +508,29 @@ def test_cli_phase_sim(tmp_path):
     assert last_err == pytest.approx(10.0, abs=1e-9)
 
 
+def test_cli_phase_sim_takes_absent_fields_from_the_scenario_record(tmp_path, monkeypatch,
+                                                                   with_defaults):
+    # the command passes only the fields its file holds; a subclass's defaults show it
+    from lissscan import phase
+    seen = []
+    simulate = phase.simulate_drift_control
+    monkeypatch.setattr(phase, "DriftScenario", with_defaults(
+        phase.DriftScenario, control_enabled=False, measurement_noise_deg=0.25))
+    monkeypatch.setattr(phase, "simulate_drift_control",
+                        lambda scenario, *args, **kw: simulate(seen.append(scenario) or scenario,
+                                                               *args, **kw))
+    scenario = tmp_path / "scenario.json"
+    run = ["phase-sim", "--scenario", str(scenario), "--scanner", str(_scanner_file(tmp_path)),
+           "--duration", "64", "--out", str(tmp_path / "t.csv")]
+    scenario.write_text(json.dumps({"frame_time": 6.4}))
+    assert cli_dispatch(run) == 0
+    scenario.write_text(json.dumps({"frame_time": 6.4, "control_enabled": True,
+                                    "measurement_noise_deg": 0.0}))
+    assert cli_dispatch(run) == 0
+    assert [(s.control_enabled, s.measurement_noise_deg) for s in seen] == [(False, 0.25),
+                                                                          (True, 0.0)]
+
+
 def test_cli_phase_sim_rejects_bad_scenarios(tmp_path, capsys):
     scanner = _scanner_file(tmp_path, r=2.0)
     bad = tmp_path / "bad.json"
@@ -701,10 +725,14 @@ def _assert_one_error(capsys, kind):
 
 def test_json_reader_rejects_non_finite_numbers(tmp_path):
     path = tmp_path / "s.json"
-    for text in ('{"fx_res": NaN}', '{"fx_res": Infinity}', '{"fx_res": -Infinity}',
-                 '{"fx_res": 1e400}', '{"fx_res": 1' + "0" * 400 + '}'):
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="not a finite number"):
+    for literal, shown in (
+            ("NaN", "'NaN'"), ("Infinity", "'Infinity'"), ("-Infinity", "'-Infinity'"),
+            ("1e400", "'1e400'"), ("1" + "0" * 400, "'1" + "0" * 62 + "... (403 characters)"),
+            # its first 24 characters alone were shown, as if a finite number
+            ("-" + "9" * 30 + "e999", "'-" + "9" * 30 + "e999'")):
+        path.write_text('{"fx_res": ' + literal + '}')
+        message = f"could not read JSON from {path}: {shown} is not a finite number"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_scanner(path)
     path.write_text('{"fx_res": 1e-400, "qx": 1' + "0" * 300 + '}')
     with pytest.raises(ConfigError, match="^fx_res must be positive and finite, got 0.0$"):

@@ -2,6 +2,7 @@
 projected-descent optimizer."""
 
 import copy
+import inspect
 import math
 import pickle
 import sys
@@ -133,6 +134,15 @@ def test_initial_params_layout():
     single = initial_params(2, m=7, n_tones=3, y_single_tone=True)
     assert single.ny == (14,)
     np.testing.assert_allclose(single.fy_tones, [1.0])
+
+
+def test_initial_params_takes_q_and_the_y_resonance_from_the_scanner_config(monkeypatch,
+                                                                          with_defaults):
+    defaults = inspect.signature(initial_params).parameters
+    assert (defaults["qx"].default, defaults["qy"].default) == (ScannerConfig.qx, ScannerConfig.qy)
+    monkeypatch.setattr(modulated, "ScannerConfig", with_defaults(ScannerConfig, fy_res=1.25))
+    params = initial_params(2, n_tones=3, qx=5.0, qy=4.0)
+    assert (params.config.fy_res, params.config.qx, params.config.qy) == (1.25, 5.0, 4.0)
 
 
 def test_tone_frequencies_sit_on_the_grid():
@@ -594,13 +604,6 @@ def test_a_nan_sample_makes_the_objective_raise():
     assert math.isnan(_row_loop_assign(pattern.x, pattern.y, wmap, 1 / 32)[0])
 
 
-def test_patch_centers_are_shared_and_read_only():
-    centers = _patch_centers(16)
-    assert _patch_centers(16) is centers
-    with pytest.raises(ValueError, match="read-only"):
-        centers[0] = 0.0
-
-
 def test_occupied_patches_pay_nothing():
     pattern = SampledPattern(t=np.array([0.0, 1.0]), x=np.array([-0.9375, 0.5]),
                              y=np.array([-0.9375, 0.5]))
@@ -662,6 +665,19 @@ def test_positive_region_density_counts_samples_in_weighted_patches():
     w[0, 2] = 0.5                     # [-1, -0.5] x [0, 0.5]
     assert positive_region_density(pattern, WeightMap(w)) == 4
     assert positive_region_density(pattern, WeightMap.uniform(4)) == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_finite_sample_counts_in_its_edge_patch_without_a_warning():
+    # the cast came before the clamp: x = +-1e300 gave numpy's "invalid value
+    # encountered in cast" and a wrong patch, and a count of 1
+    wmap = WeightMap.from_rectangles([ROI_B], 8)
+    pattern = SampledPattern(t=np.arange(3.0), x=np.array([1e300, 0.5, -1e300]),
+                             y=np.full(3, 0.5))
+    assert positive_region_density(pattern, wmap) == 2
+    pattern = SampledPattern(t=np.arange(2.0), x=np.array([sys.float_info.max, 0.5]),
+                             y=np.array([0.5, -sys.float_info.max]))
+    assert positive_region_density(pattern, wmap) == 1
 
 
 # ------------------------------------------------------------------- gradients

@@ -1,6 +1,7 @@
 """Oscillator amplitude model: anchored response values, shape, validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,8 +73,9 @@ def test_config_validation():
         ScannerConfig(fx_res=0.0)
     with pytest.raises(ConfigError):
         ScannerConfig(fx_res=1.5, fy_res=-1.0)
-    with pytest.raises(ConfigError):
-        ScannerConfig(fx_res=1.5, qx=0.5)
+    for q in ("qx", "qy"):                       # Q >= 1
+        with pytest.raises(ConfigError, match=f"^{q} must be finite and at least 1, got 0.5$"):
+            ScannerConfig(fx_res=1.5, **{q: 0.5})
     with pytest.raises(ConfigError):
         ScannerConfig(fx_res=math.nan)
     with pytest.raises(ConfigError):
@@ -100,6 +102,25 @@ def test_dict_round_trip():
     for field in ("fx_res", "fy_res", "qx", "qy"):   # true is not 1.0
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
             ScannerConfig.from_dict(dict(cfg.to_dict(), **{field: True}))
+
+
+def test_from_dict_takes_absent_fields_from_the_dataclass(with_defaults):
+    # from_dict passes only the fields a record holds; a subclass's defaults show it
+    config = with_defaults(ScannerConfig, fy_res=1.25, qx=5.0, qy=4.0)
+    assert config.from_dict({"fx_res": 2.0}) == config(2.0, 1.25, 5.0, 4.0)
+    assert config.from_dict({"fx_res": 2.0, "qy": 30.0}) == config(2.0, 1.25, 5.0, 30.0)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({}, "scanner config missing field 'fx_res'"),
+    ({"qx": 20.0}, "scanner config missing field 'fx_res'"),
+    ({"fx_res": None}, "fx_res must be a number, got None"),
+    ({"fx_res": 1.5, "fy_res": None}, "fy_res must be a number, got None"),
+    ({"fx_res": 1.5, "qy": None}, "qy must be a number, got None"),
+])
+def test_a_missing_or_null_scanner_field_is_named(record, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScannerConfig.from_dict(record)
 
 
 def test_response_stays_finite_where_a_square_leaves_the_float_range():
