@@ -27,6 +27,11 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(lio.json_text(payload))
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags the command line gave; an absent one keeps the library's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _path(text: str) -> str:
     """argparse type of every file flag: an empty path is a usage error."""
     if not text:
@@ -38,7 +43,7 @@ def _path(text: str) -> str:
 
 def cmd_design(args: argparse.Namespace) -> int:
     make = baseline_repeating_design if args.baseline else design_unmodulated
-    design = make(as_fraction(args.r), args.m)
+    design = make(args.r, args.m)
     periods = repeat_period(design.fx, design.fy, design.phix, design.phiy)
     payload = design.to_dict()
     payload["signal_period"] = str(periods.signal_period)
@@ -54,7 +59,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _grid_count(args.grid)
     scanner = lio.load_scanner(args.scanner)
     design = lio.load_design(args.design)
-    pattern = sample_unmodulated(design, scanner, args.frame, args.n_samples)
+    pattern = sample_unmodulated(design, scanner, **_given(args, "frame_index", "n_samples"))
     report = fill_factor(pattern, args.grid)
     payload = {"fill_factor": report.fill_factor, "r_max": report.r_max,
                "scanning_range": scanning_range(design, scanner)}
@@ -99,20 +104,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from .modulated import (ModulatedParams, OptimizeOptions, initial_params, optimize,
                             positive_region_density, reference_pattern, synthesize_modulated)
     lio.check_out_paths(args.out, args.trace)
-    opts = OptimizeOptions(max_iters=args.max_iters, step=args.step,
-                           threshold=args.threshold, n_samples=args.n_samples,
-                           constraint=args.constraint)
+    opts = OptimizeOptions(**_given(args, "max_iters", "step", "threshold", "n_samples",
+                                    "constraint"))
     scanner = lio.load_scanner(args.scanner)
     wmap = lio.load_weight_map(args.roi)
     r = as_fraction(scanner.fx_res) / as_fraction(scanner.fy_res)
     if args.init:
         init = ModulatedParams.from_dict(lio.read_json(args.init, InvalidParams))
     else:
-        init = initial_params(r, m=args.m, n_tones=args.tones, qx=scanner.qx, qy=scanner.qy,
-                              y_single_tone=args.y_single_tone)
+        init = initial_params(r, qx=scanner.qx, qy=scanner.qy,
+                              **_given(args, "m", "n_tones", "y_single_tone"))
+    # the result keeps init's m, so its reference is built, or refused, before the descent
+    reference = reference_pattern(r, m=init.m, config=scanner, n_samples=opts.n_samples)
     result = optimize(init, wmap, opts)
-    optimized = synthesize_modulated(result.params, args.n_samples)
-    reference = reference_pattern(r, m=result.params.m, config=scanner, n_samples=args.n_samples)
+    optimized = synthesize_modulated(result.params, opts.n_samples)
     payload = result.params.to_dict()
     payload.update({
         "fx_tone_freqs": result.params.fx_tones.tolist(),
@@ -162,8 +167,8 @@ def cmd_phase_sim(args: argparse.Namespace) -> int:
             drift_fn=_drift_fn(spec.get("drift", {}), f_drive, f_res, q, args.duration),
             frame_time=spec["frame_time"],
             **{k: spec[k] for k in ("control_enabled", "measurement_noise_deg") if k in spec})
-    trace = simulate_drift_control(scenario, scanner, axis, f_drive,
-                                   args.duration, seed=args.seed)
+    trace = simulate_drift_control(scenario, scanner, axis, f_drive, args.duration,
+                                   **_given(args, "seed"))
     lio.write_csv(args.out, ["t", "phase_error_deg", "corrected"],
                   zip(trace.t, trace.phase_error_deg, trace.correction_deg))
     return 0
@@ -201,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, type=_path,
                    help="design JSON (from the design command)")
     p.add_argument("--scanner", required=True, type=_path, help="scanner config JSON")
-    p.add_argument("--frame", type=int, default=0)
+    p.add_argument("--frame", dest="frame_index", type=int, default=argparse.SUPPRESS)
     p.add_argument("--n-samples", type=int, default=N_SAMPLES_DEFAULT)
     p.add_argument("--grid", type=int, default=N_GRID_DEFAULT)
     p.add_argument("--out", type=_path)
@@ -221,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="focus a multi-tone pattern on a weighted region")
     p.add_argument("--scanner", required=True, type=_path)
     p.add_argument("--roi", required=True, type=_path, help="weight map (PGM or CSV)")
-    p.add_argument("--tones", type=int, default=5, choices=(3, 5))
-    p.add_argument("--m", type=int, default=7)
-    p.add_argument("--n-samples", type=int, default=500)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--constraint", default="rms", choices=("rms", "absolute"))
-    p.add_argument("--y-single-tone", action="store_true")
+    p.add_argument("--tones", dest="n_tones", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--n-samples", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--step", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--constraint", default=argparse.SUPPRESS)
+    p.add_argument("--y-single-tone", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--init", type=_path, help="warm-start params JSON")
     p.add_argument("--out", required=True, type=_path, help="output params JSON")
     p.add_argument("--trace", type=_path, help="optional loss trace CSV")
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, type=_path, help="scenario JSON")
     p.add_argument("--scanner", required=True, type=_path)
     p.add_argument("--duration", required=True, type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, type=_path, help="output trace CSV")
     p.set_defaults(func=cmd_phase_sim)
 

@@ -88,15 +88,23 @@ def read_json(path, error: type[LissscanError]) -> dict:
 # -------------------------------------------------------------------- writers
 
 def check_out_paths(*paths) -> None:
-    """Fail before any computing when an output path cannot be a file; None is skipped."""
+    """Fail before any computing when an output path cannot be a file, or
+    names the file of an earlier one once its links are resolved; None is
+    skipped."""
+    seen = set()
     for path in (_require_path(path) for path in paths if path is not None):
         try:
             fits = not path.is_dir() and path.parent.is_dir()
-        except OSError as exc:      # a name too long, for one
-            raise DomainError(f"could not write {path_text(path)}: {exc.strerror}") from exc
+            real = os.path.realpath(path)   # Path.resolve would raise on a link loop
+        except (OSError, ValueError) as exc:    # a name too long; a null byte
+            reason = getattr(exc, "strerror", exc)
+            raise DomainError(f"could not write {path_text(path)}: {reason}") from exc
         if not fits:
             raise DomainError(f"could not write {path_text(path)}: "
                               "not a file in an existing directory")
+        if real in seen:
+            raise DomainError(f"could not write {path_text(path)}: another output names it too")
+        seen.add(real)
 
 
 def write_text(path, text: str) -> Path:

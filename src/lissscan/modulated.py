@@ -151,7 +151,6 @@ class _SearchPlan:
 _COEFFICIENTS = ("alpha", "gamma", "beta", "delta")
 
 
-@np.errstate(over="ignore")
 def _rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> float:
     """Root of one axis's summed squared coefficients; inf once that sum overflows."""
     total = float(np.add.reduce(cos_coef * cos_coef) + np.add.reduce(sin_coef * sin_coef))
@@ -201,10 +200,12 @@ class ModulatedParams:
             raise InvalidParams("L and m must be positive integers with a float-sized product")
 
     @property
+    @np.errstate(over="ignore")
     def rms_x(self) -> float:
         return _rms(self.alpha, self.gamma)
 
     @property
+    @np.errstate(over="ignore")
     def rms_y(self) -> float:
         return _rms(self.beta, self.delta)
 
@@ -486,6 +487,7 @@ def _scaled_down(cos_coef, sin_coef) -> tuple[np.ndarray, np.ndarray, int]:
     return np.ldexp(cos_coef, -exponent), np.ldexp(sin_coef, -exponent), exponent
 
 
+@np.errstate(over="ignore")      # an overflowing RMS is scaled instead
 def project_rms(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radial projection of one axis onto the RMS unit ball. The two
     coefficient arrays must hold real numbers, finite ones, and share a
@@ -548,6 +550,9 @@ def project_absolute(cos_coef: np.ndarray, sin_coef: np.ndarray) -> tuple[np.nda
     return cos_coef * scale, sin_coef * scale
 
 _PROJECTIONS = {"rms": project_rms, "absolute": project_absolute}
+# each constraint's norm of one axis, the quantity its projection bounds by 1
+_NORMS = {"rms": _rms,
+          "absolute": lambda cos_coef, sin_coef: float(np.hypot(cos_coef, sin_coef).sum())}
 
 
 @dataclass
@@ -585,17 +590,6 @@ class OptimizeResult:
     converged: bool
 
 
-def _constraint_norm(coef: np.ndarray, n_x: int, constraint: str) -> float:
-    """The larger axis norm of a stacked coefficient vector under constraint:
-    the RMS by _rms's formula, which optimize's errstate already covers."""
-    if constraint == "rms":
-        a, g, b, d = _split(coef * coef, n_x)
-        return max(math.sqrt(float(np.add.reduce(a) + np.add.reduce(g))),
-                   math.sqrt(float(np.add.reduce(b) + np.add.reduce(d))))
-    a, g, b, d = _split(coef, n_x)
-    return max(float(np.hypot(a, g).sum()), float(np.hypot(b, d).sum()))
-
-
 @np.errstate(over="ignore", invalid="ignore")    # non-finite values are caught in the loop
 def optimize(init: ModulatedParams, wmap: WeightMap,
              opts: OptimizeOptions | None = None) -> OptimizeResult:
@@ -613,7 +607,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
         raise InvalidParams("weight map has no positive entries")
     _check_search(wmap, opts.n_samples)
     threshold = (1.0 / wmap.size) if opts.threshold is None else opts.threshold
-    project = _PROJECTIONS[opts.constraint]
+    project, axis_norm = _PROJECTIONS[opts.constraint], _NORMS[opts.constraint]
 
     _, bases = _bases(init, opts.n_samples)
     # the descent runs on one stacked coefficient vector alpha | gamma | beta |
@@ -621,7 +615,8 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
     # views; only the returned iterate becomes a ModulatedParams
     n_x = len(init.alpha)
     coef = np.concatenate((init.alpha, init.gamma, init.beta, init.delta))
-    x, y = _positions(bases, *_split(coef, n_x))
+    a, g, b, d = _split(coef, n_x)
+    x, y = _positions(bases, a, g, b, d)
     trace, norms = [], []
     best_loss = before = math.inf      # before: best loss up to patience iterates ago
     converged = False
@@ -646,7 +641,7 @@ def optimize(init: ModulatedParams, wmap: WeightMap,
                 # the last halved candidate is taken even if it still increases;
                 # best-seen tracking protects the returned iterate
             coef = np.concatenate((a, g, b, d))
-        norm = _constraint_norm(coef, n_x, opts.constraint)
+        norm = max(axis_norm(a, g), axis_norm(b, d))
         if iteration and not norm <= 1.0 + FEASIBILITY_SLACK:
             raise OptimizationFailed(f"iterate {iteration} left the constraint set, norm {norm}",
                                      trace=np.array(trace))

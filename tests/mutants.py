@@ -94,9 +94,33 @@ MUTANTS = {
         "killed", ""),
     "absolute-norm-x-only": (
         "modulated.py",
-        "    return max(float(np.hypot(a, g).sum()), float(np.hypot(b, d).sum()))",
-        "    return float(np.hypot(a, g).sum())",
+        "        norm = max(axis_norm(a, g), axis_norm(b, d))\n",
+        "        norm = axis_norm(a, g)\n",
         [MODULATED + "test_absolute_constraint_norm_is_the_larger_axis_sum"], "killed", ""),
+    "baseline-zero-ratio-allowed": (
+        "design.py", '    if r <= 0:\n        raise DomainError(f"resonance ratio must be positive',
+        '    if r < 0:\n        raise DomainError(f"resonance ratio must be positive',
+        [DESIGN + "test_ratio_and_frame_time_bounds"], "killed", ""),
+    "design-fy-unchecked": (
+        "design.py", "if self.fx <= 0 or self.fy <= 0:", "if self.fx <= 0:",
+        [DESIGN + "test_a_design_refuses_a_tone_frequency_that_is_not_positive"], "killed", ""),
+    "retrace-tolerance-inclusive": (
+        "design.py", "* 10**9 < q:", "* 10**9 <= q:",
+        [DESIGN + "test_a_phase_offset_of_exactly_the_tolerance_is_not_an_integer"], "killed", ""),
+    "help-exits-two": (
+        "cli.py", "return int(exc.code or 0)", "return 2", [IO_CLI + "test_cli_error_paths"],
+        "killed", ""),
+    "reference-of-default-m": (
+        "cli.py", "reference_pattern(r, m=init.m,", "reference_pattern(r, m=7,",
+        [IO_CLI + "test_cli_optimize_refuses_a_reference_it_cannot_build_before_the_descent"],
+        "killed", ""),
+    "seed-default-restated": (
+        "cli.py", '"--seed", type=int, default=argparse.SUPPRESS', '"--seed", type=int, default=0',
+        [IO_CLI + "test_cli_metrics_and_phase_sim_take_an_absent_frame_and_seed_from_the_library"],
+        "killed", ""),
+    "out-path-twice-allowed": (
+        "io.py", "        if real in seen:\n", "        if False:\n",
+        [IO_CLI + "test_check_out_paths_refuses_a_file_named_twice"], "killed", ""),
     "fill-reach-no-slack": (
         "coverage.py", "reach = np.sqrt(bound.take(flat)) / n_grid + 1e-9",
         "reach = np.sqrt(bound.take(flat)) / n_grid",

@@ -161,8 +161,10 @@ def test_ratio_and_frame_time_bounds():
     with pytest.raises(DomainError):
         design_unmodulated(F(3, 2), 65)
     assert design_unmodulated(F(3, 2), 7.0) == design_unmodulated(F(3, 2), 7)   # 7.0 reads as 7
-    with pytest.raises(DomainError):
-        baseline_repeating_design(F(-1, 2), 7)
+    for r in (F(-1, 2), 0):     # r = 0 was given the design k = 1, fx = 1/m
+        with pytest.raises(DomainError,
+                           match=f"^resonance ratio must be positive, got {float(r)}$"):
+            baseline_repeating_design(r, 7)
 
 
 def test_every_ratio_and_frame_time_has_a_design_within_half_a_unit():
@@ -218,6 +220,15 @@ def test_coverage_period_matches_a_walk_over_the_y_zeros(fx, fy, cx, cy):
     assert report.coverage_period == _oracle_coverage_period(fx, fy, cx, cy, signal)
 
 
+def test_a_phase_offset_of_exactly_the_tolerance_is_not_an_integer():
+    # q = 5**8 and pi/2560 (a float exactly) put the offset at 1/2560, so its
+    # distance to 0 times 10**9 equals q; one ulp less is inside the tolerance
+    q, phiy = 5**8, -math.pi / 2560
+    assert F(phiy) == -F(math.pi) / 2560
+    for phix, coverage in ((phiy, F(q)), (math.nextafter(phiy, -math.inf), F(q, 2))):
+        assert repeat_period(F(q + 1, q), 1, phix, phiy).coverage_period == coverage
+
+
 def test_period_validation():
     with pytest.raises(DomainError):
         repeat_period(F(0), 1)
@@ -253,6 +264,13 @@ def test_design_record_round_trip():
     plain = UnmodulatedDesign(fx=F(5, 4), phix=0.1, m=7)
     assert UnmodulatedDesign.from_dict(plain.to_dict()) == plain
     assert UnmodulatedDesign.from_dict(dict(plain.to_dict(), m=7.0)) == plain   # integral float
+
+
+@pytest.mark.parametrize("field", ["fx", "fy"])
+@pytest.mark.parametrize("value", [0, F(-1, 2)])
+def test_a_design_refuses_a_tone_frequency_that_is_not_positive(field, value):
+    with pytest.raises(DomainError, match="^tone frequencies must be positive$"):
+        UnmodulatedDesign(**{"fx": F(3, 2), "phix": 0.0, "m": 7, field: value})
 
 
 def test_a_design_record_takes_absent_fields_from_the_dataclass(with_defaults):

@@ -5,6 +5,7 @@ import builtins
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from lissscan import (ModulatedParams, ScannerConfig, design_unmodulated, initia
 from lissscan import cli
 from lissscan.cli import cli_dispatch
 from lissscan.coverage import MAX_GRID, MAX_ITERS, MAX_SAMPLES, MAX_SWEEP_CELLS
+from lissscan.design import N_GRID_DEFAULT, N_SAMPLES_DEFAULT
 from lissscan.errors import ConfigError, DomainError, WeightMapError
 from lissscan.io import (_PATH_SHOWN, _pgm_tokens, _read_pgm, check_out_paths, path_text,
                          read_json, write_csv, write_text)
@@ -268,6 +270,8 @@ def test_cli_error_paths(capsys):
     capsys.readouterr()
     assert cli_dispatch(["no-such-command"]) == 2
     capsys.readouterr()
+    assert cli_dispatch(["optimize", "--help"]) == 0             # argparse's own exit code
+    assert capsys.readouterr().out.startswith("usage: lissscan optimize ")
 
 
 _SWEEP = ["sweep", "--r-min", "1", "--r-max", "2", "--r-step", "1", "--m", "7", "--out", "o.csv"]
@@ -614,6 +618,38 @@ def test_cli_optimize_checks_every_output_path_before_writing(tmp_path, capsys):
                          "--trace", str(tmp_path)]) == 1       # the trace path is a directory
     _assert_one_write_error(capsys, tmp_path)
     assert not (tmp_path / "p.json").exists()
+
+
+def test_cli_optimize_refuses_one_file_for_both_outputs_before_computing(tmp_path, capsys,
+                                                                        monkeypatch):
+    # exited 0: the trace CSV overwrote the params JSON
+    _no_descent(monkeypatch)
+    files = _cli_inputs(tmp_path)[0]
+    assert cli_dispatch(_run("optimize", files, "--trace", files["out"])) == 1
+    assert capsys.readouterr().err == (f"error:DomainError: could not write {files['out']}: "
+                                       "another output names it too\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_out_paths_refuses_a_file_named_twice(tmp_path):
+    out, link = tmp_path / "out.json", tmp_path / "link.json"
+    link.symlink_to(out)                 # a dangling link, as out is not written yet
+    (tmp_path / "sub").mkdir()
+    check_out_paths(out, None, tmp_path / "trace.csv")
+    for first, second in ((out, str(out)), (out, tmp_path / "sub" / ".." / "out.json"),
+                          (out, link)):
+        with pytest.raises(DomainError, match=f"^could not write {re.escape(str(second))}: "
+                                              "another output names it too$"):
+            check_out_paths(first, second)
+
+
+def test_check_out_paths_refuses_a_null_byte_as_write_text_does(tmp_path):
+    # resolving its links raises a ValueError; it passed here and was refused after computing
+    path = str(tmp_path / "a\0b")
+    for call in (check_out_paths, lambda path: write_text(path, "x")):
+        with pytest.raises(DomainError, match=f"^could not write {re.escape(path_text(path))}: "
+                                              "embedded null byte$"):
+            call(path)
 
 
 def test_cli_phase_sim_write_error(tmp_path, capsys, monkeypatch):
@@ -1000,12 +1036,121 @@ def test_cli_optimize_compares_a_warm_start_with_the_reference_of_its_own_m(tmp_
 ])
 def test_cli_optimize_rejects_a_bad_option_before_the_descent(flag, value, tmp_path, capsys,
                                                               monkeypatch):
-    def no_descent(*args, **kwargs):
-        raise AssertionError("the descent ran")
-    monkeypatch.setattr("lissscan.modulated.optimize", no_descent)
+    _no_descent(monkeypatch)
     assert cli_dispatch(_run("optimize", _cli_inputs(tmp_path)[0], flag, value)) == 1
     _assert_one_error(capsys, "DomainError")
     assert not (tmp_path / "out").exists()
+
+
+def _no_descent(monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+    monkeypatch.setattr("lissscan.modulated.optimize", no_descent)
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    # argparse's choices refused both with exit 2, as no other value flag is refused
+    ("--tones", "4", "InvalidParams: n_tones must be one of [3, 5], got 4"),
+    ("--constraint", "foo", "DomainError: constraint must be one of ['absolute', 'rms'], "
+                            "got 'foo'"),
+])
+def test_cli_optimize_refuses_a_tone_count_or_constraint_by_the_library_rule(flag, value, error,
+                                                                             tmp_path, capsys,
+                                                                             monkeypatch):
+    _no_descent(monkeypatch)
+    assert cli_dispatch(_run("optimize", _cli_inputs(tmp_path)[0], flag, value)) == 1
+    assert capsys.readouterr().err == f"error:{error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scanner, init_m, error", [
+    ({"fx_res": 5.0}, None, "resonance ratio must lie in [1, 3], got 5.0"),
+    ({"fx_res": 2.0}, 1, "m must be between 2 and 64, got 1"),
+])
+def test_cli_optimize_refuses_a_reference_it_cannot_build_before_the_descent(
+        scanner, init_m, error, tmp_path, capsys, monkeypatch):
+    # each ran the whole descent, then refused the reference pattern
+    _no_descent(monkeypatch)
+    files, records = _cli_inputs(tmp_path)
+    argv = _run("optimize", files)
+    argv[argv.index("--scanner") + 1] = str(tmp_path / "far.json")
+    (tmp_path / "far.json").write_text(json.dumps(scanner))
+    if init_m is not None:
+        (tmp_path / "init.json").write_text(json.dumps(dict(records["--init"], m=init_m)))
+        argv += ["--init", files["init"]]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error:DomainError: {error}\n"
+
+
+def _calls_with_defaults(monkeypatch, module, name, **defaults):
+    """Give module.name other defaults for the named parameters, and return
+    the list that gets the arguments of each call, defaults applied."""
+    fn, calls = getattr(module, name), []
+    params = inspect.signature(fn).parameters.values()
+    monkeypatch.setattr(inspect.unwrap(fn), "__defaults__",     # under an errstate decorator
+                        tuple(defaults.get(p.name, p.default) for p in params
+                              if p.default is not p.empty))
+    signature = inspect.signature(fn)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_cli_optimize_takes_each_absent_flag_from_the_library(tmp_path, monkeypatch,
+                                                              with_defaults):
+    # the parser restated all eight: a library with other defaults showed none of them
+    from lissscan import modulated
+    monkeypatch.setattr(modulated, "OptimizeOptions", with_defaults(
+        modulated.OptimizeOptions, max_iters=1, step=0.01, threshold=0.2, n_samples=60,
+        constraint="absolute"))
+    starts = _calls_with_defaults(monkeypatch, modulated, "initial_params", m=9, n_tones=3,
+                                  y_single_tone=True)
+    solves = _calls_with_defaults(monkeypatch, modulated, "optimize")
+    references = _calls_with_defaults(monkeypatch, modulated, "reference_pattern")
+    syntheses = _calls_with_defaults(monkeypatch, modulated, "synthesize_modulated")
+    files = _cli_inputs(tmp_path)[0]
+    assert cli_dispatch(["optimize", "--scanner", files["scanner"], "--roi", files["roi"],
+                         "--out", files["out"]]) == 0
+    [start], [solve] = starts, solves
+    assert (start["m"], start["n_tones"], start["y_single_tone"]) == (9, 3, True)
+    opts = solve["opts"]
+    assert (opts.max_iters, opts.step, opts.threshold, opts.n_samples, opts.constraint) == (
+        1, 0.01, 0.2, 60, "absolute")
+    assert [call["n_samples"] for call in references + syntheses] == [60, 60]
+    payload = json.loads(Path(files["out"]).read_text())
+    assert (payload["m"], len(payload["nx"]), payload["ny"]) == (9, 3, [18])
+
+
+def test_cli_metrics_and_phase_sim_take_an_absent_frame_and_seed_from_the_library(tmp_path,
+                                                                                 monkeypatch):
+    from lissscan import coverage, phase
+    frames = _calls_with_defaults(monkeypatch, coverage, "sample_unmodulated", frame_index=3)
+    seeds = _calls_with_defaults(monkeypatch, phase, "simulate_drift_control", seed=11)
+    files = _cli_inputs(tmp_path)[0]
+    for command in ("metrics", "phase-sim"):
+        argv = _run(command, files)
+        flag = argv.index("--frame" if command == "metrics" else "--seed")
+        assert cli_dispatch(argv[:flag] + argv[flag + 2:]) == 0
+    assert [call["frame_index"] for call in frames] == [3]
+    assert [call["seed"] for call in seeds] == [11]
+
+
+def test_cli_restates_no_library_default_or_allowed_set():
+    # every other flag is absent from args when not given, so the library's default applies
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [(command, action) for command, p in sub.choices.items() for action in p._actions]
+    assert not [(command, action.dest) for command, action in actions if action.choices]
+    assert {(command, action.dest): action.default for command, action in actions
+            if action.default not in (None, argparse.SUPPRESS)} == {
+        ("design", "baseline"): False,        # a switch between the two rules
+        ("metrics", "n_samples"): N_SAMPLES_DEFAULT, ("metrics", "grid"): N_GRID_DEFAULT,
+        ("sweep", "n_samples"): N_SAMPLES_DEFAULT, ("sweep", "grid"): N_GRID_DEFAULT}
 
 
 _FLAG_VALUES = st.one_of(

@@ -1114,12 +1114,24 @@ def test_optimize_fails_with_its_trace_when_every_halved_step_leaves_the_float_r
 
 
 @pytest.mark.parametrize("x_pair, y_pair, want", [
-    (([3.0], [4.0]), ([6.0, 1.0], [8.0, 0.0]), 11.0),       # the y axis sums larger
-    (([6.0, 1.0], [8.0, 0.0]), ([3.0], [4.0]), 11.0),
+    (([0.3], [0.4]), ([0.6, 0.1], [0.0, 0.0]), 0.6 + 0.1),   # the y axis sums larger
+    (([0.6, 0.1], [0.0, 0.0]), ([0.3], [0.4]), 0.6 + 0.1),
 ])
 def test_absolute_constraint_norm_is_the_larger_axis_sum(x_pair, y_pair, want):
-    coef = np.concatenate([*x_pair, *y_pair])
-    assert modulated._constraint_norm(coef, len(x_pair[0]), "absolute") == want
+    # each pair's RMS is within 1, so it can start a solve; iterate 0's norm is recorded
+    init = ModulatedParams(*x_pair, *y_pair, nx=tuple(range(26, 26 + len(x_pair[0]))),
+                           ny=tuple(range(13, 13 + len(y_pair[0]))), L=2, m=7,
+                           config=ScannerConfig(fx_res=2.0))
+    res = optimize(init, WeightMap.from_rectangles([ROI_B], 8),
+                   OptimizeOptions(max_iters=0, constraint="absolute"))
+    assert res.norm_trace.tolist() == [want]
+
+
+def test_each_constraint_has_one_norm_and_one_projection():
+    assert modulated._NORMS.keys() == modulated._PROJECTIONS.keys()
+    for name, norm in modulated._NORMS.items():     # each projection lands on its norm's ball
+        got = modulated._PROJECTIONS[name](np.array([3.0, 1.0]), np.array([4.0, 0.0]))
+        assert norm(*got) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_optimize_starts_an_absolute_warm_start_from_outside_the_constraint_set():
