@@ -33,7 +33,10 @@ MAX_SAMPLES = 2**21       # a pattern's x and y stay at 16 MB each; fill_factor'
                           # adds one n_samples mask per group
 MAX_ITERS = 10**6         # optimize's loss and norm trace lists stay near 32 MB each
 POOL_CHUNK = 8            # distinct geometries per process-pool task in sweep_designs
-_BOUND_ROWS = 6           # rows searched on either side of a patch center by _cell_bound
+_BOUND_ROWS = 6           # rows on either side of a patch center that _cell_bound searches;
+                          # fill_factor widens to more where its lower bound says they matter
+_WINDOW = 2**20           # cells fill_factor's widened window may add up: rows x n_grid^2,
+                          # 64 rows at grid 128, 16 at 256, never past _BOUND_ROWS from 512
 _REFINE_SHARE = 32        # fill_factor tightens its bounds when over 1/32 of the centers remain
 _BLOCK = 2**15            # candidates x samples above which _nearest_squared splits a group,
                           # and samples above which it makes a coarse pass first
@@ -142,13 +145,19 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
     is the largest nearest-sample distance over an n_grid x n_grid grid of
     patch centers. The search is exact but measures few centers. Each center
     gets an upper bound on its distance from the grid cells that hold a
-    sample (_cell_bound); the center with the largest bound is measured
-    against every sample, and its distance is a lower bound on r_max. Only
-    the centers whose bound reaches that lower bound are measured as well,
-    each against the samples within its bound (_nearest_squared). When more
-    than 1/_REFINE_SHARE of the centers do, the bounds are first tightened
-    down each column (_column_bound). r_max is bit-identical to the maximum
-    over all centers.
+    sample within _BOUND_ROWS rows (_cell_bound); the center with the
+    largest bound is measured against every sample, and its distance is a
+    lower bound on r_max. Only the centers whose bound reaches that lower
+    bound are measured as well, each against the samples within its bound
+    (_nearest_squared). A row dj away adds (2 dj + 1)^2 to a bound, so every
+    row with (2 dj + 1)^2 below the squared lower bound, in units of
+    1/n_grid, can lower a bound past it: the bounds are first widened to
+    those rows (_widen), as far as rows x n_grid^2 stays within _WINDOW
+    cells, and the widened bounds' deepest center is measured too. When
+    more than 1/_REFINE_SHARE of the centers still reach the lower bound,
+    the bounds are tightened down each column (_column_bound). Any window
+    bounds every center, so r_max is bit-identical to the maximum over all
+    centers.
     """
     n_grid = _grid_count(n_grid)
     sx = float(np.max(np.abs(pattern.x)))
@@ -172,8 +181,15 @@ def fill_factor(pattern: SampledPattern, n_grid: int = N_GRID_DEFAULT) -> Covera
         reach = max(lower - 1e-9, 0.0) * n_grid
         return bound >= reach * reach
 
-    bound = _cell_bound(x, y, n_grid)
+    bound, gap, scratch = _cell_bound(x, y, n_grid)
     lower = deepest(bound)
+    reach = max(lower - 1e-9, 0.0) * n_grid             # as reached computes it
+    # the rows dj with (2 dj + 1)^2 < reach^2; one farther out adds reach^2 by itself
+    last = min(math.ceil((reach - 1.0) / 2.0) - 1, _WINDOW // (n_grid * n_grid), n_grid - 1)
+    if last > _BOUND_ROWS:
+        _widen(bound, gap, scratch, _BOUND_ROWS + 1, last)
+        lower = max(lower, deepest(bound))
+    del gap, scratch                                    # freed before the column pass
     near = reached(bound, lower)
     if np.count_nonzero(near) * _REFINE_SHARE > n_grid * n_grid:
         bound = _column_bound(bound)
@@ -242,9 +258,11 @@ def _nearest_squared(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarra
     return out
 
 
-def _cell_bound(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+def _cell_bound(x: np.ndarray, y: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n d)^2 for an upper bound d on each patch center's distance to its
-    nearest sample, as int32 indexed [y cell, x cell].
+    nearest sample, as int32 indexed [y cell, x cell], with the gap and
+    scratch arrays that _widen takes to search more rows.
 
     A sample lies in cell _patch_index(v, n) per axis, so a center that sees
     an occupied cell di columns and dj rows away is within
@@ -269,14 +287,19 @@ def _cell_bound(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     gap += 1
     np.square(gap, out=gap)
     bound = gap + 1
-    scratch = right
-    for dj in range(1, _BOUND_ROWS + 1):
-        step = (2 * dj + 1) ** 2
-        np.add(gap[dj:], step, out=scratch[:-dj])        # the row dj above
-        np.minimum(bound[:-dj], scratch[:-dj], out=bound[:-dj])
-        np.add(gap[:-dj], step, out=scratch[dj:])        # the row dj below
-        np.minimum(bound[dj:], scratch[dj:], out=bound[dj:])
-    return bound
+    _widen(bound, gap, right, 1, _BOUND_ROWS)
+    return bound, gap, right
+
+
+def _widen(bound: np.ndarray, gap: np.ndarray, scratch: np.ndarray, first: int,
+           last: int) -> None:
+    """Lower _cell_bound's squared bound in place by the rows first..last on
+    either side of each center, given gap, (2|di| + 1)^2 to the nearest
+    occupied column of each cell, and scratch, an array of its shape."""
+    for dj in range(first, last + 1):
+        np.add(gap, (2 * dj + 1) ** 2, out=scratch)
+        np.minimum(bound[:-dj], scratch[dj:], out=bound[:-dj])    # the row dj above
+        np.minimum(bound[dj:], scratch[:-dj], out=bound[dj:])     # ... and below
 
 
 def _column_bound(squared: np.ndarray) -> np.ndarray:

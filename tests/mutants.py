@@ -33,6 +33,7 @@ DESIGN = "tests/test_design.py::"
 IO_CLI = "tests/test_io_cli.py::"
 SCANNER = "tests/test_scanner.py::"
 FUZZ = "tests/test_api_fuzz.py::"
+WORK = "tests/test_work_counts.py::"
 
 # name: (file under src/lissscan, text, replacement, tests, expected outcome, reason)
 MUTANTS = {
@@ -130,6 +131,38 @@ MUTANTS = {
         "coverage.py", "reach = np.minimum(reach, np.sqrt(coarse) + 1e-9)",
         "reach = np.minimum(reach, np.sqrt(coarse))",
         [COVERAGE + "test_nearest_squared_keeps_what_the_coarse_reach_allows"], "killed", ""),
+    "window-never-widens": (
+        "coverage.py", "    if last > _BOUND_ROWS:\n", "    if False:\n",
+        [WORK + "test_fill_factor_work_on_phase_shifted_designs"], "killed", ""),
+    "widen-offset-short": (
+        "coverage.py", "(2 * dj + 1) ** 2", "(2 * dj) ** 2",
+        [COVERAGE + "test_fill_factor_r_max_is_exactly_the_every_center_maximum"], "killed", ""),
+    "sweep-workers-zero-allowed": (
+        "coverage.py", 'number_value(workers, "workers", 1, convert=int)',
+        'number_value(workers, "workers", 0, convert=int)',
+        [COVERAGE + "test_sweep_refuses_fewer_than_one_worker"], "killed", ""),
+    "sweep-only-domain-errors-flagged": (
+        "coverage.py", "        except LissscanError as exc:\n", "        except DomainError as exc:\n",
+        [COVERAGE + "test_sweep_flags_failing_cells_instead_of_dropping_them"], "survived",
+        "the rules, ScannerConfig and scanning_range raise no other LissscanError"),
+    "sweep-last-geometry-args": (
+        "coverage.py", "jobs.setdefault(geometry, (design, cell_config, n_samples, n_grid))",
+        "jobs[geometry] = (design, cell_config, n_samples, n_grid)",
+        [COVERAGE + "test_sweep_cells_sharing_a_geometry_share_a_fill_factor"], "survived",
+        "a geometry is scored at unit amplitude, so its cell's config does not enter"),
+    "sample-y-phase-dropped": (
+        "coverage.py", "np.cos(2.0 * np.pi * float(design.fy) * t + design.phiy)",
+        "np.cos(2.0 * np.pi * float(design.fy) * t)",
+        [COVERAGE + "test_sampling_takes_the_y_phase_of_the_design"], "killed", ""),
+    "pattern-ndim-t-only": (
+        "coverage.py", "if not (self.t.ndim == self.x.ndim == self.y.ndim == 1):",
+        "if not self.t.ndim == 1:",
+        [COVERAGE + "test_sampled_pattern_refuses_a_column_of_samples"], "killed", ""),
+    "pattern-step-no-atol": (
+        "coverage.py", "(np.abs(steps - step) <= 1e-12 + 1e-9 * step)",
+        "(np.abs(steps - step) <= 1e-9 * step)",
+        [COVERAGE + "test_the_uniform_step_check_keeps_the_tolerances_of_np_allclose"], "killed",
+        ""),
     "offset-from-raw-arguments": (
         "phase.py", "    f_drive, f_res, q = _plant(f_drive, f_res, q)\n    base = ",
         "    base = ",

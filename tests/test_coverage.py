@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lissscan import coverage
 from lissscan import (ScannerConfig, SampledPattern, UnmodulatedDesign,
@@ -35,6 +35,14 @@ def test_sampling_layout():
     assert pattern.t[-1] == pytest.approx(7.0 - 7.0 / 1000.0)
     shifted = sample_unmodulated(P2, CFG, 3, 1000)
     assert shifted.t[0] == pytest.approx(21.0)
+
+
+def test_sampling_takes_the_y_phase_of_the_design():
+    # every rule's design has phiy = 0, and no other test gave it another value
+    level = UnmodulatedDesign(fx=F(3, 2), phix=0.0, m=7)
+    tilted = sample_unmodulated(dataclasses.replace(level, phiy=math.pi / 3), CFG, 0, 100)
+    assert tilted.y[0] == pytest.approx(0.5, rel=1e-12)        # unit response at fy = 1
+    assert np.array_equal(tilted.x, sample_unmodulated(level, CFG, 0, 100).x)
 
 
 def test_sampling_takes_a_frame_index_of_either_sign():
@@ -97,10 +105,21 @@ def test_a_step_past_the_float_range_is_refused(t):
         SampledPattern(t=t, x=np.zeros(len(t)), y=np.ones(len(t)))
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_sampled_pattern_refuses_a_column_of_samples(axis):
+    # a (10, 1) array has the length of a 1-D t; only the t check was tested
+    arrays = {"t": np.arange(10.0), "x": np.zeros(10), "y": np.ones(10)}
+    arrays[axis] = arrays[axis][:, None]
+    with pytest.raises(DomainError, match="^t, x, y must be one-dimensional arrays$"):
+        SampledPattern(**arrays)
+
+
 @settings(max_examples=200, deadline=None)
 @given(start=st.floats(-1e6, 1e6), step=st.floats(1e-13, 1e6),
        jitter=st.lists(st.sampled_from([0.0, 1e-12, -2e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9]),
                        min_size=1, max_size=5))
+@example(start=0.0, step=1e-6, jitter=[5e-13])   # inside atol, outside rtol * step
+@example(start=0.0, step=1e-6, jitter=[2e-12])   # outside both
 def test_the_uniform_step_check_keeps_the_tolerances_of_np_allclose(start, step, jitter):
     t = start + np.cumsum([0.0, step] + [step * (1.0 + j) + j for j in jitter])
     steps = np.diff(t)
@@ -194,11 +213,12 @@ def _r_max_over_every_center(pattern, n_grid):
 
 
 @st.composite
-def _point_sets(draw):
+def _point_sets(draw, grids=st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.integers(2, 160)),
+                samples=st.integers(2, 600)):
     """A pattern and the grid it is scored on."""
-    n_grid = draw(st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.integers(2, 160)))
+    n_grid = draw(grids)
     kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "lissajous", "cell edges"]))
-    n = draw(st.integers(2, 600))
+    n = draw(samples)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
         x, y = rng.uniform(-1.0, 1.0, (2, n))
@@ -220,17 +240,43 @@ def _point_sets(draw):
     return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y), n_grid
 
 
+def _assert_exact_with_bounds_at_every_center(pattern, n_grid):
+    distance = _every_center_distance(pattern, n_grid)
+    windows, bounds = [], []
+    widen = coverage._widen
+
+    def recording(bound, gap, scratch, first, last):
+        windows.append((first, last))
+        bounds.append(bound)
+        return widen(bound, gap, scratch, first, last)
+    with mock.patch.object(coverage, "_widen", recording):
+        assert fill_factor(pattern, n_grid).r_max == distance.max()
+    # _cell_bound's rows, then at most one widening past them, in one array
+    assert windows[0] == (1, coverage._BOUND_ROWS) and len(windows) <= 2
+    assert all(bound is bounds[0] for bound in bounds)
+    if len(windows) == 2:
+        first, last = windows[1]
+        assert first == coverage._BOUND_ROWS + 1 <= last < n_grid
+        assert last * n_grid * n_grid <= coverage._WINDOW
+    # the bound fill_factor prunes with, widened and tightened down the
+    # columns, holds at every center, not only where it decides r_max
+    for bound in (bounds[0], coverage._column_bound(bounds[0])):
+        assert np.all(np.sqrt(bound) / n_grid >= distance - 1e-12)
+    return windows
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_point_sets())
 def test_fill_factor_r_max_is_exactly_the_every_center_maximum(case):
-    pattern, n_grid = case
-    distance = _every_center_distance(pattern, n_grid)
-    assert fill_factor(pattern, n_grid).r_max == distance.max()
-    # both bounds hold at every center, not only where they decide r_max
-    squared = coverage._cell_bound(pattern.x / np.max(np.abs(pattern.x)),
-                                   pattern.y / np.max(np.abs(pattern.y)), n_grid)
-    for bound in (squared, coverage._column_bound(squared)):
-        assert np.all(np.sqrt(bound) / n_grid >= distance - 1e-12)
+    _assert_exact_with_bounds_at_every_center(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_point_sets(st.integers(161, 300), st.integers(2, 300)))
+def test_fill_factor_r_max_is_exact_where_the_window_cap_binds(case):
+    # from grid 161 _WINDOW allows fewer rows than a hole of half the field
+    # asks for (40 at 161, 11 at 300), so the widening stops at the cap
+    _assert_exact_with_bounds_at_every_center(*case)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,6 +409,57 @@ def test_fill_factor_tightens_the_bound_down_columns_on_a_fine_grid(queried, mon
     assert tightened == [1]
     assert queried[0] < 512 * 512 // 16              # fewer than every 4th center per axis
     assert r_max == _r_max_over_every_center(pattern, 512)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The (first, last) rows of each _widen call, which still runs."""
+    calls = []
+    widen = coverage._widen
+
+    def recording(bound, gap, scratch, first, last):
+        calls.append((first, last))
+        return widen(bound, gap, scratch, first, last)
+    monkeypatch.setattr(coverage, "_widen", recording)
+    return calls
+
+
+def test_fill_factor_widens_past_the_floor_where_a_phase_shift_leaves_deep_holes(windows,
+                                                                                monkeypatch):
+    # criterion 8's design shifted by 20 degrees: its holes are deeper than
+    # _BOUND_ROWS rows, and the widened bound leaves too few centers for a
+    # column pass
+    def no_column_pass(squared):
+        raise AssertionError("_column_bound ran")
+    monkeypatch.setattr(coverage, "_column_bound", no_column_pass)
+    pattern = sample_unmodulated(UnmodulatedDesign(fx=P2.fx, phix=P2.phix + math.radians(20),
+                                                   m=7), CFG)
+    assert fill_factor(pattern).r_max == _r_max_over_every_center(pattern, 128)
+    assert [first for first, _ in windows] == [1, coverage._BOUND_ROWS + 1]
+    assert coverage._BOUND_ROWS < windows[1][1] <= coverage._WINDOW // 128**2
+
+
+@pytest.mark.parametrize("n_grid", [512, 2048])
+def test_fill_factor_never_widens_past_the_floor_on_a_fine_grid(n_grid, windows, monkeypatch):
+    # P2's holes at 1,000 samples ask for more than _BOUND_ROWS rows on
+    # these grids; the window stays at _BOUND_ROWS only because of _WINDOW,
+    # checked here before the exact search (2048 is never searched)
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+    monkeypatch.setattr(coverage, "_nearest_squared", stop)
+    pattern = sample_unmodulated(P2, CFG, 0, 1000)
+    with pytest.raises(Reached):
+        fill_factor(pattern, n_grid)
+    assert windows == [(1, coverage._BOUND_ROWS)]
+    asked = []                                       # what the rule asks for without the cap
+    monkeypatch.setattr(coverage, "_WINDOW", 2**62)
+    monkeypatch.setattr(coverage, "_widen", lambda *args: asked.append(args[3:]))
+    with pytest.raises(Reached):
+        fill_factor(pattern, n_grid)
+    assert asked[0] == (1, coverage._BOUND_ROWS) and asked[1][1] > coverage._BOUND_ROWS
 
 
 def _patch_values(n):
@@ -552,6 +649,13 @@ def test_sweep_refuses_an_invalid_size_before_it_builds_a_design_or_a_pool(sizes
     monkeypatch.setattr(coverage.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(DomainError, match=f"^{next(iter(sizes))} must be"):
         sweep_designs(*POOL_GRID, workers=2, **sizes)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_refuses_fewer_than_one_worker(workers):
+    # 0 scored serially, as 1 does, when the check allowed it
+    with pytest.raises(DomainError, match=f"^workers must be at least 1, got {workers}$"):
+        sweep_designs([F(3, 2)], [7], workers=workers)
 
 
 def test_sweep_validation():
