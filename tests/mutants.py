@@ -134,6 +134,9 @@ MUTANTS = {
     "window-never-widens": (
         "coverage.py", "    if last > _BOUND_ROWS:\n", "    if False:\n",
         [WORK + "test_fill_factor_work_on_phase_shifted_designs"], "killed", ""),
+    "bound-rows-two": (
+        "coverage.py", "_BOUND_ROWS = 6 ", "_BOUND_ROWS = 2 ",
+        [WORK + "test_fill_factor_work_on_the_acceptance_sweep"], "killed", ""),
     "widen-offset-short": (
         "coverage.py", "(2 * dj + 1) ** 2", "(2 * dj) ** 2",
         [COVERAGE + "test_fill_factor_r_max_is_exactly_the_every_center_maximum"], "killed", ""),

@@ -240,29 +240,34 @@ def _point_sets(draw, grids=st.one_of(st.sampled_from([2, 3, 5, 127, 129]), st.i
     return SampledPattern(t=np.arange(n, dtype=float), x=x, y=y), n_grid
 
 
-def _assert_exact_with_bounds_at_every_center(pattern, n_grid):
-    distance = _every_center_distance(pattern, n_grid)
-    windows, bounds = [], []
+def _recording_widen(calls):
+    """_widen, which still runs, appending (first, last, bound) of each call to calls."""
     widen = coverage._widen
 
     def recording(bound, gap, scratch, first, last):
-        windows.append((first, last))
-        bounds.append(bound)
+        calls.append((first, last, bound))
         return widen(bound, gap, scratch, first, last)
-    with mock.patch.object(coverage, "_widen", recording):
+    return recording
+
+
+def _assert_exact_with_bounds_at_every_center(pattern, n_grid):
+    distance = _every_center_distance(pattern, n_grid)
+    calls = []
+    with mock.patch.object(coverage, "_widen", _recording_widen(calls)):
         assert fill_factor(pattern, n_grid).r_max == distance.max()
+    windows = [(first, last) for first, last, _ in calls]
+    bound = calls[0][2]
     # _cell_bound's rows, then at most one widening past them, in one array
     assert windows[0] == (1, coverage._BOUND_ROWS) and len(windows) <= 2
-    assert all(bound is bounds[0] for bound in bounds)
+    assert all(widened is bound for _, _, widened in calls)
     if len(windows) == 2:
         first, last = windows[1]
         assert first == coverage._BOUND_ROWS + 1 <= last < n_grid
         assert last * n_grid * n_grid <= coverage._WINDOW
     # the bound fill_factor prunes with, widened and tightened down the
     # columns, holds at every center, not only where it decides r_max
-    for bound in (bounds[0], coverage._column_bound(bounds[0])):
-        assert np.all(np.sqrt(bound) / n_grid >= distance - 1e-12)
-    return windows
+    for pruning in (bound, coverage._column_bound(bound)):
+        assert np.all(np.sqrt(pruning) / n_grid >= distance - 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,7 +276,7 @@ def test_fill_factor_r_max_is_exactly_the_every_center_maximum(case):
     _assert_exact_with_bounds_at_every_center(*case)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=_point_sets(st.integers(161, 300), st.integers(2, 300)))
 def test_fill_factor_r_max_is_exact_where_the_window_cap_binds(case):
     # from grid 161 _WINDOW allows fewer rows than a hole of half the field
@@ -413,14 +418,9 @@ def test_fill_factor_tightens_the_bound_down_columns_on_a_fine_grid(queried, mon
 
 @pytest.fixture
 def windows(monkeypatch):
-    """The (first, last) rows of each _widen call, which still runs."""
+    """(first, last, bound) of each _widen call, which still runs."""
     calls = []
-    widen = coverage._widen
-
-    def recording(bound, gap, scratch, first, last):
-        calls.append((first, last))
-        return widen(bound, gap, scratch, first, last)
-    monkeypatch.setattr(coverage, "_widen", recording)
+    monkeypatch.setattr(coverage, "_widen", _recording_widen(calls))
     return calls
 
 
@@ -435,7 +435,7 @@ def test_fill_factor_widens_past_the_floor_where_a_phase_shift_leaves_deep_holes
     pattern = sample_unmodulated(UnmodulatedDesign(fx=P2.fx, phix=P2.phix + math.radians(20),
                                                    m=7), CFG)
     assert fill_factor(pattern).r_max == _r_max_over_every_center(pattern, 128)
-    assert [first for first, _ in windows] == [1, coverage._BOUND_ROWS + 1]
+    assert [first for first, _, _ in windows] == [1, coverage._BOUND_ROWS + 1]
     assert coverage._BOUND_ROWS < windows[1][1] <= coverage._WINDOW // 128**2
 
 
@@ -453,7 +453,7 @@ def test_fill_factor_never_widens_past_the_floor_on_a_fine_grid(n_grid, windows,
     pattern = sample_unmodulated(P2, CFG, 0, 1000)
     with pytest.raises(Reached):
         fill_factor(pattern, n_grid)
-    assert windows == [(1, coverage._BOUND_ROWS)]
+    assert [window[:2] for window in windows] == [(1, coverage._BOUND_ROWS)]
     asked = []                                       # what the rule asks for without the cap
     monkeypatch.setattr(coverage, "_WINDOW", 2**62)
     monkeypatch.setattr(coverage, "_widen", lambda *args: asked.append(args[3:]))
